@@ -12,20 +12,10 @@ from __future__ import annotations
 import numpy as np
 
 WORD_BITS = 64
-_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
 def words_for(nbits: int) -> int:
     return (nbits + WORD_BITS - 1) // WORD_BITS
-
-
-def tail_mask_words(nwords: int, nbits: int) -> np.ndarray:
-    """All-ones words with the bits past nbits cleared in the last word."""
-    m = np.full(nwords, _ONES, dtype=np.uint64)
-    rem = nbits % WORD_BITS
-    if nwords and rem:
-        m[-1] = np.uint64((1 << rem) - 1)
-    return m
 
 
 def pack_bits(bits: np.ndarray) -> np.ndarray:
@@ -47,23 +37,6 @@ def unpack_bits(words: np.ndarray, nbits: int) -> np.ndarray:
         as_bytes.reshape(words.shape[:-1] + (-1,)), axis=-1, bitorder="little"
     )
     return flat[..., :nbits]
-
-
-def not_words(words: np.ndarray, nbits: int) -> np.ndarray:
-    """Bitwise NOT over the logical lanes, tail kept zero."""
-    out = words ^ _ONES
-    rem = nbits % WORD_BITS
-    if words.shape[-1] and rem:
-        out[..., -1] &= np.uint64((1 << rem) - 1)
-    return out
-
-
-def random_words(rng: np.random.Generator, nwords: int, nbits: int) -> np.ndarray:
-    w = rng.integers(0, 1 << 64, size=nwords, dtype=np.uint64)
-    rem = nbits % WORD_BITS
-    if nwords and rem:
-        w[-1] &= np.uint64((1 << rem) - 1)
-    return w
 
 
 def bits_of_values(values: np.ndarray, positions: int) -> np.ndarray:

@@ -73,14 +73,18 @@ def recv_exact(sock: socket.socket, n: int) -> bytes:
     return b"".join(chunks)
 
 
-def read_frame(sock: socket.socket) -> tuple[int, int, bytes]:
-    raw = recv_exact(sock, _LEN.size)
-    (length,) = _LEN.unpack(raw)
+def read_body(sock: socket.socket) -> bytes:
+    """Read one frame's length prefix, check it, and return the rest."""
+    (length,) = _LEN.unpack(recv_exact(sock, _LEN.size))
     if length < _HEAD.size:
         raise FrameError(f"declared frame length {length} below minimum")
     if length > MAX_FRAME:
         raise FrameError(f"declared frame length {length} exceeds limit")
-    return decode_frame(recv_exact(sock, length))
+    return recv_exact(sock, length)
+
+
+def read_frame(sock: socket.socket) -> tuple[int, int, bytes]:
+    return decode_frame(read_body(sock))
 
 
 def write_frame(sock: socket.socket, kind: int, session: int, payload: bytes):
@@ -193,11 +197,7 @@ class TcpChannel(ChannelBase):
         self._outq.put(frame)
 
     def _recv_frame(self) -> bytes:
-        raw = recv_exact(self._sock, _LEN.size)
-        (length,) = _LEN.unpack(raw)
-        if length < _HEAD.size or length > MAX_FRAME:
-            raise FrameError(f"bad frame length {length}")
-        body = recv_exact(self._sock, length)
+        body = read_body(self._sock)
         if self.latency_s > 0:
             time.sleep(self.latency_s)
         return body

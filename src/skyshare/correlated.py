@@ -145,7 +145,7 @@ class Dealer:
 
     def value_sharing(self, value: int) -> tuple[int, int]:
         s1 = int(self.rng.integers(0, self.ring.modulus, dtype=np.uint64))
-        return s1, self.ring.sub(value, s1)
+        return s1, (value - s1) & self.ring.mask
 
 
 class PartyRandomness:
@@ -233,27 +233,28 @@ def write_pool_file(path: str, party: int, l: int, rand: PartyRandomness,
         f.write(encode_values(vals, l))
 
 
+def _read_exact(f, size: int, path: str) -> bytes:
+    data = f.read(size)
+    if len(data) != size:
+        raise ValueError(f"{path}: truncated pool file")
+    return data
+
+
 def read_pool_file(path: str, vmax: int) -> tuple[PartyRandomness, dict]:
     with open(path, "rb") as f:
-        head = f.read(_POOL_HEADER.size)
-        if len(head) != _POOL_HEADER.size:
-            raise ValueError(f"{path}: truncated pool header")
-        magic, l, party = _POOL_HEADER.unpack(head)
+        magic, l, party = _POOL_HEADER.unpack(_read_exact(f, _POOL_HEADER.size, path))
         if magic != POOL_MAGIC:
             raise ValueError(f"{path}: bad magic {magic!r}")
-        n_arith, n_binw, n_dab = _POOL_COUNTS.unpack(f.read(_POOL_COUNTS.size))
+        n_arith, n_binw, n_dab = _POOL_COUNTS.unpack(_read_exact(f, _POOL_COUNTS.size, path))
         width = value_width_bytes(l)
-        vmax_share = int(decode_values(f.read(width), l)[0])
-        arith_parts = [decode_values(f.read(width * n_arith), l) for _ in range(3)]
+        vmax_share = int(decode_values(_read_exact(f, width, path), l)[0])
+        arith_parts = [decode_values(_read_exact(f, width * n_arith, path), l) for _ in range(3)]
         bin_parts = [
-            np.frombuffer(f.read(8 * n_binw), dtype="<u8").astype(np.uint64)
+            np.frombuffer(_read_exact(f, 8 * n_binw, path), dtype="<u8").astype(np.uint64)
             for _ in range(3)
         ]
-        bits = np.frombuffer(f.read(n_dab), dtype=np.uint8).copy()
-        vals = decode_values(f.read(width * n_dab), l)
-    for part, want in ((arith_parts[2], n_arith), (bin_parts[2], n_binw), (vals, n_dab)):
-        if part.size != want:
-            raise ValueError(f"{path}: truncated pool body")
+        bits = np.frombuffer(_read_exact(f, n_dab, path), dtype=np.uint8).copy()
+        vals = decode_values(_read_exact(f, width * n_dab, path), l)
     arith = StreamPool(3)
     arith.push(tuple(arith_parts))
     binp = StreamPool(3)

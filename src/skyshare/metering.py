@@ -113,10 +113,11 @@ def msb_cost(batch: int, l: int) -> RandomnessBudget:
 
 
 def select_cost(batch: int, width: int, mode: str) -> RandomnessBudget:
-    """Oblivious two-way select of `batch` rows, `width` values per row."""
+    """Oblivious two-way select of `batch` rows, `width` values per row:
+    one bit-by-value product per row."""
     if mode == MODE_MESSAGES:
         return RandomnessBudget()
-    return RandomnessBudget(arith_triples=2 * batch * width, dabits=2 * batch)
+    return RandomnessBudget(arith_triples=batch * width, dabits=batch)
 
 
 def map_cost(n: int, m: int, l: int, mode: str) -> RandomnessBudget:
@@ -178,12 +179,6 @@ class SessionMetrics:
     bytes_rx: int
     secext: int
     wall_ms: float
-
-    def report(self) -> str:
-        lines = [f"{name} = {getattr(self, name)}" for name in (
-            "session", "n", "m", "k", "rounds", "bytes_tx", "bytes_rx", "secext")]
-        lines.append(f"wall_ms = {self.wall_ms:.3f}")
-        return "\n".join(lines)
 
     def csv_row(self) -> str:
         return (

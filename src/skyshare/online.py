@@ -128,10 +128,6 @@ def and_jobs(ctx: PartyContext, jobs: list[tuple[np.ndarray, np.ndarray]]) -> li
     return out
 
 
-def and_bits(ctx: PartyContext, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return and_jobs(ctx, [(x, y)])[0]
-
-
 def not_bits(ctx: PartyContext, bits: np.ndarray) -> np.ndarray:
     """Shared-bit complement: party 1 flips, party 2 does nothing."""
     if ctx.is_p1:
@@ -212,19 +208,12 @@ def bit_mul(ctx: PartyContext, bits: np.ndarray, values: np.ndarray) -> np.ndarr
 
 def obliv_select(ctx: PartyContext, bits: np.ndarray, when_true: np.ndarray,
                  when_false: np.ndarray) -> np.ndarray:
-    """Row-wise select(bit, u, v) = bit*u + (1-bit)*v, both branches touched.
+    """Row-wise select(bit, u, v) = v + bit*(u - v), both branches touched.
 
-    The two branch products share flights: one conversion round for the bit
-    and its complement, one product round (or a single message-pair flight).
+    One bit-by-value product per row; u - v may wrap around the ring, and
+    adding v back unwraps it.
     """
     if when_true.shape != when_false.shape:
         raise ValueError("branch shape mismatch")
-    both_bits = np.concatenate([bits, not_bits(ctx, bits)])
-    u = np.concatenate([when_true, when_false])
-    if ctx.mode == MODE_MESSAGES:
-        prod = bit_mul_messages(ctx, both_bits, u)
-    else:
-        xa = bits_to_arith(ctx, both_bits)
-        prod = mul_shares(ctx, _broadcast_scale(xa, u), u)
-    n = bits.shape[0]
-    return ctx.ring.reduce(prod[:n] + prod[n:])
+    r = ctx.ring
+    return r.reduce(when_false + bit_mul(ctx, bits, r.reduce(when_true - when_false)))

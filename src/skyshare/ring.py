@@ -35,11 +35,6 @@ class Ring:
         return (1 << self.l) - 1
 
     @property
-    def half(self) -> int:
-        # First value interpreted as negative.
-        return 1 << (self.l - 1)
-
-    @property
     def mask_np(self) -> np.uint64:
         return np.uint64(self.mask)
 
@@ -48,33 +43,6 @@ class Ring:
         if self.l == MAX_WIDTH:
             return arr
         return arr & self.mask_np
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) & self.mask
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) & self.mask
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) & self.mask
-
-    def neg(self, a: int) -> int:
-        return (-a) & self.mask
-
-    def msb(self, a: int) -> int:
-        """Bit l-1 of a: 1 iff the signed reading of a is negative."""
-        return (a >> (self.l - 1)) & 1
-
-    def encode_signed(self, v: int) -> int:
-        """Two's-complement encoding of a bounded signed integer."""
-        if not -self.half < v < self.half:
-            raise ValueError(f"{v} out of signed range for width {self.l}")
-        return v & self.mask
-
-    def decode_signed(self, a: int) -> int:
-        if not 0 <= a < self.modulus:
-            raise ValueError(f"{a} is not a ring element at width {self.l}")
-        return a - self.modulus if a >= self.half else a
 
     def to_array(self, values) -> np.ndarray:
         """Copy python ints / sequences into a masked uint64 array."""

@@ -35,6 +35,7 @@ from .sharing import decode_values, encode_values, read_share_file, share_matrix
 PROTOCOL_VERSION = 1
 _QUERY_HEAD = struct.Struct("<BBH")  # version, ring width, attribute count
 _RESULT_HEAD = struct.Struct("<I")   # row count
+_PEER_HELLO = struct.Struct("<BBB")  # version, ring width, sender's party
 
 
 def parse_endpoint(text: str) -> tuple[str, int]:
@@ -75,13 +76,6 @@ def run_pair(task1, task2):
     return results[0], results[1]
 
 
-def meter_report(metrics: SessionMetrics) -> str:
-    """Structured key = value report; refuses empty sessions."""
-    if metrics.rounds <= 0:
-        raise ValueError("session ran no protocol rounds; nothing to report")
-    return metrics.report()
-
-
 def _encode_query_payload(l: int, q_share: np.ndarray) -> bytes:
     return _QUERY_HEAD.pack(PROTOCOL_VERSION, l, q_share.size) + encode_values(q_share, l)
 
@@ -98,6 +92,24 @@ def _decode_query_payload(payload: bytes, l: int) -> np.ndarray:
     if values.size != m:
         raise FrameError(f"query declares {m} attributes but carries {values.size}")
     return values
+
+
+def _write_peer_hello(sock: socket.socket, session: int, l: int, party: int):
+    """Bind a peer link to a session (party 1's hello, party 2's ack)."""
+    write_frame(sock, KIND_QUERY, session, _PEER_HELLO.pack(PROTOCOL_VERSION, l, party))
+
+
+def _read_peer_hello(sock: socket.socket, l: int, party: int) -> int:
+    """Read and check the peer's hello or ack; returns its session id."""
+    kind, session, payload = read_frame(sock)
+    if kind != KIND_QUERY or len(payload) != _PEER_HELLO.size:
+        raise FrameError("bad peer hello")
+    ver, peer_l, peer_party = _PEER_HELLO.unpack(payload)
+    if ver != PROTOCOL_VERSION:
+        raise FrameError(f"version mismatch: peer hello v{ver}")
+    if peer_l != l or peer_party != party:
+        raise FrameError("peer hello does not match this server's ring width or peer party")
+    return session
 
 
 def _encode_result(rows: np.ndarray, l: int) -> bytes:
@@ -249,6 +261,11 @@ class Server:
         self._stop.set()
         for sock in (self._client_sock, self._peer_sock):
             if sock is not None:
+                # close() alone does not wake a thread blocked in accept() on Linux
+                try:
+                    sock.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
                 sock.close()
         for t in self._threads:
             t.join(timeout=5)
@@ -276,14 +293,7 @@ class Server:
 
     def _register_peer(self, conn: socket.socket):
         try:
-            kind, session, payload = read_frame(conn)
-            if kind != KIND_QUERY or len(payload) < 3:
-                raise FrameError("bad peer hello")
-            ver, peer_l, peer_party = payload[0], payload[1], payload[2]
-            if ver != PROTOCOL_VERSION:
-                raise FrameError(f"version mismatch: peer hello v{ver}")
-            if peer_l != self.ring.l or peer_party != 1:
-                raise FrameError("peer hello does not match this server's session width")
+            session = _read_peer_hello(conn, self.ring.l, 1)
         except (FrameError, OSError) as exc:
             print(f"server {self.party}: rejected peer link: {exc}", flush=True)
             conn.close()
@@ -310,16 +320,14 @@ class Server:
         missing) aborts with both servers' pool cursors still aligned.
         """
         sock = socket.create_connection(self.peer_addr, timeout=self.handshake_timeout)
-        sock.settimeout(self.handshake_timeout)
-        hello = bytes([PROTOCOL_VERSION, self.ring.l, self.party])
-        write_frame(sock, KIND_QUERY, session, hello)
-        kind, got_session, payload = read_frame(sock)
-        if kind != KIND_QUERY or got_session != session or len(payload) < 3:
+        try:
+            sock.settimeout(self.handshake_timeout)
+            _write_peer_hello(sock, session, self.ring.l, self.party)
+            if _read_peer_hello(sock, self.ring.l, 2) != session:
+                raise FrameError("peer acknowledged another session")
+        except (FrameError, OSError):
             sock.close()
-            raise FrameError("bad peer acknowledgement")
-        if payload[0] != PROTOCOL_VERSION or payload[1] != self.ring.l or payload[2] != 2:
-            sock.close()
-            raise FrameError("version mismatch on the peer link")
+            raise
         sock.settimeout(None)
         return sock
 
@@ -358,8 +366,7 @@ class Server:
             else:
                 peer_conn = self._wait_peer(session, timeout=self.handshake_timeout)
                 with self._exec_lock:
-                    ack = bytes([PROTOCOL_VERSION, self.ring.l, self.party])
-                    write_frame(peer_conn, KIND_QUERY, session, ack)
+                    _write_peer_hello(peer_conn, session, self.ring.l, self.party)
                     outcome, metrics = self._run_session(peer_conn, session, q_share)
             self.completed.append(metrics)
             write_frame(conn, KIND_RESULT, session, _encode_result(outcome.rows, self.ring.l))

@@ -1,11 +1,11 @@
-"""Two-party additive and XOR secret sharing.
+"""Two-party additive sharing of integer arrays, and the share-upload file.
 
-A secret x in Z_{2^l} is held as <x>_1 + <x>_2 mod 2^l (arithmetic) or, for
-bits, <x>_1 XOR <x>_2.  Share 1 is drawn uniformly so either share alone is
-a uniform ring element.  Addition, subtraction and public-scalar multiples
-are local; multiplication is the online layer's job (see online.py).
+A secret x in Z_{2^l} is held as <x>_1 + <x>_2 mod 2^l.  Share 1 is drawn
+uniformly so either share alone is a uniform ring element.  Addition,
+subtraction and public-scalar multiples are local; multiplication is the
+online layer's job (see online.py).
 
-Also defines the share-upload file format written by the data owner:
+The share-upload file format written by the data owner:
 
     header  '<5sBQHBI'  magic b"SSKY1", l:u8, n:u64, m:u16, party:u8, scale:u32
     body    n*m little-endian values, ceil(l/8) bytes each, row-major
@@ -14,7 +14,6 @@ Also defines the share-upload file format written by the data owner:
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,96 +30,12 @@ def _check_party(party: int):
         raise ValueError(f"party must be 1 or 2, got {party}")
 
 
-@dataclass(frozen=True)
-class ArithShare:
-    """One party's additive share of a ring value (or array of values)."""
-
-    party: int
-    value: object  # int or uint64 ndarray
-
-    def __post_init__(self):
-        _check_party(self.party)
-
-
-@dataclass(frozen=True)
-class BinShare:
-    """One party's XOR share of a bit (or uint8 bit array)."""
-
-    party: int
-    bit: object
-
-    def __post_init__(self):
-        _check_party(self.party)
-
-
-def share_arith(x: int, rng: np.random.Generator, ring: Ring) -> tuple[ArithShare, ArithShare]:
-    s1 = int(rng.integers(0, ring.modulus, dtype=np.uint64))
-    return ArithShare(1, s1), ArithShare(2, ring.sub(x, s1))
-
-
-def reconstruct_arith(a: ArithShare, b: ArithShare, ring: Ring):
-    if a.party == b.party:
-        raise ValueError("both shares belong to the same party")
-    if isinstance(a.value, np.ndarray) or isinstance(b.value, np.ndarray):
-        return ring.reduce(np.asarray(a.value, dtype=np.uint64) + np.asarray(b.value, dtype=np.uint64))
-    return ring.add(a.value, b.value)
-
-
-def share_bin(bit: int, rng: np.random.Generator) -> tuple[BinShare, BinShare]:
-    if bit not in (0, 1):
-        raise ValueError("binary sharing takes a bit")
-    s1 = int(rng.integers(0, 2))
-    return BinShare(1, s1), BinShare(2, bit ^ s1)
-
-
-def reconstruct_bin(a: BinShare, b: BinShare):
-    if a.party == b.party:
-        raise ValueError("both shares belong to the same party")
-    return a.bit ^ b.bit
-
-
 def share_matrix(values: np.ndarray, rng: np.random.Generator, ring: Ring) -> tuple[np.ndarray, np.ndarray]:
     """Share an integer array element-wise; returns the two parties' arrays."""
     plain = ring.to_array(values)
     s1 = rng.integers(0, ring.modulus, size=plain.shape, dtype=np.uint64)
     s2 = ring.reduce(plain - s1)
     return s1, s2
-
-
-def reconstruct_matrix(s1: np.ndarray, s2: np.ndarray, ring: Ring) -> np.ndarray:
-    return ring.reduce(np.asarray(s1, dtype=np.uint64) + np.asarray(s2, dtype=np.uint64))
-
-
-def add_shares(a: ArithShare, b: ArithShare, ring: Ring) -> ArithShare:
-    """Share-wise addition: local, no communication."""
-    if a.party != b.party:
-        raise ValueError("local ops combine shares held by the same party")
-    return ArithShare(a.party, ring.add(a.value, b.value))
-
-
-def sub_shares(a: ArithShare, b: ArithShare, ring: Ring) -> ArithShare:
-    if a.party != b.party:
-        raise ValueError("local ops combine shares held by the same party")
-    return ArithShare(a.party, ring.sub(a.value, b.value))
-
-
-def scale_share(eta: int, a: ArithShare, ring: Ring) -> ArithShare:
-    """Multiply by a public scalar: local at each party."""
-    return ArithShare(a.party, ring.mul(eta % ring.modulus, a.value))
-
-
-def add_public(c: int, a: ArithShare, ring: Ring) -> ArithShare:
-    """Add a public constant: only party 1 offsets its share."""
-    if a.party == 1:
-        return ArithShare(1, ring.add(a.value, c))
-    return a
-
-
-def not_bin(a: BinShare) -> BinShare:
-    """Bit complement: party 1 flips its share, party 2 keeps its own."""
-    if a.party == 1:
-        return BinShare(1, a.bit ^ 1)
-    return a
 
 
 # --- share-upload files ----------------------------------------------------

@@ -21,7 +21,7 @@ from skyshare.plaintext import brute_force_skyline, plaintext_skyline, same_rows
 from skyshare.protocol import map_database
 from skyshare.ring import Ring
 from skyshare.runtime import LocalEngine, Server, tcp_query
-from skyshare.sharing import share_arith
+from skyshare.sharing import share_matrix
 
 ACCURACY_BOUND = 150
 ACCURACY_SEEDS = {"corr": 1, "inde": 2, "anti": 3}
@@ -251,10 +251,10 @@ def test_criterion_7_leakage_audit():
             self.value = value
 
         def integers(self, low, high=None, size=None, dtype=None):
-            return self.value
+            return np.full(size, self.value, dtype=np.uint64)
 
     for secret in (0, 9):
-        seen = sorted(share_arith(secret, OneDraw(d), ring4)[0].value for d in range(16))
+        seen = sorted(int(share_matrix([secret], OneDraw(d), ring4)[0][0]) for d in range(16))
         assert seen == list(range(16))
     _pass("7 leakage audit (k+1 stop bits only; masked openings exactly uniform)")
 

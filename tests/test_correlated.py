@@ -12,7 +12,13 @@ from skyshare.correlated import (
     read_pool_file,
     write_pool_file,
 )
-from skyshare.metering import RandomnessBudget, budget_for_query, msb_invocations
+from skyshare.metering import (
+    MODE_DABIT,
+    MODE_MESSAGES,
+    RandomnessBudget,
+    budget_for_query,
+    msb_invocations,
+)
 from skyshare.online import mul_shares
 from skyshare.ring import Ring, default_vmax
 
@@ -103,7 +109,8 @@ def test_streaming_pools_extend_and_match():
 
 
 def test_budget_is_sufficient_for_worst_case_query():
-    # strict pools sized by the budget must never starve at k_max = n
+    # strict pools sized by the budget must never starve at k_max = n, and a
+    # query consumes exactly the budget at its actual k
     from skyshare.protocol import run_query
     from skyshare.sharing import share_matrix
 
@@ -112,17 +119,21 @@ def test_budget_is_sufficient_for_worst_case_query():
         n, m = int(rng.integers(2, 14)), int(rng.integers(1, 4))
         data = rng.integers(0, 6, size=(n, m))
         q = rng.integers(0, 6, size=m)
-        budget = budget_for_query(n, m, 64, n)
-        ctx1, ctx2 = session_pair(l=64, seed=trial, budget=budget)
         p1, p2 = share_matrix(data, rng, R64)
         q1, q2 = share_matrix(q[None, :], rng, R64)
-        out1, out2 = run_two(ctx1, ctx2, lambda c: run_query(
-            c, p1 if c.party == 1 else p2, (q1 if c.party == 1 else q2)[0]))
-        assert out1.k == out2.k
-        for rand in (ctx1.rand, ctx2.rand):
-            assert rand.arith.consumed <= budget.arith_triples
-            assert rand.bin.consumed <= budget.bin_words
-            assert rand.dabits.consumed <= budget.dabits
+        for mode in (MODE_DABIT, MODE_MESSAGES):
+            budget = budget_for_query(n, m, 64, n, mode)
+            ctx1, ctx2 = session_pair(l=64, seed=trial, budget=budget, mode=mode)
+            out1, out2 = run_two(ctx1, ctx2, lambda c: run_query(
+                c, p1 if c.party == 1 else p2, (q1 if c.party == 1 else q2)[0]))
+            assert out1.k == out2.k
+            exact = budget_for_query(n, m, 64, out1.k, mode)
+            for rand in (ctx1.rand, ctx2.rand):
+                assert rand.arith.consumed <= budget.arith_triples
+                assert rand.bin.consumed <= budget.bin_words
+                assert rand.dabits.consumed <= budget.dabits
+                consumed = (rand.arith.consumed, rand.bin.consumed, rand.dabits.consumed)
+                assert consumed == (exact.arith_triples, exact.bin_words, exact.dabits), mode
 
 
 def test_pool_file_round_trip(tmp_path):
@@ -141,15 +152,17 @@ def test_pool_file_round_trip(tmp_path):
 
 
 def test_pool_file_rejects_truncation(tmp_path):
+    # a cut at any byte, section boundaries included, is a ValueError
     budget = RandomnessBudget(secext=0, arith_triples=5, bin_words=2, dabits=3)
     r1, _ = deal_strict(R64, 5, budget, default_vmax(64))
     path = str(tmp_path / "p.pool")
     write_pool_file(path, 1, 64, r1, budget)
     blob = open(path, "rb").read()
-    with open(path, "wb") as f:
-        f.write(blob[:len(blob) - 9])
-    with pytest.raises(ValueError):
-        read_pool_file(path, default_vmax(64))
+    for cut in range(len(blob)):
+        with open(path, "wb") as f:
+            f.write(blob[:cut])
+        with pytest.raises(ValueError, match="truncated"):
+            read_pool_file(path, default_vmax(64))
 
 
 def test_beaver_openings_are_uniform_and_input_independent():

@@ -4,8 +4,8 @@ import pytest
 from conftest import reconstruct, reconstruct_bits, run_two, session_pair, share_pair
 
 from skyshare.gadgets import less_than, min_with_payload
-from skyshare.metering import MODE_DABIT, MODE_MESSAGES, cl2
-from skyshare.online import bit_mul, bits_to_arith, not_bits, obliv_select, open_bit
+from skyshare.metering import MODE_DABIT, MODE_MESSAGES, cl2, select_cost, select_rounds
+from skyshare.online import and_jobs, bit_mul, bits_to_arith, not_bits, obliv_select, open_bit
 from skyshare.ppa import CarryPlan, carry_plan, msb_rounds
 from skyshare.ring import Ring
 
@@ -71,9 +71,7 @@ def test_less_than_round_count():
     assert ctx1.meters.secext == 10
 
 
-def test_and_bits_full_truth_table():
-    from skyshare.online import and_bits
-
+def test_and_jobs_full_truth_table():
     rng = np.random.default_rng(8)
     reps = 64
     x = np.tile(np.array([0, 0, 1, 1], dtype=np.uint8), reps)
@@ -81,14 +79,14 @@ def test_and_bits_full_truth_table():
     x1 = rng.integers(0, 2, size=x.size, dtype=np.uint8)
     y1 = rng.integers(0, 2, size=y.size, dtype=np.uint8)
     ctx1, ctx2 = session_pair(l=8, seed=7)
-    z1, z2 = run_two(ctx1, ctx2, lambda c: and_bits(
-        c, x1 if c.party == 1 else x ^ x1, y1 if c.party == 1 else y ^ y1))
+    z1, z2 = run_two(ctx1, ctx2, lambda c: and_jobs(
+        c, [(x1 if c.party == 1 else x ^ x1, y1 if c.party == 1 else y ^ y1)])[0])
     assert (reconstruct_bits(z1, z2) == (x & y)).all()
 
     # idempotence: x AND x = x
     ctx1, ctx2 = session_pair(l=8, seed=9)
-    z1, z2 = run_two(ctx1, ctx2, lambda c: and_bits(
-        c, x1 if c.party == 1 else x ^ x1, x1 if c.party == 1 else x ^ x1))
+    z1, z2 = run_two(ctx1, ctx2, lambda c: and_jobs(
+        c, [(x1 if c.party == 1 else x ^ x1, x1 if c.party == 1 else x ^ x1)])[0])
     assert (reconstruct_bits(z1, z2) == x).all()
 
 
@@ -154,20 +152,45 @@ def test_bit_mul_modes_agree_everywhere_l8():
     assert (results[0] == values * bits).all()
 
 
+def _select(l, bits, u, v, mode, seed):
+    ring = Ring(l)
+    rng = np.random.default_rng(seed)
+    b1 = rng.integers(0, 2, size=bits.shape, dtype=np.uint8)
+    b2 = bits ^ b1
+    u1, u2 = share_pair(u, ring, seed=seed + 1)
+    v1, v2 = share_pair(v, ring, seed=seed + 2)
+    ctx1, ctx2 = session_pair(l=l, seed=seed + 3, mode=mode)
+    z1, z2 = run_two(ctx1, ctx2, lambda c: obliv_select(
+        c, b1 if c.party == 1 else b2,
+        u1 if c.party == 1 else u2, v1 if c.party == 1 else v2))
+    width = u.shape[1] if u.ndim == 2 else 1
+    want = select_cost(bits.size, width, mode)
+    for ctx in (ctx1, ctx2):
+        assert ctx.chan.rounds == select_rounds(mode)
+        assert (ctx.rand.arith.consumed, ctx.rand.dabits.consumed) == \
+            (want.arith_triples, want.dabits)
+    return reconstruct(ring, z1, z2)
+
+
 def test_obliv_select_branches():
     u = np.array([[10, 11], [20, 21], [30, 31]], dtype=np.uint64)
     v = np.array([[50, 51], [60, 61], [30, 31]], dtype=np.uint64)
     bits = np.array([1, 0, 1], dtype=np.uint8)
-    b1 = np.array([0, 1, 1], dtype=np.uint8)
-    b2 = bits ^ b1
-    u1, u2 = share_pair(u, R64, seed=19)
-    v1, v2 = share_pair(v, R64, seed=20)
-    ctx1, ctx2 = session_pair(l=64, seed=21)
-    z1, z2 = run_two(ctx1, ctx2, lambda c: obliv_select(
-        c, b1 if c.party == 1 else b2,
-        u1 if c.party == 1 else u2, v1 if c.party == 1 else v2))
-    got = reconstruct(R64, z1, z2)
-    assert got.tolist() == [[10, 11], [60, 61], [30, 31]]
+    for mode in (MODE_DABIT, MODE_MESSAGES):
+        got = _select(64, bits, u, v, mode, seed=19)
+        assert got.tolist() == [[10, 11], [60, 61], [30, 31]], mode
+
+
+@pytest.mark.parametrize("mode", [MODE_DABIT, MODE_MESSAGES])
+def test_obliv_select_exhaustive_l8(mode):
+    # every (bit, u, v) at width 8 where u - v wraps around the ring
+    bit, u, v = (g.ravel() for g in np.meshgrid(
+        np.arange(2, dtype=np.uint8), np.arange(256, dtype=np.uint64),
+        np.arange(256, dtype=np.uint64), indexing="ij"))
+    wraps = u < v
+    bit, u, v = bit[wraps], u[wraps], v[wraps]
+    got = _select(8, bit, u, v, mode, seed=40)
+    assert (got == np.where(bit == 1, u, v)).all()
 
 
 def test_not_bits_and_open_bit():

@@ -17,9 +17,9 @@ from skyshare.channel import (
     write_frame,
 )
 from skyshare.correlated import deal_strict, write_pool_file
-from skyshare.metering import SessionMetrics, budget_for_query, query_rounds
+from skyshare.metering import budget_for_query, query_rounds
 from skyshare.ring import Ring, default_vmax
-from skyshare.runtime import LocalEngine, Server, meter_report, parse_endpoint, run_pair, tcp_query
+from skyshare.runtime import LocalEngine, Server, parse_endpoint, run_pair, tcp_query
 from skyshare.sharing import share_matrix, write_share_file
 
 
@@ -91,14 +91,6 @@ def test_poisoned_peer_unblocks():
 
     with pytest.raises(RuntimeError, match="fell over"):
         run_pair((failing, c1), (lambda: c2.exchange(b"z"), c2))
-
-
-def test_meter_report_requires_rounds():
-    metrics = SessionMetrics(1, 4, 2, 2, 0, 0, 0, 0, 0.0)
-    with pytest.raises(ValueError):
-        meter_report(metrics)
-    metrics.rounds = 3
-    assert "rounds = 3" in meter_report(metrics)
 
 
 def test_parse_endpoint():
@@ -234,6 +226,18 @@ def test_bytes_grow_with_database_size():
         assert metrics.k == 1
         sizes.append(metrics.bytes_tx)
     assert sizes[0] < sizes[1]
+
+
+def test_server_stop_is_prompt(tmp_path, table_example):
+    database, query, _, skyline = table_example
+    servers = _start_servers(tmp_path, np.asarray(database))
+    endpoints = [f"127.0.0.1:{servers[0].port}", f"127.0.0.1:{servers[1].port}"]
+    assert tcp_query(endpoints, query, l=64, seed=5) == skyline
+    for s in servers:
+        started = time.perf_counter()
+        s.stop()
+        assert time.perf_counter() - started < 1.0
+        assert not any(t.is_alive() for t in s._threads)
 
 
 def test_query_with_one_server_down_fails_cleanly(tmp_path, table_example):

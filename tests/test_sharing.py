@@ -1,24 +1,15 @@
 import numpy as np
 import pytest
 
+from conftest import reconstruct, session_pair
+
+from skyshare.online import not_bits
 from skyshare.ring import Ring
 from skyshare.sharing import (
-    ArithShare,
-    BinShare,
-    add_public,
-    add_shares,
     decode_values,
     encode_values,
-    not_bin,
     read_share_file,
-    reconstruct_arith,
-    reconstruct_bin,
-    reconstruct_matrix,
-    scale_share,
-    share_arith,
-    share_bin,
     share_matrix,
-    sub_shares,
     write_share_file,
 )
 
@@ -27,104 +18,88 @@ R64 = Ring(64)
 
 
 class ScriptedRng:
-    """Deterministic stand-in draining a fixed list of draws."""
+    """Deterministic stand-in handing out fixed draws, one array per call."""
 
     def __init__(self, values):
         self.values = list(values)
 
     def integers(self, low, high=None, size=None, dtype=None):
-        assert size is None, "scripted rng hands out scalars"
-        return self.values.pop(0)
+        return np.full(size, self.values.pop(0), dtype=np.uint64)
 
 
 def test_share_round_trip_exhaustive_small():
     rng = np.random.default_rng(0)
-    for x in range(256):
-        s1, s2 = share_arith(x, rng, R8)
-        assert reconstruct_arith(s1, s2, R8) == x
+    values = np.arange(256)
+    s1, s2 = share_matrix(values, rng, R8)
+    assert (reconstruct(R8, s1, s2) == values).all()
 
 
 def test_share_round_trip_wide():
     rng = np.random.default_rng(1)
-    for _ in range(100):
-        x = int(rng.integers(0, 2**64, dtype=np.uint64))
-        s1, s2 = share_arith(x, rng, R64)
-        assert reconstruct_arith(s1, s2, R64) == x
+    values = rng.integers(0, 2**64, size=100, dtype=np.uint64)
+    s1, s2 = share_matrix(values, rng, R64)
+    assert (reconstruct(R64, s1, s2) == values).all()
 
 
 def test_share_drawn_value_example():
     # share 1 drawn as 200 forces share 2 = 5 - 200 mod 256 = 61
-    s1, s2 = share_arith(5, ScriptedRng([200]), R8)
-    assert (s1.value, s2.value) == (200, 61)
+    s1, s2 = share_matrix([5], ScriptedRng([200]), R8)
+    assert (s1.tolist(), s2.tolist()) == ([200], [61])
 
 
 def test_share_of_zero_gives_additive_inverses():
     rng = np.random.default_rng(2)
-    s1, s2 = share_arith(0, rng, R8)
-    assert (s1.value + s2.value) % 256 == 0
+    s1, s2 = share_matrix(np.zeros(50, dtype=np.uint64), rng, R8)
+    assert ((s1 + s2) % 256 == 0).all()
 
 
 def test_share_marginal_is_uniform_at_l4():
     # over the dealer's randomness, share 1 takes every ring value once
     r4 = Ring(4)
     for secret in (0, 7, 15):
-        seen = [share_arith(secret, ScriptedRng([d]), r4)[0].value for d in range(16)]
+        seen = [int(share_matrix([secret], ScriptedRng([d]), r4)[0][0]) for d in range(16)]
         assert sorted(seen) == list(range(16))
-
-
-def test_reconstruct_rejects_party_collision():
-    with pytest.raises(ValueError):
-        reconstruct_arith(ArithShare(1, 3), ArithShare(1, 4), R8)
-    with pytest.raises(ValueError):
-        reconstruct_bin(BinShare(2, 1), BinShare(2, 0))
-
-
-def test_binary_share_round_trip():
-    rng = np.random.default_rng(3)
-    for bit in (0, 1):
-        b1, b2 = share_bin(bit, rng)
-        assert reconstruct_bin(b1, b2) == bit
-    with pytest.raises(ValueError):
-        share_bin(2, rng)
 
 
 def test_local_linear_ops():
     rng = np.random.default_rng(4)
-    x1, x2 = share_arith(7, rng, R8)
-    z1, z2 = share_arith(0, rng, R8)
-    assert reconstruct_arith(add_shares(x1, z1, R8), add_shares(x2, z2, R8), R8) == 7
-    assert reconstruct_arith(scale_share(3, x1, R8), scale_share(3, x2, R8), R8) == 21
-    assert reconstruct_arith(sub_shares(x1, x1, R8), sub_shares(x2, x2, R8), R8) == 0
-    assert reconstruct_arith(add_public(5, x1, R8), add_public(5, x2, R8), R8) == 12
+    x1, x2 = share_matrix([7], rng, R8)
+    z1, z2 = share_matrix([0], rng, R8)
+    assert reconstruct(R8, R8.reduce(x1 + z1), R8.reduce(x2 + z2)).tolist() == [7]
+    assert reconstruct(R8, R8.reduce(3 * x1), R8.reduce(3 * x2)).tolist() == [21]
+    assert reconstruct(R8, R8.reduce(x1 - x1), R8.reduce(x2 - x2)).tolist() == [0]
+    # a public constant is added by party 1 only
+    assert reconstruct(R8, R8.reduce(x1 + np.uint64(5)), x2).tolist() == [12]
 
 
 def test_linearity_randomized():
     rng = np.random.default_rng(5)
-    for _ in range(100):
-        a, b = (int(v) for v in rng.integers(0, 256, size=2))
-        x, y = (int(v) for v in rng.integers(0, 256, size=2))
-        x1, x2 = share_arith(x, rng, R8)
-        y1, y2 = share_arith(y, rng, R8)
-        lhs1 = R8.add(R8.mul(a, x1.value), R8.mul(b, y1.value))
-        lhs2 = R8.add(R8.mul(a, x2.value), R8.mul(b, y2.value))
-        assert R8.add(lhs1, lhs2) == (a * x + b * y) % 256
+    a, b = rng.integers(0, 256, size=(2, 100), dtype=np.uint64)
+    x, y = rng.integers(0, 256, size=(2, 100), dtype=np.uint64)
+    x1, x2 = share_matrix(x, rng, R8)
+    y1, y2 = share_matrix(y, rng, R8)
+    lhs1 = R8.reduce(a * x1 + b * y1)
+    lhs2 = R8.reduce(a * x2 + b * y2)
+    assert (reconstruct(R8, lhs1, lhs2) == (a * x + b * y) % 256).all()
 
 
-def test_not_bin_flips_party_one_only():
-    for bit in (0, 1):
-        rng = np.random.default_rng(6)
-        b1, b2 = share_bin(bit, rng)
-        n1, n2 = not_bin(b1), not_bin(b2)
-        assert n1.bit == b1.bit ^ 1 and n2.bit == b2.bit
-        assert reconstruct_bin(n1, n2) == bit ^ 1
-        assert reconstruct_bin(not_bin(n1), not_bin(n2)) == bit
+def test_not_bits_flips_party_one_only():
+    ctx1, ctx2 = session_pair(l=8, seed=6)
+    bits = np.array([0, 1, 0, 1], dtype=np.uint8)
+    b1 = np.array([0, 0, 1, 1], dtype=np.uint8)
+    b2 = bits ^ b1
+    assert ((b1 ^ b2) == bits).all()
+    n1, n2 = not_bits(ctx1, b1), not_bits(ctx2, b2)
+    assert (n1 == b1 ^ 1).all() and (n2 == b2).all()
+    assert ((n1 ^ n2) == bits ^ 1).all()
+    assert ((not_bits(ctx1, n1) ^ not_bits(ctx2, n2)) == bits).all()
 
 
 def test_matrix_share_round_trip():
     rng = np.random.default_rng(7)
     data = rng.integers(0, 1000, size=(20, 3))
     s1, s2 = share_matrix(data, rng, R64)
-    assert (reconstruct_matrix(s1, s2, R64) == data).all()
+    assert (reconstruct(R64, s1, s2) == data).all()
 
 
 def test_value_codec_widths():
