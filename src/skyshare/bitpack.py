@@ -41,8 +41,10 @@ def unpack_bits(words: np.ndarray, nbits: int) -> np.ndarray:
 
 def bits_of_values(values: np.ndarray, positions: int) -> np.ndarray:
     """Bit-decompose uint64 values; rows = bit positions 0..positions-1,
-    packed over the batch axis.  Returns shape (positions, words)."""
+    packed over the batch axis.  Returns shape (positions, words).  Only
+    the ceil(positions/8) low bytes of each value are unpacked."""
     n = values.shape[0]
-    as_bytes = np.ascontiguousarray(values, dtype=np.uint64).view(np.uint8).reshape(n, 8)
-    bits = np.unpackbits(as_bytes, axis=1, bitorder="little")  # (n, 64), LSB first
+    nbytes = (positions + 7) // 8
+    as_bytes = np.ascontiguousarray(values, dtype="<u8").view(np.uint8).reshape(n, 8)
+    bits = np.unpackbits(as_bytes[:, :nbytes], axis=1, bitorder="little")  # LSB first
     return pack_bits(np.ascontiguousarray(bits[:, :positions].T))

@@ -27,12 +27,14 @@ KIND_QUERY = 2
 KIND_ROUND_DATA = 3
 KIND_OPEN_BIT = 4
 KIND_RESULT = 5
+KIND_HELLO = 6
 KIND_NAMES = {
     KIND_SHARE_UPLOAD: "share-upload",
     KIND_QUERY: "query",
     KIND_ROUND_DATA: "round-data",
     KIND_OPEN_BIT: "open-bit",
     KIND_RESULT: "result",
+    KIND_HELLO: "hello",
 }
 
 _LEN = struct.Struct(">I")

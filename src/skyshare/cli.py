@@ -24,8 +24,8 @@ from .metering import (
     msb_invocations,
 )
 from .plaintext import plaintext_skyline, same_rows
-from .protocol import check_domain
-from .ring import Ring, default_vmax
+from .protocol import check_domain, ring_width
+from .ring import Ring
 from .runtime import LocalEngine, Server, tcp_query
 from .sharing import share_matrix, write_share_file
 from .correlated import deal_strict, write_pool_file
@@ -68,14 +68,15 @@ def cmd_deal(args) -> int:
     columns = args.columns.split(",") if args.columns else None
     data, _ = load_csv(args.data, columns=columns, scale=args.scale or 1)
     n, m = data.shape
-    ring = Ring(args.l)
     vmax = _vmax(args)
     bound = dataset_bound(data)
-    check_domain(n, m, bound, ring, vmax)
+    l = ring_width(m, bound, vmax) if args.l is None else args.l
+    ring = Ring(l)
+    vmax = check_domain(n, m, bound, ring, vmax)
     k_max = args.kmax if args.kmax else n
     if args.sessions < 1:
         return _fail("--sessions must be at least 1")
-    budget = budget_for_query(n, m, args.l, k_max, args.mode).scaled(args.sessions)
+    budget = budget_for_query(n, m, l, k_max, args.mode).scaled(args.sessions)
     rng = np.random.default_rng(args.seed)
     s1, s2 = share_matrix(data, rng, ring)
     rand1, rand2 = deal_strict(ring, np.random.SeedSequence(args.seed).spawn(1)[0], budget, vmax)
@@ -83,10 +84,10 @@ def cmd_deal(args) -> int:
     for party, shares, rand in ((1, s1, rand1), (2, s2, rand2)):
         share_path = os.path.join(args.out_dir, f"party{party}.shares")
         pool_path = os.path.join(args.out_dir, f"party{party}.pool")
-        write_share_file(share_path, party, shares, args.l, args.scale or 1)
-        write_pool_file(pool_path, party, args.l, rand, budget)
+        write_share_file(share_path, party, shares, l, args.scale or 1)
+        write_pool_file(pool_path, party, l, rand, budget)
         print(f"party {party}: {share_path} + {pool_path}")
-    print(f"dealt for n={n} m={m} bound={bound} k_max={k_max} "
+    print(f"dealt for n={n} m={m} bound={bound} l={l} k_max={k_max} "
           f"({budget.arith_triples} mul triples, {budget.bin_words} AND words, "
           f"{budget.dabits} daBits)")
     return 0
@@ -95,7 +96,7 @@ def cmd_deal(args) -> int:
 def cmd_serve(args) -> int:
     server = Server.from_files(
         args.party, args.listen, args.peer, args.shares, args.pool,
-        latency_ms=args.latency_ms, mode=args.mode, vmax=_vmax(args), seed=args.seed,
+        latency_ms=args.latency_ms, mode=args.mode, seed=args.seed,
     )
     server.start()
     print(f"server {args.party} listening on {args.listen} (peer link {args.peer})", flush=True)
@@ -175,16 +176,17 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def _vmax(args) -> int:
-    if args.vmax_exp:
-        return 1 << args.vmax_exp
-    return default_vmax(args.l)
+def _vmax(args) -> int | None:
+    """The --vmax-exp sentinel, or None for the ring width's default."""
+    return 1 << args.vmax_exp if args.vmax_exp else None
 
 
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="skyshare",
                                   description="secret-shared skyline queries over two servers")
-    top.add_argument("--l", type=int, default=64, help="ring width in bits (default 64)")
+    top.add_argument("--l", type=int, default=None,
+                     help="ring width in bits (default: the narrowest the data bound "
+                          "admits; the query client learns it from the servers)")
     top.add_argument("--vmax-exp", type=int, default=0,
                      help="filter sentinel exponent; 0 means l-2")
     top.add_argument("--latency-ms", type=float, default=None,

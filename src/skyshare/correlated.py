@@ -15,14 +15,14 @@ online protocol is deterministic).
 
 Pool file format (strict pools, one file per party):
 
-    header '<5sBB'   magic b"SSKR1", l:u8, party:u8
+    header '<5sBBQ'  magic b"SSKR2", l:u8, party:u8, vmax:u64 (the public sentinel)
     counts '<QQQ'    arith triples, binary triple words, daBits
     vmax sharing     one value, ceil(l/8) bytes little-endian
     arith block      u values, then v values, then w values
     binary block     u words, v words, w words (8-byte LE each, 64 lanes/word)
     daBit block      bits (one byte each), then arithmetic values
 
-All streams are in consumption order.
+All streams are in consumption order; nothing follows the daBit block.
 """
 
 from __future__ import annotations
@@ -34,11 +34,11 @@ from collections import deque
 import numpy as np
 
 from .metering import RandomnessBudget
-from .ring import Ring
-from .sharing import decode_values, encode_values, value_width_bytes
+from .ring import Ring, default_vmax
+from .sharing import check_file_header, decode_values, encode_values, value_width_bytes
 
-POOL_MAGIC = b"SSKR1"
-_POOL_HEADER = struct.Struct("<5sBB")
+POOL_MAGIC = b"SSKR2"
+_POOL_HEADER = struct.Struct("<5sBBQ")
 _POOL_COUNTS = struct.Struct("<QQQ")
 
 STREAM_CHUNK = 1 << 16
@@ -222,7 +222,7 @@ def write_pool_file(path: str, party: int, l: int, rand: PartyRandomness,
     bu, bv, bw = rand.bin.take(budget.bin_words)
     bits, vals = rand.dabits.take(budget.dabits)
     with open(path, "wb") as f:
-        f.write(_POOL_HEADER.pack(POOL_MAGIC, l, party))
+        f.write(_POOL_HEADER.pack(POOL_MAGIC, l, party, rand.vmax))
         f.write(_POOL_COUNTS.pack(budget.arith_triples, budget.bin_words, budget.dabits))
         f.write(encode_values(np.array([rand.vmax_share], dtype=np.uint64), l))
         for part in (u, v, w):
@@ -233,28 +233,34 @@ def write_pool_file(path: str, party: int, l: int, rand: PartyRandomness,
         f.write(encode_values(vals, l))
 
 
-def _read_exact(f, size: int, path: str) -> bytes:
-    data = f.read(size)
-    if len(data) != size:
-        raise ValueError(f"{path}: truncated pool file")
-    return data
-
-
-def read_pool_file(path: str, vmax: int) -> tuple[PartyRandomness, dict]:
+def read_pool_file(path: str) -> tuple[PartyRandomness, dict]:
     with open(path, "rb") as f:
-        magic, l, party = _POOL_HEADER.unpack(_read_exact(f, _POOL_HEADER.size, path))
-        if magic != POOL_MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}")
-        n_arith, n_binw, n_dab = _POOL_COUNTS.unpack(_read_exact(f, _POOL_COUNTS.size, path))
-        width = value_width_bytes(l)
-        vmax_share = int(decode_values(_read_exact(f, width, path), l)[0])
-        arith_parts = [decode_values(_read_exact(f, width * n_arith, path), l) for _ in range(3)]
-        bin_parts = [
-            np.frombuffer(_read_exact(f, 8 * n_binw, path), dtype="<u8").astype(np.uint64)
-            for _ in range(3)
-        ]
-        bits = np.frombuffer(_read_exact(f, n_dab, path), dtype=np.uint8).copy()
-        vals = decode_values(_read_exact(f, width * n_dab, path), l)
+        blob = memoryview(f.read())
+    at = 0
+
+    def take(size: int) -> memoryview:
+        nonlocal at
+        if at + size > len(blob):
+            raise ValueError(f"{path}: truncated pool file")
+        at += size
+        return blob[at - size:at]
+
+    magic, l, party, vmax = _POOL_HEADER.unpack(take(_POOL_HEADER.size))
+    if magic != POOL_MAGIC:
+        raise ValueError(f"{path}: bad magic {magic!r}")
+    check_file_header(path, l, party)
+    if not 1 <= vmax <= default_vmax(l):
+        raise ValueError(f"{path}: sentinel {vmax} outside [1, 2^(l-2)] at l={l}")
+    n_arith, n_binw, n_dab = _POOL_COUNTS.unpack(take(_POOL_COUNTS.size))
+    width = value_width_bytes(l)
+    vmax_share = int(decode_values(take(width), l)[0])
+    arith_parts = [decode_values(take(width * n_arith), l) for _ in range(3)]
+    bin_parts = [np.frombuffer(take(8 * n_binw), dtype="<u8").astype(np.uint64)
+                 for _ in range(3)]
+    bits = np.frombuffer(take(n_dab), dtype=np.uint8).copy()
+    vals = decode_values(take(width * n_dab), l)
+    if at != len(blob):
+        raise ValueError(f"{path}: {len(blob) - at} trailing bytes after the last section")
     arith = StreamPool(3)
     arith.push(tuple(arith_parts))
     binp = StreamPool(3)

@@ -24,7 +24,7 @@ from .online import (
     open_bit,
     public_bit_share,
 )
-from .ring import Ring, default_vmax
+from .ring import MAX_WIDTH, Ring, default_vmax
 
 
 class ProtocolError(RuntimeError):
@@ -45,6 +45,26 @@ def check_domain(n: int, m: int, bound: int, ring: Ring, vmax: int | None = None
     if not vmax <= 1 << (ring.l - 2):
         raise ValueError(f"vmax {vmax} breaks the comparison precondition at l={ring.l}")
     return vmax
+
+
+def ring_width(m: int, bound: int, vmax: int | None = None) -> int:
+    """Smallest ring width l with m*B < vmax <= 2^(l-2).
+
+    The sentinel defaults to default_vmax(l) = 2^(l-2), so l-2 must cover
+    the bit length of m*B; an explicit vmax fixes l-2 >= bitlen(vmax-1)
+    instead, and check_domain still asserts m*B < vmax.  The width is public
+    to both servers: it reveals ceil(log2(m*B)) unless the caller pins l.
+    """
+    if bound < 0:
+        raise ValueError("attribute bound must be non-negative")
+    top = m * bound if vmax is None else vmax - 1
+    l = max(2, top.bit_length() + 2)
+    if l > MAX_WIDTH:
+        raise ValueError(
+            f"m*B = {m * bound} needs a {l}-bit ring, above the {MAX_WIDTH}-bit maximum; "
+            f"rescale the data"
+        )
+    return l
 
 
 def map_database(ctx: PartyContext, p_shares: np.ndarray, q_shares: np.ndarray) -> np.ndarray:

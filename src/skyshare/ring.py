@@ -1,15 +1,17 @@
 """Fixed-width ring arithmetic mod 2**l with two's-complement signed reading.
 
 Every value that flows through the sharing layer and the online protocol is
-an element of Z_{2^l}.  The width l is a session-wide constant: 64 for
-production sessions, 8 (or 4) for exhaustive-domain tests.  Vectorized code
-keeps values in numpy uint64 arrays and masks after each operation; for
-l = 64 the mask is a no-op and uint64 hardware wraparound does the work.
+an element of Z_{2^l}.  The width l is a session-wide constant: by default
+the narrowest one the data bound admits (protocol.ring_width), 8 (or 4) for
+exhaustive-domain tests.  Vectorized code keeps values in numpy uint64
+arrays and masks after each operation; for l = 64 the mask is a no-op and
+uint64 hardware wraparound does the work.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,20 +36,17 @@ class Ring:
     def mask(self) -> int:
         return (1 << self.l) - 1
 
-    @property
-    def mask_np(self) -> np.uint64:
-        return np.uint64(self.mask)
+    @cached_property
+    def mask_np(self) -> np.ndarray:
+        # a cached 0-d array: numpy dispatches it about twice as fast as a
+        # numpy scalar, and building either costs more than masking a small array
+        return np.array(self.mask, dtype=np.uint64)
 
     def reduce(self, arr: np.ndarray) -> np.ndarray:
         """Mask a uint64 array back into the ring."""
         if self.l == MAX_WIDTH:
             return arr
         return arr & self.mask_np
-
-    def to_array(self, values) -> np.ndarray:
-        """Copy python ints / sequences into a masked uint64 array."""
-        arr = np.asarray(values, dtype=np.uint64)
-        return self.reduce(arr.copy() if arr is values else arr)
 
     def msb_array(self, arr: np.ndarray) -> np.ndarray:
         return ((arr >> np.uint64(self.l - 1)) & np.uint64(1)).astype(np.uint8)

@@ -1,7 +1,9 @@
 """Role execution: the in-process two-party engine and the TCP server/client.
 
 Both transports run the same protocol code; only the channel differs.  The
-client talks to each server with query/result frames; the servers talk to
+client talks to each server with hello/query/result frames (the server's
+hello publishes the session parameters the client checks its query
+against before sharing it); the servers talk to
 each other with round-data/open-bit frames plus one unmetered hello frame
 that binds a peer connection to a session (metrics cover protocol flights
 only, so in-process and TCP sessions report identical numbers).
@@ -17,6 +19,7 @@ import time
 import numpy as np
 
 from .channel import (
+    KIND_HELLO,
     KIND_QUERY,
     KIND_RESULT,
     FrameError,
@@ -28,11 +31,12 @@ from .channel import (
 from .correlated import PartyRandomness, deal_streaming, deal_strict, read_pool_file
 from .metering import MODE_DABIT, SessionMetrics, budget_for_query
 from .online import Meters, PartyContext
-from .protocol import check_domain, run_query
+from .protocol import check_domain, ring_width, run_query
 from .ring import Ring, default_vmax
 from .sharing import decode_values, encode_values, read_share_file, share_matrix
 
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
+_SERVER_HELLO = struct.Struct("<BBHQ")  # version, ring width, attribute count, vmax
 _QUERY_HEAD = struct.Struct("<BBH")  # version, ring width, attribute count
 _RESULT_HEAD = struct.Struct("<I")   # row count
 _PEER_HELLO = struct.Struct("<BBB")  # version, ring width, sender's party
@@ -74,6 +78,23 @@ def run_pair(task1, task2):
         if err is not None:
             raise err
     return results[0], results[1]
+
+
+def _encode_server_hello(l: int, m: int, vmax: int) -> bytes:
+    return _SERVER_HELLO.pack(PROTOCOL_VERSION, l, m, vmax)
+
+
+def _decode_server_hello(payload: bytes) -> tuple[int, int, int]:
+    """Check a server hello; returns (l, m, vmax)."""
+    if len(payload) != _SERVER_HELLO.size:
+        raise FrameError("malformed server hello")
+    ver, l, m, vmax = _SERVER_HELLO.unpack(payload)
+    if ver != PROTOCOL_VERSION:
+        raise FrameError(f"version mismatch: server speaks {ver}, we speak {PROTOCOL_VERSION}")
+    Ring(l)  # rejects a width outside [2, 64]
+    if not 1 <= vmax <= default_vmax(l):
+        raise FrameError(f"server hello sentinel {vmax} outside [1, 2^(l-2)] at l={l}")
+    return l, m, vmax
 
 
 def _encode_query_payload(l: int, q_share: np.ndarray) -> bytes:
@@ -134,10 +155,10 @@ class LocalEngine:
     of sessions without sockets.
     """
 
-    def __init__(self, data, l: int = 64, seed: int = 0, latency_ms: float = 0.0,
+    def __init__(self, data, l: int | None = None, seed: int = 0, latency_ms: float = 0.0,
                  mode: str = MODE_DABIT, bound: int | None = None,
                  vmax: int | None = None, scale: int = 1):
-        self.ring = Ring(l)
+        """l defaults to the narrowest width the data bound admits (ring_width)."""
         plain = np.asarray(data, dtype=np.int64)
         if plain.ndim != 2 or plain.shape[0] < 1:
             raise ValueError("database must be a non-empty n x m array")
@@ -147,6 +168,7 @@ class LocalEngine:
         self.bound = int(plain.max()) if bound is None else int(bound)
         if plain.max(initial=0) > self.bound:
             raise ValueError("declared bound below actual data maximum")
+        self.ring = Ring(ring_width(self.m, self.bound, vmax) if l is None else l)
         self.vmax = check_domain(self.n, self.m, self.bound, self.ring, vmax)
         self.mode = mode
         self.latency_s = latency_ms / 1000.0
@@ -232,7 +254,7 @@ class Server:
     @classmethod
     def from_files(cls, party: int, listen: str, peer: str, share_path: str,
                    pool_path: str, latency_ms: float = 1.0, mode: str = MODE_DABIT,
-                   vmax: int | None = None, seed: int = 0,
+                   seed: int = 0,
                    handshake_timeout: float = 15.0) -> "Server":
         shares, meta = read_share_file(share_path)
         if meta["party"] != party:
@@ -240,7 +262,7 @@ class Server:
                 f"share file {share_path} belongs to party {meta['party']}, not {party}"
             )
         l = meta["l"]
-        rand, pool_meta = read_pool_file(pool_path, default_vmax(l) if vmax is None else vmax)
+        rand, pool_meta = read_pool_file(pool_path)
         if pool_meta["party"] != party or pool_meta["l"] != l:
             raise ValueError(f"pool file {pool_path} does not match the share file")
         return cls(party, listen, peer, shares, rand, l, latency_ms, mode, seed,
@@ -351,6 +373,8 @@ class Server:
     def _handle_client(self, conn: socket.socket):
         session = -1
         try:
+            write_frame(conn, KIND_HELLO, 0,
+                        _encode_server_hello(self.ring.l, self.shares.shape[1], self.rand.vmax))
             kind, session, payload = read_frame(conn)
             if kind != KIND_QUERY:
                 raise FrameError(f"expected a query frame, got kind {kind}")
@@ -384,26 +408,51 @@ def _listener(addr: tuple[str, int]) -> socket.socket:
     return sock
 
 
-def tcp_query(servers: list[str], q, l: int, seed: int = 0, scale: int = 1,
+def tcp_query(servers: list[str], q, l: int | None = None, seed: int = 0, scale: int = 1,
               timeout: float = 120.0) -> list[tuple[int, ...]]:
-    """Client role: share the query, contact both servers, reconstruct."""
+    """Client role: learn the session parameters from both servers' hellos,
+    check the query against them, share it, and reconstruct the result.
+
+    l, when given, must match the servers' ring width.  The query must keep
+    m * max(q) < vmax: the owner guarantees m * B < vmax and |p - q| <=
+    max(p, q), so every distance sum then stays below the sentinel and the
+    result is exact.  An out-of-window query is refused before any share
+    leaves the client.
+    """
     if len(servers) != 2:
         raise ValueError("exactly two server endpoints are required")
-    ring = Ring(l)
     q_arr = np.asarray(q, dtype=np.int64) * scale
     if (q_arr < 0).any():
         raise ValueError("query attributes must be non-negative")
-    rng = np.random.default_rng(seed)
-    session = int(rng.integers(0, 1 << 32))
-    s1, s2 = share_matrix(q_arr[None, :], rng, ring)
     # connect to both before sending anything: no partial sessions
     socks = []
     try:
         for endpoint in servers:
             socks.append(socket.create_connection(parse_endpoint(endpoint), timeout=timeout))
+        hellos = []
+        for sock in socks:
+            kind, _, payload = read_frame(sock)
+            if kind != KIND_HELLO:
+                raise FrameError(f"expected a server hello, got kind {kind}")
+            hellos.append(_decode_server_hello(payload))
+        if hellos[0] != hellos[1]:
+            raise FrameError(f"servers disagree on (l, m, vmax): {hellos[0]} vs {hellos[1]}")
+        ring_l, m, vmax = hellos[0]
+        if l is not None and l != ring_l:
+            raise FrameError(f"ring width mismatch: client expects l={l}, servers use l={ring_l}")
+        if q_arr.shape != (m,):
+            raise ValueError(f"query has {q_arr.size} attributes, the database has {m}")
+        if not m * int(q_arr.max(initial=0)) < vmax:
+            raise ValueError(
+                f"query outside the exact window: m*max(q) = {m * int(q_arr.max())} "
+                f"must be < vmax = {vmax}"
+            )
+        ring = Ring(ring_l)
+        rng = np.random.default_rng(seed)
+        session = int(rng.integers(0, 1 << 32))
+        s1, s2 = share_matrix(q_arr[None, :], rng, ring)
         for sock, share in zip(socks, (s1, s2)):
-            sock.settimeout(timeout)
-            write_frame(sock, KIND_QUERY, session, _encode_query_payload(l, share[0]))
+            write_frame(sock, KIND_QUERY, session, _encode_query_payload(ring_l, share[0]))
         results = []
         for sock in socks:
             kind, got_session, payload = read_frame(sock)
@@ -413,9 +462,8 @@ def tcp_query(servers: list[str], q, l: int, seed: int = 0, scale: int = 1,
     finally:
         for sock in socks:
             sock.close()
-    m = q_arr.size
-    rows1 = _decode_result(results[0], l, m)
-    rows2 = _decode_result(results[1], l, m)
+    rows1 = _decode_result(results[0], ring_l, m)
+    rows2 = _decode_result(results[1], ring_l, m)
     if rows1.shape != rows2.shape:
         raise FrameError("servers disagree on the result size")
     merged = ring.reduce(rows1 + rows2)

@@ -17,7 +17,7 @@ import struct
 
 import numpy as np
 
-from .ring import Ring
+from .ring import MAX_WIDTH, Ring
 
 PARTIES = (1, 2)
 
@@ -32,9 +32,18 @@ def _check_party(party: int):
 
 def share_matrix(values: np.ndarray, rng: np.random.Generator, ring: Ring) -> tuple[np.ndarray, np.ndarray]:
     """Share an integer array element-wise; returns the two parties' arrays."""
-    plain = ring.to_array(values)
-    s1 = rng.integers(0, ring.modulus, size=plain.shape, dtype=np.uint64)
-    s2 = ring.reduce(plain - s1)
+    s2 = np.array(values, dtype=np.uint64)
+    # the low l bits of full-range draws of the narrowest unsigned dtype that
+    # holds l bits are uniform on the ring, and cheaper to draw than a bounded
+    # integer; one mask after the subtraction also reduces values given
+    # outside the ring
+    bits = max(8, 1 << (ring.l - 1).bit_length())
+    s1 = rng.integers(0, 1 << bits, size=s2.shape, dtype=f"uint{bits}")
+    s1 = s1.astype(np.uint64, copy=False)
+    s2 -= s1
+    if ring.l < MAX_WIDTH:
+        s1 &= ring.mask_np
+        s2 &= ring.mask_np
     return s1, s2
 
 
@@ -45,11 +54,17 @@ def value_width_bytes(l: int) -> int:
     return (l + 7) // 8
 
 
+# widths with a native numpy dtype; 3-, 5-, 6- and 7-byte values go through
+# 8-byte rows
+_NATIVE_DTYPES = {1: "<u1", 2: "<u2", 4: "<u4", 8: "<u8"}
+
+
 def encode_values(arr: np.ndarray, l: int) -> bytes:
     """Little-endian fixed-width encoding of ring values."""
     w = value_width_bytes(l)
-    if w == 8:
-        return np.ascontiguousarray(arr, dtype=np.uint64).tobytes()
+    native = _NATIVE_DTYPES.get(w)
+    if native is not None:
+        return np.asarray(arr, dtype=np.uint64).astype(native, copy=False).tobytes()
     flat = np.ascontiguousarray(arr, dtype="<u8")
     return flat.view(np.uint8).reshape(-1, 8)[:, :w].tobytes()
 
@@ -60,12 +75,23 @@ def decode_values(data: bytes, l: int) -> np.ndarray:
     w = value_width_bytes(l)
     if len(data) % w:
         raise ValueError("value stream length is not a multiple of the value width")
-    if w == 8:
-        return np.frombuffer(data, dtype="<u8")
+    native = _NATIVE_DTYPES.get(w)
+    if native is not None:
+        values = np.frombuffer(data, dtype=native)
+        return values if w == 8 else values.astype(np.uint64)
     raw = np.frombuffer(data, dtype=np.uint8).reshape(-1, w)
     full = np.zeros((raw.shape[0], 8), dtype=np.uint8)
     full[:, :w] = raw
     return full.view("<u8").ravel()
+
+
+def check_file_header(path: str, l: int, party: int):
+    """Reject a share or pool file header whose ring width or party is invalid."""
+    try:
+        Ring(l)
+        _check_party(party)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_share_file(path: str, party: int, shares: np.ndarray, l: int, scale: int = 1):
@@ -84,6 +110,7 @@ def read_share_file(path: str) -> tuple[np.ndarray, dict]:
         magic, l, n, m, party, scale = _SHARE_HEADER.unpack(head)
         if magic != SHARE_MAGIC:
             raise ValueError(f"{path}: bad magic {magic!r}")
+        check_file_header(path, l, party)
         body = f.read()
     values = decode_values(body, l)
     if values.size != n * m:

@@ -141,7 +141,7 @@ def test_pool_file_round_trip(tmp_path):
     r1, r2 = deal_strict(R64, 21, budget, default_vmax(64))
     p1 = str(tmp_path / "party1.pool")
     write_pool_file(p1, 1, 64, r1, budget)
-    back, meta = read_pool_file(p1, default_vmax(64))
+    back, meta = read_pool_file(p1)
     assert meta == {"l": 64, "party": 1, "arith": 9, "bin_words": 4, "dabits": 6}
     # reconstructed against the in-memory counterpart still forms triples
     u1, v1, w1 = back.arith.take(9)
@@ -149,6 +149,7 @@ def test_pool_file_round_trip(tmp_path):
     u, v, w = (reconstruct(R64, a, b) for a, b in ((u1, u2), (v1, v2), (w1, w2)))
     assert (w == R64.reduce(u * v)).all()
     assert back.vmax_share == r1.vmax_share
+    assert back.vmax == default_vmax(64)
 
 
 def test_pool_file_rejects_truncation(tmp_path):
@@ -162,7 +163,40 @@ def test_pool_file_rejects_truncation(tmp_path):
         with open(path, "wb") as f:
             f.write(blob[:cut])
         with pytest.raises(ValueError, match="truncated"):
-            read_pool_file(path, default_vmax(64))
+            read_pool_file(path)
+
+
+def _pool_blob(tmp_path, l=16, vmax=None):
+    budget = RandomnessBudget(secext=0, arith_triples=3, bin_words=1, dabits=2)
+    r1, _ = deal_strict(Ring(l), 6, budget, default_vmax(l) if vmax is None else vmax)
+    path = tmp_path / "p.pool"
+    write_pool_file(str(path), 1, l, r1, budget)
+    return path, path.read_bytes()
+
+
+@pytest.mark.parametrize("l", [0, 1, 65, 255])
+def test_pool_file_rejects_bad_width(tmp_path, l):
+    path, blob = _pool_blob(tmp_path)
+    path.write_bytes(blob[:5] + bytes([l]) + blob[6:])  # byte 5 is the ring width
+    with pytest.raises(ValueError, match="ring width"):
+        read_pool_file(str(path))
+
+
+def test_pool_file_rejects_trailing_byte_and_bad_sentinel(tmp_path):
+    path, blob = _pool_blob(tmp_path)
+    path.write_bytes(blob + b"\x00")
+    with pytest.raises(ValueError, match="trailing"):
+        read_pool_file(str(path))
+    for vmax in (0, default_vmax(16) + 1):
+        path, _ = _pool_blob(tmp_path, vmax=vmax)
+        with pytest.raises(ValueError, match="sentinel"):
+            read_pool_file(str(path))
+
+
+def test_pool_file_records_the_dealt_sentinel(tmp_path):
+    path, _ = _pool_blob(tmp_path, l=11, vmax=300)
+    back, meta = read_pool_file(str(path))
+    assert meta["l"] == 11 and back.vmax == 300
 
 
 def test_beaver_openings_are_uniform_and_input_independent():

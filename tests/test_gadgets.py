@@ -3,6 +3,7 @@ import pytest
 
 from conftest import reconstruct, reconstruct_bits, run_two, session_pair, share_pair
 
+from skyshare.bitpack import bits_of_values, pack_bits
 from skyshare.gadgets import less_than, min_with_payload
 from skyshare.metering import MODE_DABIT, MODE_MESSAGES, cl2, select_cost, select_rounds
 from skyshare.online import and_jobs, bit_mul, bits_to_arith, not_bits, obliv_select, open_bit
@@ -60,6 +61,16 @@ def test_less_than_random_l64():
     b = rng.integers(0, 1 << 62, size=500, dtype=np.uint64)
     got = _compare_all_pairs(64, a, b, seed=6)
     assert (got == (a < b)).all()
+
+
+def test_bits_of_values_every_width():
+    rng = np.random.default_rng(60)
+    values = rng.integers(0, 2**64, size=131, dtype=np.uint64)
+    values[:2] = (0, 2**64 - 1)
+    for positions in range(1, 65):
+        want = (values[None, :] >> np.arange(positions, dtype=np.uint64)[:, None]) & np.uint64(1)
+        got = bits_of_values(values, positions)
+        assert (got == pack_bits(want.astype(np.uint8))).all(), positions
 
 
 def test_less_than_round_count():

@@ -3,7 +3,8 @@ import pytest
 
 from conftest import reconstruct, reconstruct_bits, run_two, session_pair, share_pair
 
-from skyshare.metering import msb_invocations, query_rounds
+from skyshare.datasets import DatasetSpec, generate
+from skyshare.metering import budget_for_query, msb_invocations, query_rounds
 from skyshare.plaintext import brute_force_skyline, plaintext_skyline, same_rows
 from skyshare.protocol import (
     attribute_sums,
@@ -11,6 +12,7 @@ from skyshare.protocol import (
     fetch_min,
     filter_round,
     map_database,
+    ring_width,
 )
 from skyshare.ring import Ring, default_vmax
 from skyshare.runtime import LocalEngine
@@ -30,6 +32,52 @@ def test_check_domain_guards():
         check_domain(10, 2, 2**61, R64)
     with pytest.raises(ValueError):
         check_domain(10, 2, 100, R64, vmax=1 << 63)
+
+
+def test_ring_width_is_the_narrowest_safe_width():
+    grid = [(1, 0), (6, 0), (1, 1), (4, 100), (3, 100), (2, 1000), (6, 150),
+            (2, 511), (2, 512), (5, 2**40 + 3), (1, 2**62 - 1), (3, (2**62 - 1) // 3)]
+    for m, bound in grid:
+        l = ring_width(m, bound)
+        check_domain(1, m, bound, Ring(l))
+        with pytest.raises(ValueError):  # Ring(1) itself raises for B = 0
+            check_domain(1, m, bound, Ring(l - 1))
+    assert [ring_width(m, b) for m, b in ((4, 100), (3, 100), (2, 1000), (1, 0))] == [11, 11, 13, 2]
+    assert ring_width(1, 2**62 - 1) == 64
+    # an explicit sentinel sets the width; m*B < vmax is check_domain's job
+    assert ring_width(2, 100, vmax=1 << 20) == 22
+    check_domain(1, 2, 100, Ring(22), vmax=1 << 20)
+    with pytest.raises(ValueError):
+        check_domain(1, 2, 100, Ring(21), vmax=1 << 20)
+    for m, bound in ((1, 2**62), (3, 2**61), (1, -1)):
+        with pytest.raises(ValueError):
+            ring_width(m, bound)
+
+
+@pytest.mark.parametrize("kind", ["inde", "corr", "anti"])
+def test_default_width_engine_is_exact(kind):
+    n, m, bound = 40, 3, 100
+    data = generate(DatasetSpec(kind, n, m, seed=17, bound=bound))
+    engine = LocalEngine(data, seed=5)
+    l = engine.ring.l
+    assert l == ring_width(m, int(data.max())) <= 11
+    rng = np.random.default_rng(18)
+    for _ in range(3):
+        query = rng.integers(0, int(data.max()) + 1, size=m)
+        rows, metrics = engine.query(query)
+        assert same_rows(rows, plaintext_skyline(data, query))
+        assert metrics.rounds == query_rounds(n, m, l, metrics.k)
+        want = budget_for_query(n, m, l, metrics.k)
+        for ctx in engine.last_contexts:
+            used = (ctx.rand.arith.consumed, ctx.rand.bin.consumed, ctx.rand.dabits.consumed)
+            assert used == (want.arith_triples, want.bin_words, want.dabits)
+
+
+def test_default_width_engine_on_an_all_zero_database():
+    engine = LocalEngine(np.zeros((5, 2), dtype=np.int64), seed=1)
+    assert engine.ring.l == 2
+    rows, _ = engine.query([0, 0])
+    assert rows == [(0, 0)] * 5
 
 
 def test_map_database_walkthrough(table_example):

@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+from skyshare import runtime
 from skyshare.channel import (
     KIND_NAMES,
     KIND_OPEN_BIT,
@@ -18,6 +19,7 @@ from skyshare.channel import (
 )
 from skyshare.correlated import deal_strict, write_pool_file
 from skyshare.metering import budget_for_query, query_rounds
+from skyshare.protocol import ring_width
 from skyshare.ring import Ring, default_vmax
 from skyshare.runtime import LocalEngine, Server, parse_endpoint, run_pair, tcp_query
 from skyshare.sharing import share_matrix, write_share_file
@@ -123,8 +125,8 @@ def _deal_to_dir(tmp_path, data, l=64, seed=0, k_max=None):
     return paths
 
 
-def _start_servers(tmp_path, data, latency_ms=0.0, seed=0):
-    paths = _deal_to_dir(tmp_path, data, seed=seed)
+def _start_servers(tmp_path, data, latency_ms=0.0, seed=0, l=64):
+    paths = _deal_to_dir(tmp_path, data, l=l, seed=seed)
     peer_port = _free_port()
     servers = []
     for party in (2, 1):  # party 2 first so its peer listener is up
@@ -211,6 +213,31 @@ def test_server_rejects_width_mismatch(tmp_path, table_example):
             tcp_query(endpoints, query, l=16, seed=3, timeout=3.0)
         rows = tcp_query(endpoints, query, l=64, seed=4)  # servers still fine
         assert len(rows) == 2
+    finally:
+        for s in servers:
+            s.stop()
+
+
+def test_client_refuses_out_of_window_query(tmp_path, table_example, monkeypatch):
+    database, query, _, skyline = table_example
+    bound = int(np.max(database))
+    l = ring_width(2, bound)  # 10: vmax = 256 against m*B = 204
+    servers = _start_servers(tmp_path, np.asarray(database), l=l)
+    sent = []
+    write = runtime.write_frame
+    monkeypatch.setattr(runtime, "write_frame",
+                        lambda sock, kind, *rest: (sent.append(kind), write(sock, kind, *rest)))
+    try:
+        endpoints = [f"127.0.0.1:{servers[0].port}", f"127.0.0.1:{servers[1].port}"]
+        with pytest.raises(ValueError, match="exact window"):
+            tcp_query(endpoints, [3 * bound, 0], seed=1)
+        with pytest.raises(ValueError, match="attributes"):
+            tcp_query(endpoints, [1, 2, 3], seed=1)
+        with pytest.raises(FrameError, match=f"client expects l=64, servers use l={l}"):
+            tcp_query(endpoints, query, 64, seed=1)
+        assert KIND_QUERY not in sent  # no query share and no peer hello left a socket
+        # the pools cover one session: had a refused query run, this one would starve
+        assert tcp_query(endpoints, query, seed=2) == skyline
     finally:
         for s in servers:
             s.stop()

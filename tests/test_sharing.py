@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -103,12 +105,15 @@ def test_matrix_share_round_trip():
 
 
 def test_value_codec_widths():
-    for l in (8, 16, 64):
+    for l in range(2, 65):
         ring = Ring(l)
         rng = np.random.default_rng(l)
         arr = ring.reduce(rng.integers(0, 2**64, size=17, dtype=np.uint64))
-        back = decode_values(encode_values(arr, l), l)
-        assert (back == arr).all()
+        arr[:2] = (0, ring.mask)
+        blob = encode_values(arr, l)
+        assert len(blob) == 17 * ((l + 7) // 8), l
+        back = decode_values(blob, l)
+        assert back.dtype == np.uint64 and (back == arr).all(), l
     with pytest.raises(ValueError):
         decode_values(b"\x00\x01\x02", 16)
 
@@ -133,3 +138,25 @@ def test_share_file_rejects_garbage(tmp_path):
         f.write(b"SSKY1")
     with pytest.raises(ValueError):
         read_share_file(path)
+
+
+def _share_header(l, n=1, m=1, party=1):
+    return struct.pack("<5sBQHBI", b"SSKY1", l, n, m, party, 1)
+
+
+@pytest.mark.parametrize("l", [0, 1, 65, 255])
+def test_share_file_rejects_bad_width(tmp_path, l):
+    path = tmp_path / "bad.shares"
+    path.write_bytes(_share_header(l) + b"\x00" * 8)
+    with pytest.raises(ValueError, match="ring width"):
+        read_share_file(str(path))
+
+
+def test_share_file_rejects_bad_party_and_trailing_byte(tmp_path):
+    path = tmp_path / "bad.shares"
+    path.write_bytes(_share_header(16, party=3) + b"\x00" * 2)
+    with pytest.raises(ValueError, match="party"):
+        read_share_file(str(path))
+    path.write_bytes(_share_header(16) + b"\x00" * 3)
+    with pytest.raises(ValueError):
+        read_share_file(str(path))
