@@ -8,6 +8,7 @@ from .metering import (
     SessionMetrics,
     budget_for_query,
     msb_invocations,
+    query_bytes,
     query_rounds,
 )
 from .plaintext import brute_force_skyline, dominates, plaintext_skyline, same_rows
@@ -22,6 +23,7 @@ __all__ = [
     "SessionMetrics",
     "budget_for_query",
     "msb_invocations",
+    "query_bytes",
     "query_rounds",
     "LocalEngine",
     "Server",

@@ -32,7 +32,7 @@ def pack_bits(bits: np.ndarray) -> np.ndarray:
 def unpack_bits(words: np.ndarray, nbits: int) -> np.ndarray:
     """Inverse of pack_bits; returns uint8 0/1 with last axis = nbits."""
     words = np.ascontiguousarray(words, dtype=np.uint64)
-    as_bytes = words.astype("<u8").view(np.uint8)
+    as_bytes = words.astype("<u8", copy=False).view(np.uint8)
     flat = np.unpackbits(
         as_bytes.reshape(words.shape[:-1] + (-1,)), axis=-1, bitorder="little"
     )

@@ -29,19 +29,26 @@ from __future__ import annotations
 
 import struct
 import threading
-from collections import deque
 
 import numpy as np
 
 from .metering import RandomnessBudget
-from .ring import Ring, default_vmax
-from .sharing import check_file_header, decode_values, encode_values, value_width_bytes
+from .ring import MAX_WIDTH, Ring, default_vmax
+from .sharing import (
+    check_file_header,
+    decode_values,
+    encode_values,
+    uniform_values,
+    value_width_bytes,
+)
 
 POOL_MAGIC = b"SSKR2"
 _POOL_HEADER = struct.Struct("<5sBBQ")
 _POOL_COUNTS = struct.Struct("<QQQ")
 
-STREAM_CHUNK = 1 << 16
+# the least a streaming refill deals: chunks this small stay in cache while
+# they are dealt, and a query that needs only part of a chunk wastes little
+STREAM_CHUNK = 1 << 12
 
 
 class PoolExhausted(RuntimeError):
@@ -49,61 +56,56 @@ class PoolExhausted(RuntimeError):
 
 
 class StreamPool:
-    """Chunked FIFO of parallel arrays; take() never reuses an element."""
+    """FIFO of parallel arrays read through a cursor; take() never reuses an
+    element.
+
+    take() returns a slice of each part (views, not copies) and bumps the
+    cursor.  A pool belongs to one party thread, which alone takes from it
+    and refills it: refill(need) returns the pool's next chunk.
+    """
 
     def __init__(self, parts: int, refill=None):
         self._parts = parts
-        self._chunks: deque = deque()
-        self._offset = 0  # consumed prefix of the head chunk
-        self._available = 0
+        self._arrays = tuple(np.empty(0, dtype=np.uint64) for _ in range(parts))
+        self._at = 0
+        self._end = 0
         self._refill = refill
-        self._lock = threading.Lock()
         self.consumed = 0
 
     def push(self, chunk: tuple):
         if len(chunk) != self._parts:
             raise ValueError("chunk arity mismatch")
-        with self._lock:
-            self._chunks.append(chunk)
-            self._available += len(chunk[0])
+        if self._at == self._end:
+            self._arrays = tuple(chunk)
+        else:  # the unconsumed tail moves into the new arrays; nothing else is kept
+            self._arrays = tuple(np.concatenate((a[self._at:self._end], c))
+                                 for a, c in zip(self._arrays, chunk))
+        self._at = 0
+        self._end = len(self._arrays[0])
 
     def available(self) -> int:
-        with self._lock:
-            return self._available
+        return self._end - self._at
 
-    def take(self, count: int) -> tuple:
+    def take(self, count: int) -> list:
+        at = self._at
+        end = at + count
+        if end > self._end or count < 0:
+            self._fill(count)
+            at = self._at
+            end = at + count
+        self._at = end
+        self.consumed += count
+        return [a[at:end] for a in self._arrays]
+
+    def _fill(self, count: int):
         if count < 0:
             raise ValueError("negative take")
-        while True:
-            with self._lock:
-                if self._available >= count:
-                    return self._take_locked(count)
+        while self.available() < count:
             if self._refill is None:
                 raise PoolExhausted(
-                    f"pool exhausted: requested {count}, have {self._available}"
+                    f"pool exhausted: requested {count}, have {self.available()}"
                 )
-            self._refill(self, count)
-
-    def _take_locked(self, count: int) -> tuple:
-        parts = [[] for _ in range(self._parts)]
-        need = count
-        while need:
-            head = self._chunks[0]
-            size = len(head[0]) - self._offset
-            grab = min(size, need)
-            for i in range(self._parts):
-                parts[i].append(head[i][self._offset:self._offset + grab])
-            need -= grab
-            if grab == size:
-                self._chunks.popleft()
-                self._offset = 0
-            else:
-                self._offset += grab
-        self._available -= count
-        self.consumed += count
-        if count and len(parts[0]) == 1:
-            return tuple(p[0] for p in parts)
-        return tuple(np.concatenate(p) if p else np.array([], dtype=np.uint64) for p in parts)
+            self.push(self._refill(count - self.available()))
 
 
 class Dealer:
@@ -114,14 +116,21 @@ class Dealer:
         self.rng = np.random.default_rng(seed)
 
     def _split(self, plain: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        s1 = self.rng.integers(0, self.ring.modulus, size=plain.shape, dtype=np.uint64)
-        return s1, self.ring.reduce(plain - s1)
+        """Share plain (overwritten): a uniform share 1 and plain - share 1."""
+        s1 = uniform_values(self.rng, self.ring, plain.shape)
+        plain -= s1
+        if self.ring.l < MAX_WIDTH:
+            plain &= self.ring.mask_np
+        return s1, plain
+
+    def _bits(self, count: int) -> np.ndarray:
+        raw = self.rng.integers(0, 256, size=(count + 7) // 8, dtype=np.uint8)
+        return np.unpackbits(raw, count=count, bitorder="little")
 
     def arith_triples(self, count: int) -> tuple[tuple, tuple]:
-        r = self.ring
-        u = self.rng.integers(0, r.modulus, size=count, dtype=np.uint64)
-        v = self.rng.integers(0, r.modulus, size=count, dtype=np.uint64)
-        w = r.reduce(u * v)
+        u = uniform_values(self.rng, self.ring, count)
+        v = uniform_values(self.rng, self.ring, count)
+        w = u * v
         u1, u2 = self._split(u)
         v1, v2 = self._split(v)
         w1, w2 = self._split(w)
@@ -135,17 +144,47 @@ class Dealer:
         u1 = self.rng.integers(0, full, size=nwords, dtype=np.uint64)
         v1 = self.rng.integers(0, full, size=nwords, dtype=np.uint64)
         w1 = self.rng.integers(0, full, size=nwords, dtype=np.uint64)
-        return (u1, v1, w1), (u ^ u1, v ^ v1, w ^ w1)
+        u ^= u1
+        v ^= v1
+        w ^= w1
+        return (u1, v1, w1), (u, v, w)
 
     def dabits(self, count: int) -> tuple[tuple, tuple]:
-        bits = self.rng.integers(0, 2, size=count, dtype=np.uint8)
-        b1 = self.rng.integers(0, 2, size=count, dtype=np.uint8)
+        bits = self._bits(count)
+        b1 = self._bits(count)
         a1, a2 = self._split(bits.astype(np.uint64))
         return (b1, a1), (bits ^ b1, a2)
 
     def value_sharing(self, value: int) -> tuple[int, int]:
         s1 = int(self.rng.integers(0, self.ring.modulus, dtype=np.uint64))
         return s1, (value - s1) & self.ring.mask
+
+
+class _PairedFeeder:
+    """Deals both parties' chunks of one kind under one lock.
+
+    Whichever party runs short first deals the next pair and keeps the other
+    party's half aside; each party's pool only ever receives its own chunks,
+    in dealing order, so both pools hold the same sequence.
+    """
+
+    def __init__(self, generate, chunk: int):
+        self._generate = generate
+        self._chunk = chunk
+        self._lock = threading.Lock()
+        self._pending: tuple[list, list] = ([], [])
+
+    def refill_for(self, index: int):
+        mine, theirs = self._pending[index], self._pending[1 - index]
+
+        def refill(need: int) -> tuple:
+            with self._lock:
+                if not mine:
+                    pair = self._generate(max(need, self._chunk))
+                    mine.append(pair[index])
+                    theirs.append(pair[1 - index])
+                return mine.pop(0)
+        return refill
 
 
 class PartyRandomness:
@@ -184,34 +223,16 @@ def deal_streaming(ring: Ring, seed, vmax: int, chunk: int = STREAM_CHUNK
                    ) -> tuple[PartyRandomness, PartyRandomness]:
     """Lazily dealt pools that never exhaust; both parties extend in lockstep."""
     dealer = Dealer(ring, seed)
-    feeder_lock = threading.Lock()
-
-    def paired(generator, pool_a, pool_b):
-        def refill(pool, need):
-            with feeder_lock:
-                if pool.available() >= need:
-                    return
-                count = max(need - pool.available(), chunk)
-                ca, cb = generator(count)
-                pool_a.push(ca)
-                pool_b.push(cb)
-        return refill
-
-    a_arith, b_arith = StreamPool(3), StreamPool(3)
-    a_bin, b_bin = StreamPool(3), StreamPool(3)
-    a_dab, b_dab = StreamPool(2), StreamPool(2)
-    for pool_a, pool_b, gen in (
-        (a_arith, b_arith, dealer.arith_triples),
-        (a_bin, b_bin, dealer.bin_triple_words),
-        (a_dab, b_dab, dealer.dabits),
-    ):
-        r = paired(gen, pool_a, pool_b)
-        pool_a._refill = r
-        pool_b._refill = r
+    hands = ([], [])
+    for parts, generate in ((3, dealer.arith_triples), (3, dealer.bin_triple_words),
+                            (2, dealer.dabits)):
+        feeder = _PairedFeeder(generate, chunk)
+        for index, hand in enumerate(hands):
+            hand.append(StreamPool(parts, feeder.refill_for(index)))
     v1, v2 = dealer.value_sharing(vmax)
     return (
-        PartyRandomness(a_arith, a_bin, a_dab, vmax, v1),
-        PartyRandomness(b_arith, b_bin, b_dab, vmax, v2),
+        PartyRandomness(*hands[0], vmax, v1),
+        PartyRandomness(*hands[1], vmax, v2),
     )
 
 

@@ -22,36 +22,32 @@ def less_than(ctx: PartyContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """XOR shares of msb(a-b) per element; one batched carry circuit."""
     if a.shape != b.shape:
         raise ValueError("comparison operand shape mismatch")
-    r = ctx.ring
+    l = ctx.ring.l
     n = a.size
-    d = r.reduce(a.ravel() - b.ravel())
-    lanes = bits_of_values(d, r.l)  # (l, words) packed over the batch
-    mine = lanes[:r.l - 1]
+    lanes = bits_of_values((a - b).ravel(), l)  # (l, words); reads the low l bits only
+    mine = lanes[:l - 1]
     zeros = np.zeros_like(mine)
+    # (G, P) of every segment, stacked so each level slices both at once
+    gp = np.empty((2,) + mine.shape, dtype=np.uint64)
     # adder inputs: a-bits live at party 1, b-bits at party 2
-    if ctx.is_p1:
-        g = and_packed(ctx, mine, zeros)
+    gp[0] = and_packed(ctx, mine, zeros) if ctx.is_p1 else and_packed(ctx, zeros, mine)
+    gp[1] = mine  # share of a_i XOR b_i is each party's own bit column
+
+    plan = carry_plan(l)
+    for pairs in plan.level_pairs[:-1]:
+        lo = gp[:, 0:2 * pairs:2]
+        hi = gp[:, 1:2 * pairs:2]
+        hi_p = hi[1:]
+        # one flight: hi_p AND lo_g, hi_p AND lo_p
+        z = and_packed(ctx, np.concatenate((hi_p, hi_p)), lo)
+        z[0] ^= hi[0]
+        gp = np.concatenate((z, gp[:, 2 * pairs:]), axis=1)
+    if plan.combine_levels:  # the root combine (always one pair) needs only G
+        carry = gp[0, 1] ^ and_packed(ctx, gp[1, 1], gp[0, 0])
     else:
-        g = and_packed(ctx, zeros, mine)
-    p = mine  # share of a_i XOR b_i is each party's own bit column
+        carry = gp[0, 0]
 
-    plan = carry_plan(r.l)
-    for level in range(plan.combine_levels):
-        pairs = plan.level_pairs[level]
-        root = level == plan.combine_levels - 1
-        lo_g, hi_g = g[0:2 * pairs:2], g[1:2 * pairs:2]
-        lo_p, hi_p = p[0:2 * pairs:2], p[1:2 * pairs:2]
-        if root:
-            z = and_packed(ctx, hi_p, lo_g)
-            g = hi_g ^ z
-            p = hi_p  # unused past the root
-        else:
-            z = and_packed(ctx, np.concatenate([hi_p, hi_p]), np.concatenate([lo_g, lo_p]))
-            g = np.concatenate([hi_g ^ z[:pairs], g[2 * pairs:]])
-            p = np.concatenate([z[pairs:], p[2 * pairs:]])
-    carry = g[0]
-
-    out = lanes[r.l - 1] ^ carry
+    out = lanes[l - 1] ^ carry
     ctx.meters.secext += n
     return unpack_bits(out, n).reshape(a.shape)
 

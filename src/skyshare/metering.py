@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from .bitpack import words_for
 from .ppa import carry_plan, ceil_log2, msb_rounds
+from .sharing import value_width_bytes
 
 MODE_DABIT = "dabit"
 MODE_MESSAGES = "messages"
@@ -87,6 +88,9 @@ class RandomnessBudget:
     arith_triples: int = 0
     bin_words: int = 0
     dabits: int = 0
+    # not randomness: the bytes a party sends to open its daBit-masked bits,
+    # ceil(batch/8) per conversion, which query_bytes needs per select
+    b2a_bytes: int = 0
 
     def __add__(self, other: "RandomnessBudget") -> "RandomnessBudget":
         return RandomnessBudget(
@@ -94,6 +98,7 @@ class RandomnessBudget:
             self.arith_triples + other.arith_triples,
             self.bin_words + other.bin_words,
             self.dabits + other.dabits,
+            self.b2a_bytes + other.b2a_bytes,
         )
 
     def scaled(self, times: int) -> "RandomnessBudget":
@@ -102,6 +107,7 @@ class RandomnessBudget:
             self.arith_triples * times,
             self.bin_words * times,
             self.dabits * times,
+            self.b2a_bytes * times,
         )
 
 
@@ -117,7 +123,8 @@ def select_cost(batch: int, width: int, mode: str) -> RandomnessBudget:
     one bit-by-value product per row."""
     if mode == MODE_MESSAGES:
         return RandomnessBudget()
-    return RandomnessBudget(arith_triples=batch * width, dabits=batch)
+    return RandomnessBudget(arith_triples=batch * width, dabits=batch,
+                            b2a_bytes=(batch + 7) // 8)
 
 
 def map_cost(n: int, m: int, l: int, mode: str) -> RandomnessBudget:
@@ -153,16 +160,37 @@ def filt_cost(n: int, m: int, l: int, mode: str) -> RandomnessBudget:
     return total + select_cost(n, 1, mode)
 
 
+def query_cost(n: int, m: int, l: int, k: int, mode: str = MODE_DABIT) -> RandomnessBudget:
+    """What a query returning k rows consumes: map, k+1 fetches and stop
+    tests, k filters."""
+    per_loop = fetch_cost(n, m, l, mode) + stop_cost(l)
+    return map_cost(n, m, l, mode) + per_loop.scaled(k + 1) + filt_cost(n, m, l, mode).scaled(k)
+
+
 def budget_for_query(n: int, m: int, l: int, k_max: int, mode: str = MODE_DABIT) -> RandomnessBudget:
     """Randomness to deal so a query returning up to k_max rows cannot starve."""
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 and m >= 1")
     if k_max < 1:
         raise ValueError("k_max must be at least 1: every query runs a fetch round")
-    per_loop = fetch_cost(n, m, l, mode) + stop_cost(l)
-    total = map_cost(n, m, l, mode) + per_loop.scaled(k_max + 1) + filt_cost(n, m, l, mode).scaled(k_max)
+    total = query_cost(n, m, l, k_max, mode)
     assert total.secext == msb_invocations(n, m, k_max)
     return total
+
+
+def query_bytes(n: int, m: int, l: int, k: int, mode: str = MODE_DABIT) -> int:
+    """Payload bytes each party sends in a query returning k rows (and
+    receives: the flights are symmetric).
+
+    16 per AND word (its e and f words), 2*ceil(l/8) per Beaver product (e
+    and f values), the packed daBit openings, and one byte per opened stop
+    bit.  Defined for dabit mode, whose selects consume triples.
+    """
+    if mode != MODE_DABIT:
+        raise ValueError(f"query_bytes covers {MODE_DABIT!r} mode only, not {mode!r}")
+    cost = query_cost(n, m, l, k, mode)
+    return (16 * cost.bin_words + 2 * value_width_bytes(l) * cost.arith_triples
+            + cost.b2a_bytes + (k + 1))
 
 
 # --- session metrics ---------------------------------------------------------

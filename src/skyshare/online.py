@@ -5,6 +5,10 @@ shares, exchanging one flight per round through the session channel.  All
 openings are of uniformly masked values (Beaver e/f, daBit-masked bits);
 the single deliberate value opening in the whole protocol is open_bit(),
 used once per query loop for the stop flag.
+
+Arithmetic shares stay unreduced in uint64 between flights: Z_{2^64} maps
+onto Z_{2^l}, so only the bits that leave (encode_values) or are read as
+bits (bits_of_values, msb) need the low l bits.
 """
 
 from __future__ import annotations
@@ -61,48 +65,53 @@ def mul_shares(ctx: PartyContext, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Beaver product of two arithmetic-shared arrays (element-wise)."""
     if x.shape != y.shape:
         raise ValueError("operand shape mismatch")
-    r = ctx.ring
-    shape = x.shape
-    xf, yf = x.ravel(), y.ravel()
-    u, v, w = ctx.rand.arith.take(xf.size)
-    both = np.empty(2 * xf.size, dtype=np.uint64)
-    np.subtract(xf, u, out=both[:xf.size])
-    np.subtract(yf, v, out=both[xf.size:])
-    both = r.reduce(both)
-    e_sh, f_sh = both[:xf.size], both[xf.size:]
-    got = ctx.chan.exchange(encode_values(both, r.l))
-    peer = decode_values(got, r.l)
-    if peer.size != 2 * xf.size:
+    n = x.size
+    l = ctx.ring.l
+    u, v, w = ctx.rand.arith.take(n)
+    ef = np.empty((2, n), dtype=np.uint64)
+    np.subtract(x.reshape(n), u, out=ef[0])
+    np.subtract(y.reshape(n), v, out=ef[1])
+    peer = decode_values(ctx.chan.exchange(encode_values(ef, l)), l)
+    if peer.size != 2 * n:
         raise ValueError("beaver flight size mismatch")
-    e = r.reduce(e_sh + peer[:xf.size])
-    f = r.reduce(f_sh + peer[xf.size:])
-    z = f * u + e * v + w
-    if ctx.is_p1:
-        z = z + e * f
-    return r.reduce(z).reshape(shape)
+    ef += peer.reshape(2, n)  # the opened e = x - u and f = y - v
+    e = ef[0]
+    f = ef[1]
+    z = f * u
+    if ctx.is_p1:  # e*v + e*f, the public term folded in at party 1
+        f += v
+        e *= f
+    else:
+        e *= v
+    z += e
+    z += w
+    return z.reshape(x.shape)
 
 
 def and_packed(ctx: PartyContext, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Beaver AND over packed bit words (64 independent lanes per word)."""
     if x.shape != y.shape:
         raise ValueError("operand shape mismatch")
-    shape = x.shape
-    xf, yf = x.ravel(), y.ravel()
-    u, v, w = ctx.rand.bin.take(xf.size)
-    both = np.empty(2 * xf.size, dtype=np.uint64)
-    np.bitwise_xor(xf, u, out=both[:xf.size])
-    np.bitwise_xor(yf, v, out=both[xf.size:])
-    e_sh, f_sh = both[:xf.size], both[xf.size:]
-    got = ctx.chan.exchange(both.tobytes())
-    peer = np.frombuffer(got, dtype="<u8")
-    if peer.size != 2 * xf.size:
+    n = x.size
+    u, v, w = ctx.rand.bin.take(n)
+    ef = np.empty((2, n), dtype=np.uint64)
+    np.bitwise_xor(x.reshape(n), u, out=ef[0])
+    np.bitwise_xor(y.reshape(n), v, out=ef[1])
+    peer = np.frombuffer(ctx.chan.exchange(ef.tobytes()), dtype="<u8")
+    if peer.size != 2 * n:
         raise ValueError("beaver flight size mismatch")
-    e = e_sh ^ peer[:xf.size]
-    f = f_sh ^ peer[xf.size:]
-    z = (f & u) ^ (e & v) ^ w
-    if ctx.is_p1:
-        z ^= e & f
-    return z.reshape(shape)
+    ef ^= peer.reshape(2, n)  # the opened e = x ^ u and f = y ^ v
+    e = ef[0]
+    f = ef[1]
+    z = f & u
+    if ctx.is_p1:  # e&v ^ e&f, the public term folded in at party 1
+        f ^= v
+        e &= f
+    else:
+        e &= v
+    z ^= e
+    z ^= w
+    return z.reshape(x.shape)
 
 
 def and_jobs(ctx: PartyContext, jobs: list[tuple[np.ndarray, np.ndarray]]) -> list[np.ndarray]:
@@ -147,20 +156,26 @@ def bits_to_arith(ctx: PartyContext, bits: np.ndarray) -> np.ndarray:
     """
     n = bits.size
     rbits, rvals = ctx.rand.dabits.take(n)
-    c_share = bits.ravel() ^ rbits
-    got = ctx.chan.exchange(np.packbits(c_share, bitorder="little").tobytes())
-    peer = np.unpackbits(np.frombuffer(got, dtype=np.uint8), count=n, bitorder="little")
-    c = (c_share ^ peer).astype(np.uint64)
-    r = ctx.ring
-    out = r.reduce(rvals - r.reduce((c << np.uint64(1)) * rvals))
+    c = np.packbits(bits.reshape(n) ^ rbits, bitorder="little")
+    got = ctx.chan.exchange(c.tobytes())
+    if len(got) != c.size:
+        raise ValueError("daBit flight size mismatch")
+    c ^= np.frombuffer(got, dtype=np.uint8)
+    # all ones where c = 1: (r ^ ones) - ones = -r, so r - 2*c*r = (r ^ neg) - neg
+    neg = np.negative(np.unpackbits(c, count=n, bitorder="little"), dtype=np.int64)
+    neg = neg.view(np.uint64)
+    out = rvals ^ neg
+    out -= neg
     if ctx.is_p1:
-        out = r.reduce(out + c)
+        out -= neg  # + c
     return out.reshape(bits.shape)
 
 
 def _broadcast_scale(scale: np.ndarray, values: np.ndarray) -> np.ndarray:
     if values.ndim == 2:
-        return np.ascontiguousarray(np.broadcast_to(scale[:, None], values.shape))
+        out = np.empty(values.shape, dtype=scale.dtype)
+        out[...] = scale[:, None]
+        return out
     return scale
 
 
@@ -176,8 +191,8 @@ def bit_mul_messages(ctx: PartyContext, bits: np.ndarray, values: np.ndarray) ->
     r = ctx.ring
     b = _broadcast_scale(bits.astype(np.uint64), values)
     rnd = ctx.rng.integers(0, r.modulus, size=values.shape, dtype=np.uint64)
-    m0 = r.reduce(b * values - rnd)
-    m1 = r.reduce((np.uint64(1) - b) * values - rnd)
+    m0 = b * values - rnd
+    m1 = (np.uint64(1) - b) * values - rnd
     payload = encode_values(m0, r.l) + encode_values(m1, r.l)
     got = ctx.chan.exchange(payload)
     peer = decode_values(got, r.l)
@@ -187,7 +202,7 @@ def bit_mul_messages(ctx: PartyContext, bits: np.ndarray, values: np.ndarray) ->
     pm0 = peer[:half].reshape(values.shape)
     pm1 = peer[half:].reshape(values.shape)
     picked = np.where(b.astype(bool), pm1, pm0)
-    return r.reduce(rnd + picked)
+    return rnd + picked
 
 
 def bit_mul(ctx: PartyContext, bits: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -215,5 +230,4 @@ def obliv_select(ctx: PartyContext, bits: np.ndarray, when_true: np.ndarray,
     """
     if when_true.shape != when_false.shape:
         raise ValueError("branch shape mismatch")
-    r = ctx.ring
-    return r.reduce(when_false + bit_mul(ctx, bits, r.reduce(when_true - when_false)))
+    return when_false + bit_mul(ctx, bits, when_true - when_false)

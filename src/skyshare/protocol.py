@@ -73,17 +73,16 @@ def map_database(ctx: PartyContext, p_shares: np.ndarray, q_shares: np.ndarray) 
     n, m = p_shares.shape
     if q_shares.shape != (m,):
         raise ValueError(f"query has {q_shares.shape} attributes, database rows have {m}")
-    r = ctx.ring
     flat_p = p_shares.ravel()
     flat_q = np.tile(q_shares, n)
     below = less_than(ctx, flat_p, flat_q)
-    mapped = obliv_select(ctx, below, r.reduce(flat_q - flat_p), r.reduce(flat_p - flat_q))
+    mapped = obliv_select(ctx, below, flat_q - flat_p, flat_p - flat_q)
     return mapped.reshape(n, m)
 
 
-def attribute_sums(ring: Ring, t_shares: np.ndarray) -> np.ndarray:
+def attribute_sums(t_shares: np.ndarray) -> np.ndarray:
     """Row sums; local only, shares add."""
-    return ring.reduce(t_shares.sum(axis=1, dtype=np.uint64))
+    return t_shares.sum(axis=1, dtype=np.uint64)
 
 
 def fetch_min(ctx: PartyContext, sums: np.ndarray, t_shares: np.ndarray,
@@ -106,13 +105,12 @@ def filter_round(ctx: PartyContext, t_shares: np.ndarray, t_star: np.ndarray,
     the one-first-marker invariant; never used by the protocol itself).
     """
     n, m = t_shares.shape
-    r = ctx.ring
 
     # one fused comparison batch: minimum-vs-sum for every row, then every
     # mapped cell against the fetched row's cell
     lhs = np.concatenate([np.broadcast_to(s_min, (n,)), t_shares.ravel()])
     rhs = np.concatenate([sums, np.tile(t_star, n)])
-    bits = less_than(ctx, r.reduce(lhs), r.reduce(rhs))
+    bits = less_than(ctx, lhs, rhs)
     sigma = not_bits(ctx, bits[:n])              # s_min >= sums[i], i.e. equal-min row
     not_delta = not_bits(ctx, bits[n:]).reshape(n, m)  # t_star[j] <= t_i[j]
 
@@ -161,7 +159,7 @@ def filter_round(ctx: PartyContext, t_shares: np.ndarray, t_star: np.ndarray,
 class QueryOutcome:
     """One party's end-of-query state: result-row shares in fetch order."""
 
-    rows: np.ndarray  # (k, m) shares
+    rows: np.ndarray  # (k, m) shares, unreduced: mask the sum of both parties' rows
     k: int
     secext: int
 
@@ -169,10 +167,9 @@ class QueryOutcome:
 def run_query(ctx: PartyContext, p_shares: np.ndarray, q_shares: np.ndarray) -> QueryOutcome:
     """Full query loop: fetch, stop test (single opened bit), append, filter."""
     n, m = p_shares.shape
-    r = ctx.ring
     start_count = ctx.meters.secext
     t_shares = map_database(ctx, p_shares, q_shares)
-    sums = attribute_sums(r, t_shares)
+    sums = attribute_sums(t_shares)
     vmax_share = np.array([ctx.rand.vmax_share], dtype=np.uint64)
 
     taken: list[np.ndarray] = []

@@ -4,8 +4,9 @@ Every value that flows through the sharing layer and the online protocol is
 an element of Z_{2^l}.  The width l is a session-wide constant: by default
 the narrowest one the data bound admits (protocol.ring_width), 8 (or 4) for
 exhaustive-domain tests.  Vectorized code keeps values in numpy uint64
-arrays and masks after each operation; for l = 64 the mask is a no-op and
-uint64 hardware wraparound does the work.
+arrays and lets them wrap mod 2^64, which maps onto Z_{2^l}; values are
+masked (reduce) only where they leave or are reconstructed.  For l = 64 the
+mask is a no-op.
 """
 
 from __future__ import annotations

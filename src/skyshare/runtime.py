@@ -22,6 +22,7 @@ from .channel import (
     KIND_HELLO,
     KIND_QUERY,
     KIND_RESULT,
+    ConnectionClosed,
     FrameError,
     LocalChannel,
     TcpChannel,
@@ -53,16 +54,17 @@ def run_pair(task1, task2):
     """Run the two party closures in lockstep threads.
 
     Each task is (fn, channel); a failing party poisons its peer's channel
-    so the survivor unblocks instead of waiting forever.
+    so the survivor unblocks instead of waiting forever.  The error raised
+    is that of the party that failed first.
     """
     results = [None, None]
-    errors: list[BaseException | None] = [None, None]
+    errors: list[BaseException] = []  # in the order the parties failed
 
     def runner(i, fn, chan):
         try:
             results[i] = fn()
         except BaseException as exc:  # re-raised in the caller
-            errors[i] = exc
+            errors.append(exc)  # before the poison: the peer's own error comes later
             if chan is not None and hasattr(chan, "poison_peer"):
                 chan.poison_peer()
 
@@ -74,9 +76,8 @@ def run_pair(task1, task2):
         t.start()
     for t in threads:
         t.join()
-    for err in errors:
-        if err is not None:
-            raise err
+    if errors:
+        raise errors[0]  # the root cause, not the peer's "aborted" echo
     return results[0], results[1]
 
 
@@ -375,7 +376,11 @@ class Server:
         try:
             write_frame(conn, KIND_HELLO, 0,
                         _encode_server_hello(self.ring.l, self.shares.shape[1], self.rand.vmax))
-            kind, session, payload = read_frame(conn)
+            try:
+                kind, session, payload = read_frame(conn)
+            except ConnectionClosed:  # e.g. tcp_query refused the query itself
+                print(f"server {self.party}: client left without a query", flush=True)
+                return
             if kind != KIND_QUERY:
                 raise FrameError(f"expected a query frame, got kind {kind}")
             q_share = _decode_query_payload(payload, self.ring.l)

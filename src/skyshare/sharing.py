@@ -3,7 +3,9 @@
 A secret x in Z_{2^l} is held as <x>_1 + <x>_2 mod 2^l.  Share 1 is drawn
 uniformly so either share alone is a uniform ring element.  Addition,
 subtraction and public-scalar multiples are local; multiplication is the
-online layer's job (see online.py).
+online layer's job (see online.py).  Between flights the online phase keeps
+shares unreduced in uint64 (Z_{2^64} maps onto Z_{2^l}); encode_values, and
+with it every flight and file writer, keeps only the low l bits.
 
 The share-upload file format written by the data owner:
 
@@ -30,19 +32,27 @@ def _check_party(party: int):
         raise ValueError(f"party must be 1 or 2, got {party}")
 
 
+def uniform_values(rng: np.random.Generator, ring: Ring, shape) -> np.ndarray:
+    """Uniform ring elements as uint64.
+
+    The low l bits of full-range draws of the narrowest unsigned dtype that
+    holds l bits are uniform on the ring, and cheaper to draw than a bounded
+    integer.
+    """
+    bits = max(8, 1 << (ring.l - 1).bit_length())
+    values = rng.integers(0, 1 << bits, size=shape, dtype=f"uint{bits}")
+    values = values.astype(np.uint64, copy=False)
+    if ring.l < bits:
+        values &= ring.mask_np
+    return values
+
+
 def share_matrix(values: np.ndarray, rng: np.random.Generator, ring: Ring) -> tuple[np.ndarray, np.ndarray]:
     """Share an integer array element-wise; returns the two parties' arrays."""
     s2 = np.array(values, dtype=np.uint64)
-    # the low l bits of full-range draws of the narrowest unsigned dtype that
-    # holds l bits are uniform on the ring, and cheaper to draw than a bounded
-    # integer; one mask after the subtraction also reduces values given
-    # outside the ring
-    bits = max(8, 1 << (ring.l - 1).bit_length())
-    s1 = rng.integers(0, 1 << bits, size=s2.shape, dtype=f"uint{bits}")
-    s1 = s1.astype(np.uint64, copy=False)
+    s1 = uniform_values(rng, ring, s2.shape)
     s2 -= s1
-    if ring.l < MAX_WIDTH:
-        s1 &= ring.mask_np
+    if ring.l < MAX_WIDTH:  # also reduces values given outside the ring
         s2 &= ring.mask_np
     return s1, s2
 
@@ -59,13 +69,26 @@ def value_width_bytes(l: int) -> int:
 _NATIVE_DTYPES = {1: "<u1", 2: "<u2", 4: "<u4", 8: "<u8"}
 
 
+# the low-l-bit mask of every width, as 0-d arrays (cheaper to apply than
+# numpy scalars)
+_MASKS = tuple(np.array((1 << l) - 1, dtype=np.uint64) for l in range(MAX_WIDTH + 1))
+
+
 def encode_values(arr: np.ndarray, l: int) -> bytes:
-    """Little-endian fixed-width encoding of ring values."""
+    """Little-endian fixed-width encoding of the low l bits of uint64 values.
+
+    Shares travel unreduced between flights, and the bits of an unreduced
+    share above l carry borrows of the secret: this mask is what keeps them
+    from leaving.
+    """
     w = value_width_bytes(l)
+    arr = np.asarray(arr, dtype=np.uint64)
     native = _NATIVE_DTYPES.get(w)
     if native is not None:
-        return np.asarray(arr, dtype=np.uint64).astype(native, copy=False).tobytes()
-    flat = np.ascontiguousarray(arr, dtype="<u8")
+        out = np.empty(arr.shape, dtype=native)
+        np.bitwise_and(arr, _MASKS[l], out=out)
+        return out.tobytes()
+    flat = np.bitwise_and(arr, _MASKS[l]).astype("<u8", copy=False)
     return flat.view(np.uint8).reshape(-1, 8)[:, :w].tobytes()
 
 

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -24,15 +27,18 @@ from skyshare.ring import Ring, default_vmax
 
 R64 = Ring(64)
 R4 = Ring(4)
+WIDTHS = (4, 11, 13, 64)  # exhaustive, the two benchmark widths, and full width
 
 
 def test_dealt_arith_triples_reconstruct():
-    dealer = Dealer(R64, 0)
-    (u1, v1, w1), (u2, v2, w2) = dealer.arith_triples(500)
-    u = reconstruct(R64, u1, u2)
-    v = reconstruct(R64, v1, v2)
-    w = reconstruct(R64, w1, w2)
-    assert (w == R64.reduce(u * v)).all()
+    for l in WIDTHS:
+        ring = Ring(l)
+        dealer = Dealer(ring, l)
+        (u1, v1, w1), (u2, v2, w2) = dealer.arith_triples(500)
+        u = reconstruct(ring, u1, u2)
+        v = reconstruct(ring, v1, v2)
+        w = reconstruct(ring, w1, w2)
+        assert (w == ring.reduce(u * v)).all(), l
 
 
 def test_dealt_arith_triples_exhaustive_small_ring():
@@ -45,17 +51,44 @@ def test_dealt_arith_triples_exhaustive_small_ring():
 
 
 def test_dealt_binary_triples_are_and_triples():
-    dealer = Dealer(R64, 2)
-    (u1, v1, w1), (u2, v2, w2) = dealer.bin_triple_words(200)
-    assert ((u1 ^ u2) & (v1 ^ v2) == (w1 ^ w2)).all()
+    for l in WIDTHS:
+        dealer = Dealer(Ring(l), 2)
+        (u1, v1, w1), (u2, v2, w2) = dealer.bin_triple_words(200)
+        assert ((u1 ^ u2) & (v1 ^ v2) == (w1 ^ w2)).all(), l
 
 
 def test_dealt_dabits_agree_across_domains():
-    dealer = Dealer(R64, 3)
-    (b1, a1), (b2, a2) = dealer.dabits(1000)
-    bits = b1 ^ b2
-    assert set(np.unique(bits)) <= {0, 1}
-    assert (reconstruct(R64, a1, a2) == bits).all()
+    for l in WIDTHS:
+        ring = Ring(l)
+        dealer = Dealer(ring, 3)
+        (b1, a1), (b2, a2) = dealer.dabits(1000)
+        bits = b1 ^ b2
+        assert set(np.unique(bits)) <= {0, 1}
+        assert 400 < int(bits.sum()) < 600, l  # fair bits, not a constant
+        assert (reconstruct(ring, a1, a2) == bits).all(), l
+
+
+def test_dealt_values_are_uniform_ring_elements():
+    """Every dealt arithmetic value lies in the ring, and each share on its
+    own is uniform: at l=4 every residue appears about equally often, and at
+    every width each of bits 0, l/2 and l-1 is set about half the time."""
+    count = 16000
+    for l in WIDTHS:
+        ring = Ring(l)
+        dealer = Dealer(ring, 9)
+        first, second = dealer.arith_triples(count)
+        (_, a1), (_, a2) = dealer.dabits(count)
+        for values in (*first, *second, a1, a2):
+            if l < 64:
+                assert int(values.max()) < ring.modulus, l
+            for bit in (0, l // 2, l - 1):
+                ones = int(((values >> np.uint64(bit)) & np.uint64(1)).sum())
+                assert abs(ones - count / 2) < 5 * np.sqrt(count / 4), (l, bit)
+            if l == 4:
+                hist = np.bincount(values.astype(np.int64), minlength=16)
+                expected = count / 16
+                chi2 = float(((hist - expected) ** 2 / expected).sum())
+                assert chi2 < 50, chi2  # 15 degrees of freedom: p < 1e-5
 
 
 def test_zero_count_deals_empty():
@@ -106,6 +139,45 @@ def test_streaming_pools_extend_and_match():
     assert a.size == 100
     assert reconstruct(R64, np.array([r1.vmax_share]), np.array([r2.vmax_share]))[0] \
         == default_vmax(64)
+
+
+def test_streaming_pools_stay_in_lockstep_across_threads():
+    """Party threads take the same sequence from streaming pools without
+    waiting for each other, across hundreds of chunk boundaries, two
+    sessions at once (more threads than cores): the pieces still pair up,
+    so every triple reconstructs and every daBit agrees."""
+    ring = Ring(13)
+    sessions = [deal_streaming(ring, seed, default_vmax(13), chunk=7) for seed in (31, 32)]
+    sizes = np.random.default_rng(5).integers(0, 20, size=(400, 3)).tolist()
+    taken = {(s, i): [] for s in range(len(sessions)) for i in (0, 1)}
+
+    def party(s, i):
+        rand = sessions[s][i]
+        for arith, words, dabits in sizes:
+            taken[s, i].append((rand.arith.take(arith), rand.bin.take(words),
+                                rand.dabits.take(dabits)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=party, args=key) for key in taken]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    total = [sum(col) for col in zip(*sizes)]
+    for s, rand in enumerate(sessions):
+        for (a1, w1, d1), (a2, w2, d2) in zip(taken[s, 0], taken[s, 1]):
+            u, v, w = (reconstruct(ring, x, y) for x, y in zip(a1, a2))
+            assert (w == ring.reduce(u * v)).all()
+            bu, bv, bw = (x ^ y for x, y in zip(w1, w2))
+            assert (bu & bv == bw).all()
+            assert (reconstruct(ring, d1[1], d2[1]) == (d1[0] ^ d2[0])).all()
+        for r in rand:
+            assert [r.arith.consumed, r.bin.consumed, r.dabits.consumed] == total
 
 
 def test_budget_is_sufficient_for_worst_case_query():

@@ -4,7 +4,15 @@ import pytest
 from conftest import reconstruct, reconstruct_bits, run_two, session_pair, share_pair
 
 from skyshare.datasets import DatasetSpec, generate
-from skyshare.metering import budget_for_query, msb_invocations, query_rounds
+from skyshare import online
+from skyshare.metering import (
+    MODE_DABIT,
+    MODE_MESSAGES,
+    budget_for_query,
+    msb_invocations,
+    query_bytes,
+    query_rounds,
+)
 from skyshare.plaintext import brute_force_skyline, plaintext_skyline, same_rows
 from skyshare.protocol import (
     attribute_sums,
@@ -13,9 +21,11 @@ from skyshare.protocol import (
     filter_round,
     map_database,
     ring_width,
+    run_query,
 )
 from skyshare.ring import Ring, default_vmax
 from skyshare.runtime import LocalEngine
+from skyshare.sharing import decode_values
 
 R64 = Ring(64)
 
@@ -123,13 +133,13 @@ def test_map_database_dimension_mismatch(table_example):
 def test_attribute_sums(table_example):
     _, _, mapped, _ = table_example
     t1, t2 = share_pair(mapped, R64, seed=55)
-    s = reconstruct(R64, attribute_sums(R64, t1), attribute_sums(R64, t2))
+    s = reconstruct(R64, attribute_sums(t1), attribute_sums(t2))
     assert s.tolist() == [3, 5, 5, 4]
     z1, z2 = share_pair(np.zeros((1, 4), dtype=np.int64), R64, seed=56)
-    assert reconstruct(R64, attribute_sums(R64, z1), attribute_sums(R64, z2))[0] == 0
+    assert reconstruct(R64, attribute_sums(z1), attribute_sums(z2))[0] == 0
     one_col = np.array([[7], [3], [9]])
     c1, c2 = share_pair(one_col, R64, seed=57)
-    got = reconstruct(R64, attribute_sums(R64, c1), attribute_sums(R64, c2))
+    got = reconstruct(R64, attribute_sums(c1), attribute_sums(c2))
     assert got.tolist() == [7, 3, 9]
 
 
@@ -279,7 +289,7 @@ def test_sentinel_never_collides_and_filtered_rows_stay_filtered():
 
     t1, t2 = run_two(ctx1, ctx2, lambda c: map_database(
         c, p1 if c.party == 1 else p2, q1 if c.party == 1 else q2))
-    s1, s2 = attribute_sums(R64, t1), attribute_sums(R64, t2)
+    s1, s2 = attribute_sums(t1), attribute_sums(t2)
     ever_marked = np.zeros(12, dtype=bool)
     for _ in range(13):
         sums = reconstruct(R64, s1, s2)
@@ -307,3 +317,54 @@ def test_sentinel_never_collides_and_filtered_rows_stay_filtered():
 def test_run_query_rejects_empty_database():
     with pytest.raises(ValueError):
         LocalEngine(np.zeros((0, 2), dtype=np.int64), l=64, seed=1)
+
+
+def test_bytes_match_closed_form():
+    # query_bytes against the meters; l=64 takes 8-byte values
+    rng = np.random.default_rng(23)
+    for n, m, bound, l in ((12, 2, 50, None), (33, 1, 900, None), (20, 3, 50, 64), (9, 4, 7, 24)):
+        data = rng.integers(0, bound + 1, size=(n, m))
+        engine = LocalEngine(data, l=l, seed=n, bound=bound)
+        _, metrics = engine.query(rng.integers(0, bound + 1, size=m))
+        want = query_bytes(n, m, engine.ring.l, metrics.k)
+        assert metrics.bytes_tx == metrics.bytes_rx == want, (n, m, engine.ring.l)
+    with pytest.raises(ValueError):
+        query_bytes(4, 2, 11, 1, MODE_MESSAGES)
+
+
+def test_flight_values_stay_below_the_ring_modulus(monkeypatch):
+    """Shares are kept unreduced between flights, so the high bits of a share
+    carry borrows of the secret: every ring value a party sends must be
+    masked to l bits.  The value flights are the Beaver products (dabit mode)
+    and the message pairs (messages mode); the other flights carry bits."""
+    value_flights = []
+
+    def recording(fn):
+        def wrapped(ctx, *args):
+            before = len(ctx.chan.payload_log)
+            out = fn(ctx, *args)
+            value_flights.extend((ctx.ring.l, payload)
+                                 for _, payload in ctx.chan.payload_log[before:])
+            return out
+        return wrapped
+
+    monkeypatch.setattr(online, "mul_shares", recording(online.mul_shares))
+    monkeypatch.setattr(online, "bit_mul_messages", recording(online.bit_mul_messages))
+    rng = np.random.default_rng(29)
+    for l, m, bound in ((4, 2, 1), (11, 3, 100), (13, 2, 1000), (64, 2, 1000)):
+        ring = Ring(l)
+        data = rng.integers(0, bound + 1, size=(10, m))
+        q = rng.integers(0, bound + 1, size=m)
+        p1, p2 = share_pair(data, ring, seed=l)
+        q1, q2 = share_pair(q[None, :], ring, seed=l + 1)
+        for mode in (MODE_DABIT, MODE_MESSAGES):
+            value_flights.clear()
+            ctx1, ctx2 = session_pair(l=l, seed=l, mode=mode, keep_payloads=True)
+            out1, out2 = run_two(ctx1, ctx2, lambda c: run_query(
+                c, p1 if c.party == 1 else p2, (q1 if c.party == 1 else q2)[0]))
+            got = sorted(map(tuple, reconstruct(ring, out1.rows, out2.rows).tolist()))
+            assert same_rows(got, plaintext_skyline(data, q))
+            assert value_flights, (l, mode)
+            for width, payload in value_flights:
+                values = decode_values(payload, width)
+                assert values.size and int(values.max()) < 1 << width, (l, mode)

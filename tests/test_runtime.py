@@ -10,10 +10,12 @@ from skyshare.channel import (
     KIND_OPEN_BIT,
     KIND_QUERY,
     KIND_ROUND_DATA,
+    ConnectionClosed,
     FrameError,
     LocalChannel,
     decode_frame,
     encode_frame,
+    read_body,
     read_frame,
     write_frame,
 )
@@ -67,6 +69,20 @@ def test_frame_socket_fuzz():
             b.close()
 
 
+def test_read_body_tells_a_clean_close_from_a_torn_frame():
+    for sent, closed_cleanly in ((b"", True), (b"\x00\x00", False), (b"\x00\x00\x00\x09\x03", False)):
+        a, b = socket.socketpair()
+        try:
+            a.sendall(sent)
+            a.close()
+            b.settimeout(2.0)
+            with pytest.raises(FrameError) as caught:
+                read_body(b)
+            assert isinstance(caught.value, ConnectionClosed) == closed_cleanly, sent
+        finally:
+            b.close()
+
+
 def test_local_channel_round_and_kind_discipline():
     c1, c2 = LocalChannel.pair(7)
     out = [None, None]
@@ -86,13 +102,18 @@ def test_local_channel_round_and_kind_discipline():
 
 
 def test_poisoned_peer_unblocks():
-    c1, c2 = LocalChannel.pair(1)
+    # whichever party fails, run_pair raises its error, not the survivor's
+    # "peer aborted the session" that the poison causes
+    for failing_party in (1, 2):
+        c1, c2 = LocalChannel.pair(1)
 
-    def failing():
-        raise RuntimeError("party fell over")
+        def failing():
+            raise RuntimeError(f"party {failing_party} fell over")
 
-    with pytest.raises(RuntimeError, match="fell over"):
-        run_pair((failing, c1), (lambda: c2.exchange(b"z"), c2))
+        tasks = [(lambda: c1.exchange(b"z"), c1), (lambda: c2.exchange(b"z"), c2)]
+        tasks[failing_party - 1] = (failing, tasks[failing_party - 1][1])
+        with pytest.raises(RuntimeError, match=f"party {failing_party} fell over"):
+            run_pair(*tasks)
 
 
 def test_parse_endpoint():
@@ -218,7 +239,18 @@ def test_server_rejects_width_mismatch(tmp_path, table_example):
             s.stop()
 
 
-def test_client_refuses_out_of_window_query(tmp_path, table_example, monkeypatch):
+def _server_lines(capsys, text: str, count: int, timeout: float = 5.0) -> str:
+    """Server output until it holds count lines containing text (the server
+    threads print after the client has gone)."""
+    out = ""
+    deadline = time.monotonic() + timeout
+    while out.count(text) < count and time.monotonic() < deadline:
+        time.sleep(0.02)
+        out += capsys.readouterr().out
+    return out
+
+
+def test_client_refuses_out_of_window_query(tmp_path, table_example, monkeypatch, capsys):
     database, query, _, skyline = table_example
     bound = int(np.max(database))
     l = ring_width(2, bound)  # 10: vmax = 256 against m*B = 204
@@ -236,6 +268,11 @@ def test_client_refuses_out_of_window_query(tmp_path, table_example, monkeypatch
         with pytest.raises(FrameError, match=f"client expects l=64, servers use l={l}"):
             tcp_query(endpoints, query, 64, seed=1)
         assert KIND_QUERY not in sent  # no query share and no peer hello left a socket
+        # each server logs the three refusals as clients that left, not as faults
+        out = _server_lines(capsys, "client left without a query", 6)
+        for party in (1, 2):
+            assert out.count(f"server {party}: client left without a query") == 3
+        assert "aborted" not in out
         # the pools cover one session: had a refused query run, this one would starve
         assert tcp_query(endpoints, query, seed=2) == skyline
     finally:
