@@ -3,7 +3,6 @@
 from .ring import Ring, default_vmax
 from .metering import (
     MODE_DABIT,
-    MODE_MESSAGES,
     RandomnessBudget,
     SessionMetrics,
     budget_for_query,
@@ -18,7 +17,6 @@ __all__ = [
     "Ring",
     "default_vmax",
     "MODE_DABIT",
-    "MODE_MESSAGES",
     "RandomnessBudget",
     "SessionMetrics",
     "budget_for_query",

@@ -22,14 +22,12 @@ import struct
 import threading
 import time
 
-KIND_SHARE_UPLOAD = 1
 KIND_QUERY = 2
 KIND_ROUND_DATA = 3
 KIND_OPEN_BIT = 4
 KIND_RESULT = 5
 KIND_HELLO = 6
 KIND_NAMES = {
-    KIND_SHARE_UPLOAD: "share-upload",
     KIND_QUERY: "query",
     KIND_ROUND_DATA: "round-data",
     KIND_OPEN_BIT: "open-bit",
@@ -79,8 +77,8 @@ def recv_exact(sock: socket.socket, n: int) -> bytes:
     return b"".join(chunks)
 
 
-def read_body(sock: socket.socket) -> bytes:
-    """Read one frame's length prefix, check it, and return the rest.
+def _read_length(sock: socket.socket, limit: int) -> int:
+    """Read one frame's length prefix and check it against [header, limit].
 
     A close before the frame's first byte is a ConnectionClosed; a close
     anywhere later tears the frame.
@@ -91,13 +89,24 @@ def read_body(sock: socket.socket) -> bytes:
     (length,) = _LEN.unpack(first + recv_exact(sock, _LEN.size - len(first)))
     if length < _HEAD.size:
         raise FrameError(f"declared frame length {length} below minimum")
-    if length > MAX_FRAME:
-        raise FrameError(f"declared frame length {length} exceeds limit")
-    return recv_exact(sock, length)
+    if length > limit:
+        raise FrameError(f"declared frame length {length} exceeds the limit of {limit}")
+    return length
+
+
+def read_body(sock: socket.socket) -> bytes:
+    """Read one frame's length prefix, check it, and return the rest."""
+    return recv_exact(sock, _read_length(sock, MAX_FRAME))
 
 
 def read_frame(sock: socket.socket) -> tuple[int, int, bytes]:
     return decode_frame(read_body(sock))
+
+
+def read_bounded_frame(sock: socket.socket, max_payload: int) -> tuple[int, int, bytes]:
+    """read_frame for a frame whose payload can hold at most max_payload bytes:
+    a longer declared length is refused before any of the body is buffered."""
+    return decode_frame(recv_exact(sock, _read_length(sock, _HEAD.size + max_payload)))
 
 
 def write_frame(sock: socket.socket, kind: int, session: int, payload: bytes):

@@ -1,7 +1,7 @@
 """Operator commands: gen, deal, serve, query, verify, bench.
 
-Global flags (before the subcommand): --l, --vmax-exp, --latency-ms, --seed,
---mode.  Dataset parameters may come from a key = value config file, with
+Global flags (before the subcommand): --l, --vmax-exp, --latency-ms, --seed.
+Dataset parameters may come from a key = value config file, with
 command-line flags taking precedence.  Every command is deterministic under
 --seed apart from wall-clock fields.
 """
@@ -16,13 +16,7 @@ import time
 import numpy as np
 
 from .datasets import DatasetSpec, dataset_bound, generate, load_csv, parse_config, save_csv
-from .metering import (
-    METRICS_CSV_HEADER,
-    MODE_DABIT,
-    MODE_MESSAGES,
-    budget_for_query,
-    msb_invocations,
-)
+from .metering import METRICS_CSV_HEADER, budget_for_query, msb_invocations
 from .plaintext import plaintext_skyline, same_rows
 from .protocol import check_domain, ring_width
 from .ring import Ring
@@ -76,7 +70,7 @@ def cmd_deal(args) -> int:
     k_max = args.kmax if args.kmax else n
     if args.sessions < 1:
         return _fail("--sessions must be at least 1")
-    budget = budget_for_query(n, m, l, k_max, args.mode).scaled(args.sessions)
+    budget = budget_for_query(n, m, l, k_max).scaled(args.sessions)
     rng = np.random.default_rng(args.seed)
     s1, s2 = share_matrix(data, rng, ring)
     rand1, rand2 = deal_strict(ring, np.random.SeedSequence(args.seed).spawn(1)[0], budget, vmax)
@@ -94,10 +88,8 @@ def cmd_deal(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    server = Server.from_files(
-        args.party, args.listen, args.peer, args.shares, args.pool,
-        latency_ms=args.latency_ms, mode=args.mode, seed=args.seed,
-    )
+    server = Server.from_files(args.party, args.listen, args.peer, args.shares, args.pool,
+                               latency_ms=args.latency_ms)
     server.start()
     print(f"server {args.party} listening on {args.listen} (peer link {args.peer})", flush=True)
     try:
@@ -129,7 +121,7 @@ def cmd_verify(args) -> int:
         run = lambda q: tcp_query(args.servers.split(","), q, args.l, seed=args.seed)
     else:
         engine = LocalEngine(data, l=args.l, seed=args.seed, latency_ms=args.latency_ms,
-                             mode=args.mode, vmax=_vmax(args))
+                             vmax=_vmax(args))
         run = lambda q: engine.query(q)[0]
     matched = 0
     for i, q in enumerate(queries):
@@ -157,8 +149,7 @@ def cmd_bench(args) -> int:
                 spec = DatasetSpec(kind=kind, n=n, m=m, seed=args.seed, bound=args.bound or 1000)
                 data = generate(spec)
                 engine = LocalEngine(data, l=args.l, seed=args.seed,
-                                     latency_ms=args.latency_ms, mode=args.mode,
-                                     vmax=_vmax(args))
+                                     latency_ms=args.latency_ms, vmax=_vmax(args))
                 rng = np.random.default_rng(np.random.SeedSequence(args.seed).spawn(2)[1])
                 for _ in range(args.queries):
                     q = rng.integers(0, spec.bound + 1, size=m)
@@ -193,8 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="injected one-way channel latency "
                           "(default: 1 for serve, 0 elsewhere)")
     top.add_argument("--seed", type=int, default=0, help="root seed for all randomness")
-    top.add_argument("--mode", choices=(MODE_DABIT, MODE_MESSAGES), default=MODE_DABIT,
-                     help="bit-by-value multiplication realization")
     sub = top.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a synthetic dataset CSV")

@@ -10,8 +10,11 @@ k rows is
 
 The round forms below are the registry the runtime's meters are checked
 against: the implementation must hit them exactly, so every structural
-choice (batched comparison levels, merged flag circuits, two-flight
-bit-by-value multiplication) is encoded here and nowhere else.
+choice (batched comparison levels, merged flag circuits, the one-flight
+daBit select) is encoded here and nowhere else.
+
+Functions that still take a `mode` accept only MODE_DABIT, the one
+bit-by-value multiplication the protocol has.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from .ppa import carry_plan, ceil_log2, msb_rounds
 from .sharing import value_width_bytes
 
 MODE_DABIT = "dabit"
-MODE_MESSAGES = "messages"
 
 METRICS_CSV_HEADER = "session,n,m,k,rounds,bytes_tx,bytes_rx,secext,wall_ms"
 
@@ -47,18 +49,25 @@ def pair_levels(n: int) -> list[int]:
     return out
 
 
-def select_rounds(mode: str) -> int:
-    # dabit route: one bit-opening flight, one triple flight.
-    # message-pair route: a single crossing flight.
-    return 2 if mode == MODE_DABIT else 1
+def check_mode(mode: str):
+    """Refuse any multiplication mode but the daBit one."""
+    if mode != MODE_DABIT:
+        raise ValueError(f"unknown multiplication mode {mode!r}; only {MODE_DABIT!r} exists")
+
+
+def select_rounds() -> int:
+    # the daBit opening and the Beaver e/f of r*y share one flight
+    return 1
 
 
 def map_rounds(l: int, mode: str = MODE_DABIT) -> int:
-    return msb_rounds(l) + select_rounds(mode)
+    check_mode(mode)
+    return msb_rounds(l) + select_rounds()
 
 
 def fetch_rounds(n: int, l: int, mode: str = MODE_DABIT) -> int:
-    return cl2(n) * (msb_rounds(l) + select_rounds(mode))
+    check_mode(mode)
+    return cl2(n) * (msb_rounds(l) + select_rounds())
 
 
 def stop_rounds(l: int) -> int:
@@ -68,8 +77,9 @@ def stop_rounds(l: int) -> int:
 def filt_rounds(n: int, m: int, l: int, mode: str = MODE_DABIT) -> int:
     # one fused comparison batch, the first-marker scan running level-locked
     # with the per-tuple AND tree, one finishing AND flight, one overwrite.
+    check_mode(mode)
     flag_levels = max(cl2(n), cl2(m))
-    return msb_rounds(l) + flag_levels + 1 + select_rounds(mode)
+    return msb_rounds(l) + flag_levels + 1 + select_rounds()
 
 
 def query_rounds(n: int, m: int, l: int, k: int, mode: str = MODE_DABIT) -> int:
@@ -89,7 +99,7 @@ class RandomnessBudget:
     bin_words: int = 0
     dabits: int = 0
     # not randomness: the bytes a party sends to open its daBit-masked bits,
-    # ceil(batch/8) per conversion, which query_bytes needs per select
+    # ceil(batch/8) per select, which query_bytes needs
     b2a_bytes: int = 0
 
     def __add__(self, other: "RandomnessBudget") -> "RandomnessBudget":
@@ -118,23 +128,23 @@ def msb_cost(batch: int, l: int) -> RandomnessBudget:
     )
 
 
-def select_cost(batch: int, width: int, mode: str) -> RandomnessBudget:
+def select_cost(batch: int, width: int) -> RandomnessBudget:
     """Oblivious two-way select of `batch` rows, `width` values per row:
-    one bit-by-value product per row."""
-    if mode == MODE_MESSAGES:
-        return RandomnessBudget()
+    one daBit per row, one triple per value."""
     return RandomnessBudget(arith_triples=batch * width, dabits=batch,
                             b2a_bytes=(batch + 7) // 8)
 
 
 def map_cost(n: int, m: int, l: int, mode: str) -> RandomnessBudget:
-    return msb_cost(n * m, l) + select_cost(n * m, 1, mode)
+    check_mode(mode)
+    return msb_cost(n * m, l) + select_cost(n * m, 1)
 
 
 def fetch_cost(n: int, m: int, l: int, mode: str) -> RandomnessBudget:
+    check_mode(mode)
     total = RandomnessBudget()
     for pairs in pair_levels(n):
-        total = total + msb_cost(pairs, l) + select_cost(pairs, 1 + 2 * m, mode)
+        total = total + msb_cost(pairs, l) + select_cost(pairs, 1 + 2 * m)
     return total
 
 
@@ -143,6 +153,7 @@ def stop_cost(l: int) -> RandomnessBudget:
 
 
 def filt_cost(n: int, m: int, l: int, mode: str) -> RandomnessBudget:
+    check_mode(mode)
     total = msb_cost(n * (m + 1), l)
     extra_words = 0
     # exclusive prefix-AND over the equal-minimum markers
@@ -157,7 +168,7 @@ def filt_cost(n: int, m: int, l: int, mode: str) -> RandomnessBudget:
     # finishing flight: first-marker AND dominated-marker
     extra_words += words_for(2 * n)
     total.bin_words += extra_words
-    return total + select_cost(n, 1, mode)
+    return total + select_cost(n, 1)
 
 
 def query_cost(n: int, m: int, l: int, k: int, mode: str = MODE_DABIT) -> RandomnessBudget:
@@ -178,17 +189,15 @@ def budget_for_query(n: int, m: int, l: int, k_max: int, mode: str = MODE_DABIT)
     return total
 
 
-def query_bytes(n: int, m: int, l: int, k: int, mode: str = MODE_DABIT) -> int:
+def query_bytes(n: int, m: int, l: int, k: int) -> int:
     """Payload bytes each party sends in a query returning k rows (and
     receives: the flights are symmetric).
 
     16 per AND word (its e and f words), 2*ceil(l/8) per Beaver product (e
     and f values), the packed daBit openings, and one byte per opened stop
-    bit.  Defined for dabit mode, whose selects consume triples.
+    bit.
     """
-    if mode != MODE_DABIT:
-        raise ValueError(f"query_bytes covers {MODE_DABIT!r} mode only, not {mode!r}")
-    cost = query_cost(n, m, l, k, mode)
+    cost = query_cost(n, m, l, k)
     return (16 * cost.bin_words + 2 * value_width_bytes(l) * cost.arith_triples
             + cost.b2a_bytes + (k + 1))
 

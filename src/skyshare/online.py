@@ -1,4 +1,4 @@
-"""Online two-party primitives: Beaver products, bit conversion, selection.
+"""Online two-party primitives: Beaver products, the one-flight select.
 
 Every function here is SPMD: both parties run the same code on their own
 shares, exchanging one flight per round through the session channel.  All
@@ -20,7 +20,6 @@ import numpy as np
 from .bitpack import pack_bits, unpack_bits, words_for
 from .channel import KIND_OPEN_BIT, ChannelBase
 from .correlated import PartyRandomness
-from .metering import MODE_DABIT, MODE_MESSAGES
 from .ring import Ring
 from .sharing import decode_values, encode_values
 
@@ -38,15 +37,11 @@ class PartyContext:
     ring: Ring
     chan: ChannelBase
     rand: PartyRandomness
-    mode: str = MODE_DABIT
-    rng: np.random.Generator = field(default_factory=np.random.default_rng)
     meters: Meters = field(default_factory=Meters)
 
     def __post_init__(self):
         if self.party not in (1, 2):
             raise ValueError("party must be 1 or 2")
-        if self.mode not in (MODE_DABIT, MODE_MESSAGES):
-            raise ValueError(f"unknown multiplication mode {self.mode!r}")
 
     @property
     def is_p1(self) -> bool:
@@ -61,20 +56,22 @@ def open_bit(ctx: PartyContext, bit_share: int) -> int:
     return (bit_share ^ got[0]) & 1
 
 
-def mul_shares(ctx: PartyContext, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Beaver product of two arithmetic-shared arrays (element-wise)."""
-    if x.shape != y.shape:
-        raise ValueError("operand shape mismatch")
-    n = x.size
-    l = ctx.ring.l
-    u, v, w = ctx.rand.arith.take(n)
-    ef = np.empty((2, n), dtype=np.uint64)
-    np.subtract(x.reshape(n), u, out=ef[0])
-    np.subtract(y.reshape(n), v, out=ef[1])
-    peer = decode_values(ctx.chan.exchange(encode_values(ef, l)), l)
-    if peer.size != 2 * n:
-        raise ValueError("beaver flight size mismatch")
-    ef += peer.reshape(2, n)  # the opened e = x - u and f = y - v
+def _masked_operands(ctx: PartyContext, x: np.ndarray, y: np.ndarray):
+    """Take one triple per element of y and mask a Beaver product's operands.
+
+    Returns the flight rows e = x - u and f = y - v, x broadcast against y,
+    flattened to shape (2, y.size), and the triple.
+    """
+    triple = ctx.rand.arith.take(y.size)
+    ef = np.empty((2,) + y.shape, dtype=np.uint64)
+    np.subtract(x, triple[0].reshape(y.shape), out=ef[0])
+    np.subtract(y, triple[1].reshape(y.shape), out=ef[1])
+    return ef.reshape(2, y.size), triple
+
+
+def _beaver_product(ctx: PartyContext, ef: np.ndarray, triple) -> np.ndarray:
+    """Shares of x*y from the opened e and f (ef, overwritten), flat."""
+    u, v, w = triple
     e = ef[0]
     f = ef[1]
     z = f * u
@@ -85,7 +82,20 @@ def mul_shares(ctx: PartyContext, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         e *= v
     z += e
     z += w
-    return z.reshape(x.shape)
+    return z
+
+
+def mul_shares(ctx: PartyContext, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Beaver product of two arithmetic-shared arrays (element-wise)."""
+    if x.shape != y.shape:
+        raise ValueError("operand shape mismatch")
+    l = ctx.ring.l
+    ef, triple = _masked_operands(ctx, x, y)
+    peer = decode_values(ctx.chan.exchange(encode_values(ef, l)), l)
+    if peer.size != ef.size:
+        raise ValueError("beaver flight size mismatch")
+    ef += peer.reshape(ef.shape)  # the opened e = x - u and f = y - v
+    return _beaver_product(ctx, ef, triple).reshape(x.shape)
 
 
 def and_packed(ctx: PartyContext, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -148,77 +158,32 @@ def public_bit_share(ctx: PartyContext, bit: int, n: int) -> np.ndarray:
     return np.full(n, bit if ctx.is_p1 else 0, dtype=np.uint8)
 
 
-def bits_to_arith(ctx: PartyContext, bits: np.ndarray) -> np.ndarray:
-    """Convert XOR-shared bits to arithmetic shares of the same 0/1 values.
-
-    One daBit per bit: open c = x XOR r (uniform), then locally
-    x = c + r - 2*c*r with the public c folded in at party 1.
-    """
-    n = bits.size
-    rbits, rvals = ctx.rand.dabits.take(n)
-    c = np.packbits(bits.reshape(n) ^ rbits, bitorder="little")
-    got = ctx.chan.exchange(c.tobytes())
-    if len(got) != c.size:
-        raise ValueError("daBit flight size mismatch")
-    c ^= np.frombuffer(got, dtype=np.uint8)
-    # all ones where c = 1: (r ^ ones) - ones = -r, so r - 2*c*r = (r ^ neg) - neg
-    neg = np.negative(np.unpackbits(c, count=n, bitorder="little"), dtype=np.int64)
-    neg = neg.view(np.uint64)
-    out = rvals ^ neg
-    out -= neg
-    if ctx.is_p1:
-        out -= neg  # + c
-    return out.reshape(bits.shape)
-
-
-def _broadcast_scale(scale: np.ndarray, values: np.ndarray) -> np.ndarray:
-    if values.ndim == 2:
-        out = np.empty(values.shape, dtype=scale.dtype)
-        out[...] = scale[:, None]
-        return out
-    return scale
-
-
-def bit_mul_messages(ctx: PartyContext, bits: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Message-pair realization of shared-bit-times-shared-value.
-
-    Each party masks both candidate products of its own value share and
-    sends the pair; the receiver keeps the one selected by its bit share.
-    Single crossing flight.  The discarded message reveals the sender's
-    value share up to sign, so this mode is for fidelity experiments only
-    (see bit_mul).
-    """
-    r = ctx.ring
-    b = _broadcast_scale(bits.astype(np.uint64), values)
-    rnd = ctx.rng.integers(0, r.modulus, size=values.shape, dtype=np.uint64)
-    m0 = b * values - rnd
-    m1 = (np.uint64(1) - b) * values - rnd
-    payload = encode_values(m0, r.l) + encode_values(m1, r.l)
-    got = ctx.chan.exchange(payload)
-    peer = decode_values(got, r.l)
-    half = values.size
-    if peer.size != 2 * half:
-        raise ValueError("message-pair flight size mismatch")
-    pm0 = peer[:half].reshape(values.shape)
-    pm1 = peer[half:].reshape(values.shape)
-    picked = np.where(b.astype(bool), pm1, pm0)
-    return rnd + picked
-
-
 def bit_mul(ctx: PartyContext, bits: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Product of a shared bit and shared value(s): x*y per row.
+    """Product of a shared bit and shared value(s), bit*y per row, in one flight.
 
-    values is (n,) or (n, w) with bits of length n.  Default realization
-    converts the bit to the arithmetic domain via a daBit and finishes with
-    one Beaver product; the message-pair mode is kept behind the session
-    flag for protocol-shape comparisons.
+    values is (n,) or (n, w) with bits of length n.  With a daBit r and the
+    opened c = bit XOR r, bit*y = c*y + (1 - 2c)*(r*y).  Both r and y are
+    known before the flight, so the packed opening of c and the Beaver e/f
+    of r*y travel together; c, e and f are uniform whatever bit and y are.
+    What follows the flight is local.
     """
-    if bits.shape[0] != values.shape[0]:
+    n = bits.shape[0]
+    if values.shape[0] != n:
         raise ValueError("bit/value length mismatch")
-    if ctx.mode == MODE_MESSAGES:
-        return bit_mul_messages(ctx, bits, values)
-    xa = bits_to_arith(ctx, bits)
-    return mul_shares(ctx, _broadcast_scale(xa, values), values)
+    l = ctx.ring.l
+    rbits, rvals = ctx.rand.dabits.take(n)
+    ef, triple = _masked_operands(ctx, rvals if values.ndim == 1 else rvals[:, None], values)
+    c = np.packbits(bits.reshape(n) ^ rbits, bitorder="little")
+    payload = c.tobytes() + encode_values(ef, l)
+    got = ctx.chan.exchange(payload)
+    if len(got) != len(payload):  # the flights of one select are the same size
+        raise ValueError("select flight size mismatch")
+    c ^= np.frombuffer(got, dtype=np.uint8, count=c.size)
+    ef += decode_values(memoryview(got)[c.size:], l).reshape(ef.shape)
+    ry = _beaver_product(ctx, ef, triple).reshape(values.shape)
+    # c is public: the product is r*y where c = 0 and y - r*y where c = 1
+    c_bits = np.unpackbits(c, count=n, bitorder="little").view(bool)
+    return np.where(c_bits if values.ndim == 1 else c_bits[:, None], values - ry, ry)
 
 
 def obliv_select(ctx: PartyContext, bits: np.ndarray, when_true: np.ndarray,

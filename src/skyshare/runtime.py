@@ -26,15 +26,16 @@ from .channel import (
     FrameError,
     LocalChannel,
     TcpChannel,
+    read_bounded_frame,
     read_frame,
     write_frame,
 )
 from .correlated import PartyRandomness, deal_streaming, deal_strict, read_pool_file
-from .metering import MODE_DABIT, SessionMetrics, budget_for_query
-from .online import Meters, PartyContext
+from .metering import MODE_DABIT, SessionMetrics, budget_for_query, check_mode
+from .online import PartyContext
 from .protocol import check_domain, ring_width, run_query
 from .ring import Ring, default_vmax
-from .sharing import decode_values, encode_values, read_share_file, share_matrix
+from .sharing import decode_values, encode_values, read_share_file, share_matrix, value_width_bytes
 
 PROTOCOL_VERSION = 2
 _SERVER_HELLO = struct.Struct("<BBHQ")  # version, ring width, attribute count, vmax
@@ -123,7 +124,7 @@ def _write_peer_hello(sock: socket.socket, session: int, l: int, party: int):
 
 def _read_peer_hello(sock: socket.socket, l: int, party: int) -> int:
     """Read and check the peer's hello or ack; returns its session id."""
-    kind, session, payload = read_frame(sock)
+    kind, session, payload = read_bounded_frame(sock, _PEER_HELLO.size)
     if kind != KIND_QUERY or len(payload) != _PEER_HELLO.size:
         raise FrameError("bad peer hello")
     ver, peer_l, peer_party = _PEER_HELLO.unpack(payload)
@@ -157,8 +158,7 @@ class LocalEngine:
     """
 
     def __init__(self, data, l: int | None = None, seed: int = 0, latency_ms: float = 0.0,
-                 mode: str = MODE_DABIT, bound: int | None = None,
-                 vmax: int | None = None, scale: int = 1):
+                 bound: int | None = None, vmax: int | None = None, scale: int = 1):
         """l defaults to the narrowest width the data bound admits (ring_width)."""
         plain = np.asarray(data, dtype=np.int64)
         if plain.ndim != 2 or plain.shape[0] < 1:
@@ -171,7 +171,7 @@ class LocalEngine:
             raise ValueError("declared bound below actual data maximum")
         self.ring = Ring(ring_width(self.m, self.bound, vmax) if l is None else l)
         self.vmax = check_domain(self.n, self.m, self.bound, self.ring, vmax)
-        self.mode = mode
+        self.mode = MODE_DABIT  # the only one; benchmark reports print it
         self.latency_s = latency_ms / 1000.0
         self.scale = scale
         self._seeds = np.random.SeedSequence(seed)
@@ -182,7 +182,7 @@ class LocalEngine:
 
     def _next_session_seeds(self):
         self._sessions += 1
-        return self._seeds.spawn(1)[0].spawn(4)
+        return self._seeds.spawn(1)[0].spawn(2)
 
     def query(self, q, budget_kmax: int | None = None, keep_payloads: bool = False
               ) -> tuple[list[tuple[int, ...]], SessionMetrics]:
@@ -192,19 +192,17 @@ class LocalEngine:
             raise ValueError(f"query must have {self.m} attributes")
         if (q_arr < 0).any() or (q_arr > self.bound).any():
             raise ValueError(f"query attributes must lie in [0, {self.bound}]")
-        dealer_seed, client_seed, rng1_seed, rng2_seed = self._next_session_seeds()
+        dealer_seed, client_seed = self._next_session_seeds()
         if budget_kmax is None:
             rand1, rand2 = deal_streaming(self.ring, dealer_seed, self.vmax)
         else:
-            budget = budget_for_query(self.n, self.m, self.ring.l, budget_kmax, self.mode)
+            budget = budget_for_query(self.n, self.m, self.ring.l, budget_kmax)
             rand1, rand2 = deal_strict(self.ring, dealer_seed, budget, self.vmax)
         q1, q2 = share_matrix(q_arr[None, :], np.random.default_rng(client_seed), self.ring)
         session_id = self._sessions
         chan1, chan2 = LocalChannel.pair(session_id, self.latency_s, keep_payloads)
-        ctx1 = PartyContext(1, self.ring, chan1, rand1, self.mode,
-                            np.random.default_rng(rng1_seed))
-        ctx2 = PartyContext(2, self.ring, chan2, rand2, self.mode,
-                            np.random.default_rng(rng2_seed))
+        ctx1 = PartyContext(1, self.ring, chan1, rand1)
+        ctx2 = PartyContext(2, self.ring, chan2, rand2)
         started = time.perf_counter()
         out1, out2 = run_pair(
             (lambda: run_query(ctx1, self.p1_shares, q1[0]), chan1),
@@ -232,7 +230,7 @@ class Server:
 
     def __init__(self, party: int, listen: str, peer: str, shares: np.ndarray,
                  rand: PartyRandomness, l: int, latency_ms: float = 1.0,
-                 mode: str = MODE_DABIT, seed: int = 0, handshake_timeout: float = 15.0):
+                 handshake_timeout: float = 15.0):
         self.party = party
         self.listen_addr = parse_endpoint(listen)
         self.peer_addr = parse_endpoint(peer)
@@ -240,8 +238,6 @@ class Server:
         self.rand = rand
         self.ring = Ring(l)
         self.latency_s = latency_ms / 1000.0
-        self.mode = mode
-        self.rng = np.random.default_rng(seed)
         self.handshake_timeout = handshake_timeout
         self._stop = threading.Event()
         self._exec_lock = threading.Lock()
@@ -255,8 +251,8 @@ class Server:
     @classmethod
     def from_files(cls, party: int, listen: str, peer: str, share_path: str,
                    pool_path: str, latency_ms: float = 1.0, mode: str = MODE_DABIT,
-                   seed: int = 0,
                    handshake_timeout: float = 15.0) -> "Server":
+        check_mode(mode)
         shares, meta = read_share_file(share_path)
         if meta["party"] != party:
             raise ValueError(
@@ -266,8 +262,7 @@ class Server:
         rand, pool_meta = read_pool_file(pool_path)
         if pool_meta["party"] != party or pool_meta["l"] != l:
             raise ValueError(f"pool file {pool_path} does not match the share file")
-        return cls(party, listen, peer, shares, rand, l, latency_ms, mode, seed,
-                   handshake_timeout)
+        return cls(party, listen, peer, shares, rand, l, latency_ms, handshake_timeout)
 
     @property
     def port(self) -> int:
@@ -358,8 +353,7 @@ class Server:
         chan = TcpChannel(peer_conn, session, self.latency_s)
         started = time.perf_counter()
         try:
-            ctx = PartyContext(self.party, self.ring, chan, self.rand,
-                               self.mode, self.rng, Meters())
+            ctx = PartyContext(self.party, self.ring, chan, self.rand)
             outcome = run_query(ctx, self.shares, q_share)
         finally:
             chan.close()
@@ -373,21 +367,23 @@ class Server:
 
     def _handle_client(self, conn: socket.socket):
         session = -1
+        m = self.shares.shape[1]
         try:
-            write_frame(conn, KIND_HELLO, 0,
-                        _encode_server_hello(self.ring.l, self.shares.shape[1], self.rand.vmax))
+            write_frame(conn, KIND_HELLO, 0, _encode_server_hello(self.ring.l, m, self.rand.vmax))
             try:
-                kind, session, payload = read_frame(conn)
+                kind, session, payload = read_bounded_frame(
+                    conn, _QUERY_HEAD.size + m * value_width_bytes(self.ring.l))
             except ConnectionClosed:  # e.g. tcp_query refused the query itself
                 print(f"server {self.party}: client left without a query", flush=True)
+                return
+            except FrameError as exc:  # torn, or longer than a query can be
+                print(f"server {self.party}: refused a query frame: {exc}", flush=True)
                 return
             if kind != KIND_QUERY:
                 raise FrameError(f"expected a query frame, got kind {kind}")
             q_share = _decode_query_payload(payload, self.ring.l)
-            if q_share.size != self.shares.shape[1]:
-                raise FrameError(
-                    f"query has {q_share.size} attributes, database has {self.shares.shape[1]}"
-                )
+            if q_share.size != m:
+                raise FrameError(f"query has {q_share.size} attributes, database has {m}")
             if self.party == 1:
                 with self._exec_lock:
                     peer_conn = self._dial_peer(session)

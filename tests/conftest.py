@@ -5,26 +5,24 @@ import pytest
 
 from skyshare.channel import LocalChannel
 from skyshare.correlated import deal_streaming, deal_strict
-from skyshare.metering import MODE_DABIT
 from skyshare.online import PartyContext
 from skyshare.ring import Ring, default_vmax
 from skyshare.runtime import run_pair
 from skyshare.sharing import share_matrix
 
 
-def session_pair(l=64, seed=0, mode=MODE_DABIT, budget=None, vmax=None,
-                 latency_s=0.0, keep_payloads=False):
+def session_pair(l=64, seed=0, budget=None, vmax=None, latency_s=0.0, keep_payloads=False):
     """Build linked party contexts with streaming (or strict) randomness."""
     ring = Ring(l)
     vmax = default_vmax(l) if vmax is None else vmax
-    seeds = np.random.SeedSequence(seed).spawn(3)
+    dealer_seed = np.random.SeedSequence(seed).spawn(1)[0]
     if budget is None:
-        r1, r2 = deal_streaming(ring, seeds[0], vmax)
+        r1, r2 = deal_streaming(ring, dealer_seed, vmax)
     else:
-        r1, r2 = deal_strict(ring, seeds[0], budget, vmax)
+        r1, r2 = deal_strict(ring, dealer_seed, budget, vmax)
     c1, c2 = LocalChannel.pair(0, latency_s, keep_payloads)
-    ctx1 = PartyContext(1, ring, c1, r1, mode, np.random.default_rng(seeds[1]))
-    ctx2 = PartyContext(2, ring, c2, r2, mode, np.random.default_rng(seeds[2]))
+    ctx1 = PartyContext(1, ring, c1, r1)
+    ctx2 = PartyContext(2, ring, c2, r2)
     return ctx1, ctx2
 
 

@@ -15,7 +15,7 @@ from skyshare.channel import KIND_OPEN_BIT, KIND_ROUND_DATA
 from skyshare.correlated import StreamPool
 from skyshare.datasets import DatasetSpec, generate
 from skyshare.gadgets import less_than
-from skyshare.metering import MODE_DABIT, MODE_MESSAGES, msb_invocations, query_rounds
+from skyshare.metering import msb_invocations, query_rounds
 from skyshare.online import bit_mul, mul_shares
 from skyshare.plaintext import brute_force_skyline, plaintext_skyline, same_rows
 from skyshare.protocol import map_database
@@ -139,7 +139,7 @@ def test_criterion_4_gadget_exhaustiveness():
     want = ring.msb_array(ring.reduce(a - b))
     assert (got == want).all()
 
-    # every (bit, value) product, 256 fresh share decompositions each, both modes
+    # every (bit, value) product, 256 fresh share decompositions each
     reps = 256
     bits = np.repeat(np.array([0, 1], dtype=np.uint8), 256 * reps)
     values = np.tile(np.arange(256, dtype=np.uint64), 2 * reps)
@@ -147,13 +147,12 @@ def test_criterion_4_gadget_exhaustiveness():
     b1 = rng.integers(0, 2, size=bits.size, dtype=np.uint8)
     b2 = bits ^ b1
     v1, v2 = share_pair(values, ring, seed=48)
-    for mode in (MODE_DABIT, MODE_MESSAGES):
-        ctx1, ctx2 = session_pair(l=8, seed=49, mode=mode)
-        z1, z2 = run_two(ctx1, ctx2, lambda c: bit_mul(
-            c, b1 if c.party == 1 else b2, v1 if c.party == 1 else v2))
-        got = reconstruct(ring, z1, z2)
-        assert (got == values * bits).all(), mode
-    _pass("4 gadget exhaustiveness (65536 comparisons; 131072 products x 2 modes)")
+    ctx1, ctx2 = session_pair(l=8, seed=49)
+    z1, z2 = run_two(ctx1, ctx2, lambda c: bit_mul(
+        c, b1 if c.party == 1 else b2, v1 if c.party == 1 else v2))
+    got = reconstruct(ring, z1, z2)
+    assert (got == values * bits).all()
+    _pass("4 gadget exhaustiveness (65536 comparisons; 131072 products)")
 
 
 def _random_complexity_instances(count, seed):
@@ -182,25 +181,25 @@ def test_criterion_5_complexity_instrumentation():
 
 def test_criterion_6_round_complexity():
     cases = [
-        (1, 2, 64, MODE_DABIT, 0),
-        (2, 1, 64, MODE_DABIT, 1),
-        (7, 3, 64, MODE_DABIT, 2),
-        (16, 2, 8, MODE_DABIT, 3),
-        (33, 4, 64, MODE_DABIT, 4),
-        (12, 2, 64, MODE_MESSAGES, 5),
-        (64, 3, 64, MODE_MESSAGES, 6),
-        (100, 5, 64, MODE_DABIT, 7),
+        (1, 2, 64, 0),
+        (2, 1, 64, 1),
+        (7, 3, 64, 2),
+        (16, 2, 8, 3),
+        (33, 4, 64, 4),
+        (12, 2, 64, 5),
+        (64, 3, 64, 6),
+        (100, 5, 64, 7),
     ]
-    for n, m, l, mode, seed in cases:
+    for n, m, l, seed in cases:
         rng = np.random.default_rng(seed)
         bound = 5 if l == 8 else 40
         data = rng.integers(0, bound + 1, size=(n, m))
         query = rng.integers(0, bound + 1, size=m)
-        engine = LocalEngine(data, l=l, seed=seed, mode=mode, bound=bound)
+        engine = LocalEngine(data, l=l, seed=seed, bound=bound)
         _, metrics = engine.query([int(x) for x in query])
-        predicted = query_rounds(n, m, l, metrics.k, mode)
-        assert metrics.rounds == predicted, (n, m, l, mode, metrics.k)
-    _pass("6 round-complexity closed forms (8 shapes, both modes, exact)")
+        predicted = query_rounds(n, m, l, metrics.k)
+        assert metrics.rounds == predicted, (n, m, l, metrics.k)
+    _pass("6 round-complexity closed forms (8 shapes, exact)")
 
 
 def test_criterion_7_leakage_audit():
@@ -281,8 +280,7 @@ def test_criterion_8_transport_equivalence(tmp_path):
         for party in (2, 1):
             sp, pp = paths[party]
             server = Server.from_files(party, "127.0.0.1:0", f"127.0.0.1:{peer_port}",
-                                       sp, pp, latency_ms=1.0, seed=trial + party,
-                                       handshake_timeout=5.0)
+                                       sp, pp, latency_ms=1.0, handshake_timeout=5.0)
             server.start()
             servers.append(server)
         servers.reverse()

@@ -15,13 +15,7 @@ from skyshare.correlated import (
     read_pool_file,
     write_pool_file,
 )
-from skyshare.metering import (
-    MODE_DABIT,
-    MODE_MESSAGES,
-    RandomnessBudget,
-    budget_for_query,
-    msb_invocations,
-)
+from skyshare.metering import RandomnessBudget, budget_for_query, msb_invocations
 from skyshare.online import mul_shares
 from skyshare.ring import Ring, default_vmax
 
@@ -193,19 +187,18 @@ def test_budget_is_sufficient_for_worst_case_query():
         q = rng.integers(0, 6, size=m)
         p1, p2 = share_matrix(data, rng, R64)
         q1, q2 = share_matrix(q[None, :], rng, R64)
-        for mode in (MODE_DABIT, MODE_MESSAGES):
-            budget = budget_for_query(n, m, 64, n, mode)
-            ctx1, ctx2 = session_pair(l=64, seed=trial, budget=budget, mode=mode)
-            out1, out2 = run_two(ctx1, ctx2, lambda c: run_query(
-                c, p1 if c.party == 1 else p2, (q1 if c.party == 1 else q2)[0]))
-            assert out1.k == out2.k
-            exact = budget_for_query(n, m, 64, out1.k, mode)
-            for rand in (ctx1.rand, ctx2.rand):
-                assert rand.arith.consumed <= budget.arith_triples
-                assert rand.bin.consumed <= budget.bin_words
-                assert rand.dabits.consumed <= budget.dabits
-                consumed = (rand.arith.consumed, rand.bin.consumed, rand.dabits.consumed)
-                assert consumed == (exact.arith_triples, exact.bin_words, exact.dabits), mode
+        budget = budget_for_query(n, m, 64, n)
+        ctx1, ctx2 = session_pair(l=64, seed=trial, budget=budget)
+        out1, out2 = run_two(ctx1, ctx2, lambda c: run_query(
+            c, p1 if c.party == 1 else p2, (q1 if c.party == 1 else q2)[0]))
+        assert out1.k == out2.k
+        exact = budget_for_query(n, m, 64, out1.k)
+        for rand in (ctx1.rand, ctx2.rand):
+            assert rand.arith.consumed <= budget.arith_triples
+            assert rand.bin.consumed <= budget.bin_words
+            assert rand.dabits.consumed <= budget.dabits
+            consumed = (rand.arith.consumed, rand.bin.consumed, rand.dabits.consumed)
+            assert consumed == (exact.arith_triples, exact.bin_words, exact.dabits)
 
 
 def test_pool_file_round_trip(tmp_path):

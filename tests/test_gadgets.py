@@ -4,9 +4,10 @@ import pytest
 from conftest import reconstruct, reconstruct_bits, run_two, session_pair, share_pair
 
 from skyshare.bitpack import bits_of_values, pack_bits
+from skyshare.correlated import StreamPool
 from skyshare.gadgets import less_than, min_with_payload
-from skyshare.metering import MODE_DABIT, MODE_MESSAGES, cl2, select_cost, select_rounds
-from skyshare.online import and_jobs, bit_mul, bits_to_arith, not_bits, obliv_select, open_bit
+from skyshare.metering import cl2, select_cost, select_rounds
+from skyshare.online import and_jobs, bit_mul, not_bits, obliv_select, open_bit
 from skyshare.ppa import CarryPlan, carry_plan, msb_rounds
 from skyshare.ring import Ring
 
@@ -14,9 +15,9 @@ R8 = Ring(8)
 R64 = Ring(64)
 
 
-def _compare_all_pairs(l, a_vals, b_vals, seed=0, mode=MODE_DABIT):
+def _compare_all_pairs(l, a_vals, b_vals, seed=0):
     ring = Ring(l)
-    ctx1, ctx2 = session_pair(l=l, seed=seed, mode=mode)
+    ctx1, ctx2 = session_pair(l=l, seed=seed)
     a1, a2 = share_pair(a_vals, ring, seed=seed + 1)
     b1, b2 = share_pair(b_vals, ring, seed=seed + 2)
     r1, r2 = run_two(ctx1, ctx2, lambda c: less_than(
@@ -101,19 +102,7 @@ def test_and_jobs_full_truth_table():
     assert (reconstruct_bits(z1, z2) == x).all()
 
 
-def test_bits_to_arith_round_trip():
-    rng = np.random.default_rng(10)
-    bits = rng.integers(0, 2, size=200, dtype=np.uint8)
-    b1 = rng.integers(0, 2, size=200, dtype=np.uint8)
-    b2 = bits ^ b1
-    ctx1, ctx2 = session_pair(l=64, seed=4)
-    a1, a2 = run_two(ctx1, ctx2, lambda c: bits_to_arith(
-        c, b1 if c.party == 1 else b2))
-    assert (reconstruct(R64, a1, a2) == bits).all()
-
-
-@pytest.mark.parametrize("mode", [MODE_DABIT, MODE_MESSAGES])
-def test_bit_mul_annihilator_identity_and_products(mode):
+def test_bit_mul_annihilator_identity_and_products():
     rng = np.random.default_rng(11)
     n = 300
     bits = rng.integers(0, 2, size=n, dtype=np.uint8)
@@ -123,61 +112,83 @@ def test_bit_mul_annihilator_identity_and_products(mode):
     b1 = rng.integers(0, 2, size=n, dtype=np.uint8)
     b2 = bits ^ b1
     v1, v2 = share_pair(values, R64, seed=12)
-    ctx1, ctx2 = session_pair(l=64, seed=13, mode=mode)
+    ctx1, ctx2 = session_pair(l=64, seed=13)
     z1, z2 = run_two(ctx1, ctx2, lambda c: bit_mul(
         c, b1 if c.party == 1 else b2, v1 if c.party == 1 else v2))
     got = reconstruct(R64, z1, z2)
     assert (got == values * bits.astype(np.uint64)).all()
 
 
-@pytest.mark.parametrize("mode", [MODE_DABIT, MODE_MESSAGES])
-def test_bit_mul_vector_payload(mode):
+def test_bit_mul_vector_payload():
     # one bit scales a whole row: (1, (1,2)) -> (1,2); (0, ...) -> zeros
     bits = np.array([1, 0], dtype=np.uint8)
     values = np.array([[1, 2], [7, 9]], dtype=np.uint64)
     b1 = np.array([1, 1], dtype=np.uint8)
     b2 = bits ^ b1
     v1, v2 = share_pair(values, Ring(8), seed=14)
-    ctx1, ctx2 = session_pair(l=8, seed=15, mode=mode)
+    ctx1, ctx2 = session_pair(l=8, seed=15)
     z1, z2 = run_two(ctx1, ctx2, lambda c: bit_mul(
         c, b1 if c.party == 1 else b2, v1 if c.party == 1 else v2))
     got = reconstruct(Ring(8), z1, z2)
     assert got.tolist() == [[1, 2], [0, 0]]
 
 
-def test_bit_mul_modes_agree_everywhere_l8():
-    # cross-mode equality on every (bit, value) combination
-    bits = np.repeat(np.array([0, 1], dtype=np.uint8), 256)
-    values = np.tile(np.arange(256, dtype=np.uint64), 2)
-    rng = np.random.default_rng(16)
-    b1 = rng.integers(0, 2, size=bits.size, dtype=np.uint8)
-    b2 = bits ^ b1
-    v1, v2 = share_pair(values, R8, seed=17)
-    results = []
-    for mode in (MODE_DABIT, MODE_MESSAGES):
-        ctx1, ctx2 = session_pair(l=8, seed=18, mode=mode)
-        z1, z2 = run_two(ctx1, ctx2, lambda c: bit_mul(
-            c, b1 if c.party == 1 else b2, v1 if c.party == 1 else v2))
-        results.append(reconstruct(R8, z1, z2))
-    assert (results[0] == results[1]).all()
-    assert (results[0] == values * bits).all()
+def test_bit_mul_openings_are_uniform_and_input_independent_l4():
+    # one select row per daBit r and triple (u, v), party 1's shares fixed:
+    # the opened c = bit ^ r, e = r - u and f = y - v take every value
+    # exactly once, and the same way for every bit and y
+    ring = Ring(4)
+    r, u, v = (g.ravel() for g in np.meshgrid(
+        np.arange(2, dtype=np.uint64), np.arange(16, dtype=np.uint64),
+        np.arange(16, dtype=np.uint64), indexing="ij"))
+    rows = r.size
+    rb1 = np.ones(rows, dtype=np.uint8)
+    b1 = np.zeros(rows, dtype=np.uint8)
+    ra1, u1, v1, w1, y1 = (np.full(rows, s, dtype=np.uint64) for s in (3, 7, 1, 4, 9))
+    dabits = {1: (rb1, ra1), 2: (r.astype(np.uint8) ^ rb1, (r - ra1) & 15)}
+    triples = {1: (u1, v1, w1), 2: ((u - u1) & 15, (v - v1) & 15, (u * v - w1) & 15)}
+    histograms = []
+    for bit in (0, 1):
+        for y in (5, 12):
+            ctx1, ctx2 = session_pair(l=4, seed=50, keep_payloads=True)
+            for ctx in (ctx1, ctx2):
+                ctx.rand.dabits, ctx.rand.arith = StreamPool(2), StreamPool(3)
+                ctx.rand.dabits.push(dabits[ctx.party])
+                ctx.rand.arith.push(triples[ctx.party])
+            b2 = np.full(rows, bit, dtype=np.uint8) ^ b1
+            z1, z2 = run_two(ctx1, ctx2, lambda c: bit_mul(
+                c, b1 if c.party == 1 else b2, y1 if c.party == 1 else (y - y1) & 15))
+            assert (reconstruct(ring, z1, z2) == bit * y).all()
+            assert ctx1.chan.rounds == select_rounds()
+            _, flight = ctx1.chan.payload_log[0]  # party 2's c, then its e and f values
+            nc = (rows + 7) // 8
+            c2 = np.unpackbits(np.frombuffer(flight[:nc], dtype=np.uint8), bitorder="little")
+            e2, f2 = np.frombuffer(flight[nc:], dtype=np.uint8).reshape(2, rows)
+            c = b1 ^ rb1 ^ c2
+            e = (ra1 - u1 + e2) & 15
+            f = (y1 - v1 + f2) & 15
+            counts = np.zeros((2, 16, 16), dtype=int)
+            np.add.at(counts, (c, e, f), 1)
+            assert (counts == 1).all()
+            histograms.append(counts)
+    assert all((h == histograms[0]).all() for h in histograms)
 
 
-def _select(l, bits, u, v, mode, seed):
+def _select(l, bits, u, v, seed):
     ring = Ring(l)
     rng = np.random.default_rng(seed)
     b1 = rng.integers(0, 2, size=bits.shape, dtype=np.uint8)
     b2 = bits ^ b1
     u1, u2 = share_pair(u, ring, seed=seed + 1)
     v1, v2 = share_pair(v, ring, seed=seed + 2)
-    ctx1, ctx2 = session_pair(l=l, seed=seed + 3, mode=mode)
+    ctx1, ctx2 = session_pair(l=l, seed=seed + 3)
     z1, z2 = run_two(ctx1, ctx2, lambda c: obliv_select(
         c, b1 if c.party == 1 else b2,
         u1 if c.party == 1 else u2, v1 if c.party == 1 else v2))
     width = u.shape[1] if u.ndim == 2 else 1
-    want = select_cost(bits.size, width, mode)
+    want = select_cost(bits.size, width)
     for ctx in (ctx1, ctx2):
-        assert ctx.chan.rounds == select_rounds(mode)
+        assert ctx.chan.rounds == select_rounds()
         assert (ctx.rand.arith.consumed, ctx.rand.dabits.consumed) == \
             (want.arith_triples, want.dabits)
     return reconstruct(ring, z1, z2)
@@ -187,20 +198,18 @@ def test_obliv_select_branches():
     u = np.array([[10, 11], [20, 21], [30, 31]], dtype=np.uint64)
     v = np.array([[50, 51], [60, 61], [30, 31]], dtype=np.uint64)
     bits = np.array([1, 0, 1], dtype=np.uint8)
-    for mode in (MODE_DABIT, MODE_MESSAGES):
-        got = _select(64, bits, u, v, mode, seed=19)
-        assert got.tolist() == [[10, 11], [60, 61], [30, 31]], mode
+    got = _select(64, bits, u, v, seed=19)
+    assert got.tolist() == [[10, 11], [60, 61], [30, 31]]
 
 
-@pytest.mark.parametrize("mode", [MODE_DABIT, MODE_MESSAGES])
-def test_obliv_select_exhaustive_l8(mode):
+def test_obliv_select_exhaustive_l8():
     # every (bit, u, v) at width 8 where u - v wraps around the ring
     bit, u, v = (g.ravel() for g in np.meshgrid(
         np.arange(2, dtype=np.uint8), np.arange(256, dtype=np.uint64),
         np.arange(256, dtype=np.uint64), indexing="ij"))
     wraps = u < v
     bit, u, v = bit[wraps], u[wraps], v[wraps]
-    got = _select(8, bit, u, v, mode, seed=40)
+    got = _select(8, bit, u, v, seed=40)
     assert (got == np.where(bit == 1, u, v)).all()
 
 
@@ -254,7 +263,7 @@ def test_min_with_payload_random_instances(l):
         assert int(reconstruct(ring, m1, m2)[0]) == keys[idx]
         assert reconstruct(ring, pay1[0], pay2[0]).tolist() == payload[idx].tolist()
         assert ctx1.meters.secext == n - 1
-        assert ctx1.chan.rounds == cl2(n) * (msb_rounds(l) + 2)
+        assert ctx1.chan.rounds == cl2(n) * (msb_rounds(l) + select_rounds())
 
 
 def test_min_with_payload_all_equal_takes_first():

@@ -6,8 +6,6 @@ from conftest import reconstruct, reconstruct_bits, run_two, session_pair, share
 from skyshare.datasets import DatasetSpec, generate
 from skyshare import online
 from skyshare.metering import (
-    MODE_DABIT,
-    MODE_MESSAGES,
     budget_for_query,
     msb_invocations,
     query_bytes,
@@ -328,28 +326,26 @@ def test_bytes_match_closed_form():
         _, metrics = engine.query(rng.integers(0, bound + 1, size=m))
         want = query_bytes(n, m, engine.ring.l, metrics.k)
         assert metrics.bytes_tx == metrics.bytes_rx == want, (n, m, engine.ring.l)
-    with pytest.raises(ValueError):
-        query_bytes(4, 2, 11, 1, MODE_MESSAGES)
 
 
 def test_flight_values_stay_below_the_ring_modulus(monkeypatch):
     """Shares are kept unreduced between flights, so the high bits of a share
     carry borrows of the secret: every ring value a party sends must be
-    masked to l bits.  The value flights are the Beaver products (dabit mode)
-    and the message pairs (messages mode); the other flights carry bits."""
+    masked to l bits.  Values travel only in the selects' flights, after
+    the packed daBit openings; the other flights carry bits."""
     value_flights = []
 
     def recording(fn):
-        def wrapped(ctx, *args):
+        def wrapped(ctx, bits, values):
             before = len(ctx.chan.payload_log)
-            out = fn(ctx, *args)
-            value_flights.extend((ctx.ring.l, payload)
+            out = fn(ctx, bits, values)
+            opened = (bits.shape[0] + 7) // 8
+            value_flights.extend((ctx.ring.l, payload[opened:])
                                  for _, payload in ctx.chan.payload_log[before:])
             return out
         return wrapped
 
-    monkeypatch.setattr(online, "mul_shares", recording(online.mul_shares))
-    monkeypatch.setattr(online, "bit_mul_messages", recording(online.bit_mul_messages))
+    monkeypatch.setattr(online, "bit_mul", recording(online.bit_mul))
     rng = np.random.default_rng(29)
     for l, m, bound in ((4, 2, 1), (11, 3, 100), (13, 2, 1000), (64, 2, 1000)):
         ring = Ring(l)
@@ -357,14 +353,13 @@ def test_flight_values_stay_below_the_ring_modulus(monkeypatch):
         q = rng.integers(0, bound + 1, size=m)
         p1, p2 = share_pair(data, ring, seed=l)
         q1, q2 = share_pair(q[None, :], ring, seed=l + 1)
-        for mode in (MODE_DABIT, MODE_MESSAGES):
-            value_flights.clear()
-            ctx1, ctx2 = session_pair(l=l, seed=l, mode=mode, keep_payloads=True)
-            out1, out2 = run_two(ctx1, ctx2, lambda c: run_query(
-                c, p1 if c.party == 1 else p2, (q1 if c.party == 1 else q2)[0]))
-            got = sorted(map(tuple, reconstruct(ring, out1.rows, out2.rows).tolist()))
-            assert same_rows(got, plaintext_skyline(data, q))
-            assert value_flights, (l, mode)
-            for width, payload in value_flights:
-                values = decode_values(payload, width)
-                assert values.size and int(values.max()) < 1 << width, (l, mode)
+        value_flights.clear()
+        ctx1, ctx2 = session_pair(l=l, seed=l, keep_payloads=True)
+        out1, out2 = run_two(ctx1, ctx2, lambda c: run_query(
+            c, p1 if c.party == 1 else p2, (q1 if c.party == 1 else q2)[0]))
+        got = sorted(map(tuple, reconstruct(ring, out1.rows, out2.rows).tolist()))
+        assert same_rows(got, plaintext_skyline(data, q))
+        assert value_flights, l
+        for width, payload in value_flights:
+            values = decode_values(payload, width)
+            assert values.size and int(values.max()) < 1 << width, l

@@ -154,7 +154,7 @@ def _start_servers(tmp_path, data, latency_ms=0.0, seed=0, l=64):
         sp, pp = paths[party]
         server = Server.from_files(
             party, "127.0.0.1:0", f"127.0.0.1:{peer_port}", sp, pp,
-            latency_ms=latency_ms, seed=seed + party, handshake_timeout=2.0)
+            latency_ms=latency_ms, handshake_timeout=2.0)
         server.start()
         servers.append(server)
     servers.reverse()  # [party1, party2]
@@ -275,6 +275,35 @@ def test_client_refuses_out_of_window_query(tmp_path, table_example, monkeypatch
         assert "aborted" not in out
         # the pools cover one session: had a refused query run, this one would starve
         assert tcp_query(endpoints, query, seed=2) == skyline
+    finally:
+        for s in servers:
+            s.stop()
+
+
+def test_server_refuses_a_frame_longer_than_it_can_hold(tmp_path, table_example, capsys):
+    # a query frame holds m values and a peer hello three bytes; a length
+    # prefix one byte over either is refused before any body is buffered
+    database, query, _, skyline = table_example
+    m = len(query)
+    servers = _start_servers(tmp_path, np.asarray(database))
+    longest = {
+        "query": encode_frame(KIND_QUERY, 0, runtime._encode_query_payload(64, np.zeros(m, np.uint64))),
+        "hello": encode_frame(KIND_QUERY, 0, bytes(runtime._PEER_HELLO.size)),
+    }
+    try:
+        endpoints = [f"127.0.0.1:{servers[0].port}", f"127.0.0.1:{servers[1].port}"]
+        for kind, addr in (("query", parse_endpoint(endpoints[0])), ("hello", servers[1].peer_addr)):
+            with socket.create_connection(addr) as sock:
+                sock.settimeout(5.0)
+                if kind == "query":
+                    read_frame(sock)  # the server hello
+                declared = len(longest[kind]) - 4 + 1
+                sock.sendall(declared.to_bytes(4, "big"))
+                assert sock.recv(1) == b"", kind  # dropped at once, not left waiting
+        out = _server_lines(capsys, "exceeds the limit", 2)
+        assert "server 1: refused a query frame" in out
+        assert "server 2: rejected peer link" in out
+        assert tcp_query(endpoints, query, l=64, seed=6) == skyline
     finally:
         for s in servers:
             s.stop()
