@@ -14,8 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from .bitpack import bits_of_values, unpack_bits
-from .online import PartyContext, and_packed, obliv_select
-from .ppa import carry_plan
+from .online import PartyContext, and_packed, not_bits, obliv_select, public_bit_share
+from .ppa import carry_plan, pair_levels
 
 
 def less_than(ctx: PartyContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -53,12 +53,17 @@ def less_than(ctx: PartyContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def min_with_payload(ctx: PartyContext, keys: np.ndarray, payloads: list[np.ndarray]
-                     ) -> tuple[np.ndarray, list[np.ndarray]]:
+                     ) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
     """Tournament minimum over shared keys, carrying payload rows along.
 
     Swap strictly on right < left at every level, so among equal keys the
     lowest index survives - the same winner a sequential first-minimum scan
     would keep.  ceil(log2(n)) comparison levels, each one batched flight.
+
+    Also returns XOR shares of the (n, levels) path bits: bit j of row i is
+    1 iff row i's entry at level j (entry i >> j) won or sat out that
+    level's match, so a row's path bits AND to 1 at the winner only.  At
+    n = 1 there is no match and the one column is a public 1.
     """
     n = keys.shape[0]
     if n < 1:
@@ -68,17 +73,23 @@ def min_with_payload(ctx: PartyContext, keys: np.ndarray, payloads: list[np.ndar
         if p.shape[0] != n:
             raise ValueError("payload row count mismatch")
     rows = np.hstack([keys[:, None]] + payloads) if payloads else keys[:, None]
-    while rows.shape[0] > 1:
-        cnt = rows.shape[0]
-        pairs = cnt // 2
+    levels = pair_levels(n)
+    one = public_bit_share(ctx, 1, 1)
+    path = np.full((n, max(1, len(levels))), one[0], dtype=np.uint8)
+    for j, pairs in enumerate(levels):
         left = rows[0:2 * pairs:2]
         right = rows[1:2 * pairs:2]
         phi = less_than(ctx, right[:, 0], left[:, 0])
         winners = obliv_select(ctx, phi, right, left)
+        won = np.empty(rows.shape[0], dtype=np.uint8)
+        won[0:2 * pairs:2] = not_bits(ctx, phi)  # phi: the right entry won
+        won[1:2 * pairs:2] = phi
+        won[2 * pairs:] = one  # an odd tail is carried
+        path[:, j] = won.repeat(1 << j)[:n]
         rows = np.concatenate([winners, rows[2 * pairs:]])
     best = rows[0]
     out, at = [], 1
     for w in widths:
         out.append(best[at:at + w])
         at += w
-    return best[0:1], out
+    return best[0:1], out, path

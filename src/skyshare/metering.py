@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bitpack import words_for
-from .ppa import carry_plan, ceil_log2, msb_rounds
+from .ppa import carry_plan, ceil_log2, msb_rounds, pair_levels
 from .sharing import value_width_bytes
 
 MODE_DABIT = "dabit"
@@ -38,15 +38,6 @@ def cl2(n: int) -> int:
 def msb_invocations(n: int, m: int, k: int) -> int:
     """Exact secure-comparison count for a completed query returning k rows."""
     return n * m + k * n * (2 + m) + n
-
-
-def pair_levels(n: int) -> list[int]:
-    """Pair counts per level of a halving tournament over n entries."""
-    out = []
-    while n > 1:
-        out.append(n // 2)
-        n = n // 2 + n % 2
-    return out
 
 
 def check_mode(mode: str):
@@ -74,12 +65,19 @@ def stop_rounds(l: int) -> int:
     return msb_rounds(l) + 1
 
 
+def path_columns(n: int) -> int:
+    """Columns of the fetch's path-bit matrix: one per tournament level, and
+    one public 1 at n = 1."""
+    return max(1, cl2(n))
+
+
 def filt_rounds(n: int, m: int, l: int, mode: str = MODE_DABIT) -> int:
-    # one fused comparison batch, the first-marker scan running level-locked
-    # with the per-tuple AND tree, one finishing AND flight, one overwrite.
+    # one fused comparison batch, then the AND tree over the fetch's path
+    # bits running level-locked with the one over the m+1 dominance
+    # columns, then one overwrite.
     check_mode(mode)
-    flag_levels = max(cl2(n), cl2(m))
-    return msb_rounds(l) + flag_levels + 1 + select_rounds()
+    flag_levels = max(cl2(m + 1), cl2(path_columns(n)))
+    return msb_rounds(l) + flag_levels + select_rounds()
 
 
 def query_rounds(n: int, m: int, l: int, k: int, mode: str = MODE_DABIT) -> int:
@@ -155,19 +153,9 @@ def stop_cost(l: int) -> RandomnessBudget:
 def filt_cost(n: int, m: int, l: int, mode: str) -> RandomnessBudget:
     check_mode(mode)
     total = msb_cost(n * (m + 1), l)
-    extra_words = 0
-    # exclusive prefix-AND over the equal-minimum markers
-    for d in range(cl2(n)):
-        extra_words += words_for(n - (1 << d))
-    # per-tuple AND tree over m complemented comparison columns
-    width = m
-    while width > 1:
-        pairs = width // 2
-        extra_words += words_for(n * pairs)
-        width = pairs + width % 2
-    # finishing flight: first-marker AND dominated-marker
-    extra_words += words_for(2 * n)
-    total.bin_words += extra_words
+    # the two AND trees, each level's pairs packed as one job of n*pairs bits
+    for pairs in pair_levels(path_columns(n)) + pair_levels(m + 1):
+        total.bin_words += words_for(n * pairs)
     return total + select_cost(n, 1)
 
 

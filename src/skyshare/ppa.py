@@ -25,6 +25,15 @@ def ceil_log2(n: int) -> int:
     return (n - 1).bit_length()
 
 
+def pair_levels(count: int) -> tuple[int, ...]:
+    """Pairs per level when count entries are halved pairwise, odd tail carried."""
+    pairs = []
+    while count > 1:
+        pairs.append(count // 2)
+        count = count // 2 + count % 2
+    return tuple(pairs)
+
+
 @dataclass(frozen=True)
 class CarryPlan:
     width: int
@@ -34,12 +43,7 @@ class CarryPlan:
     def __post_init__(self):
         if self.width < 2:
             raise ValueError("carry plan needs width >= 2")
-        pairs = []
-        count = self.width - 1
-        while count > 1:
-            pairs.append(count // 2)
-            count = count // 2 + count % 2
-        object.__setattr__(self, "level_pairs", tuple(pairs))
+        object.__setattr__(self, "level_pairs", pair_levels(self.width - 1))
 
     @property
     def leaves(self) -> int:

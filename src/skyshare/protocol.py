@@ -22,7 +22,6 @@ from .online import (
     not_bits,
     obliv_select,
     open_bit,
-    public_bit_share,
 )
 from .ring import MAX_WIDTH, Ring, default_vmax
 
@@ -86,23 +85,38 @@ def attribute_sums(t_shares: np.ndarray) -> np.ndarray:
 
 
 def fetch_min(ctx: PartyContext, sums: np.ndarray, t_shares: np.ndarray,
-              p_shares: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+              p_shares: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Obliviously pull the first row attaining the minimum attribute sum,
-    together with its mapped and original tuples."""
+    together with its mapped and original tuples and the tournament's path
+    bits, which AND to 1 at that row only."""
     if sums.shape[0] < 1:
         raise ProtocolError("fetch over an empty database")
-    key, (t_row, p_row) = min_with_payload(ctx, sums, [t_shares, p_shares])
-    return key, t_row, p_row
+    key, (t_row, p_row), path = min_with_payload(ctx, sums, [t_shares, p_shares])
+    return key, t_row, p_row, path
+
+
+def _and_columns(ctx: PartyContext, mats: list[np.ndarray]) -> list[np.ndarray]:
+    """AND the columns of each bit matrix down to one, all trees level-locked:
+    one and_jobs flight per level, adjacent columns paired, odd tail carried."""
+    mats = list(mats)
+    while True:
+        live = [i for i, x in enumerate(mats) if x.shape[1] > 1]
+        if not live:
+            return [x[:, 0] for x in mats]
+        pairs = [mats[i].shape[1] // 2 for i in live]
+        done = and_jobs(ctx, [(mats[i][:, 0:2 * p:2], mats[i][:, 1:2 * p:2])
+                              for i, p in zip(live, pairs)])
+        for i, p, z in zip(live, pairs, done):
+            mats[i] = np.hstack([z, mats[i][:, 2 * p:]])
 
 
 def filter_round(ctx: PartyContext, t_shares: np.ndarray, t_star: np.ndarray,
-                 s_min: np.ndarray, sums: np.ndarray,
-                 debug_out: dict | None = None) -> np.ndarray:
+                 s_min: np.ndarray, sums: np.ndarray, path: np.ndarray) -> np.ndarray:
     """Overwrite the fetched row's sum and the sums of every row it dominates
     with the sentinel, without revealing which rows (or how many) changed.
 
-    debug_out, when given, receives this party's flag shares (test hook for
-    the one-first-marker invariant; never used by the protocol itself).
+    path is the fetch's (n, levels) path bits: they AND to 1 at the fetched
+    row only, the lowest-index row attaining s_min.
     """
     n, m = t_shares.shape
 
@@ -111,45 +125,11 @@ def filter_round(ctx: PartyContext, t_shares: np.ndarray, t_star: np.ndarray,
     lhs = np.concatenate([np.broadcast_to(s_min, (n,)), t_shares.ravel()])
     rhs = np.concatenate([sums, np.tile(t_star, n)])
     bits = less_than(ctx, lhs, rhs)
-    sigma = not_bits(ctx, bits[:n])              # s_min >= sums[i], i.e. equal-min row
-    not_delta = not_bits(ctx, bits[n:]).reshape(n, m)  # t_star[j] <= t_i[j]
-
-    # level-locked circuits: exclusive prefix-AND of the complements of sigma
-    # (exactly one first marker) alongside the per-row all-coordinates AND
-    scan = not_bits(ctx, sigma)
-    cols = not_delta
-    level = 0
-    while (1 << level) < n or cols.shape[1] > 1:
-        jobs = []
-        offset = 1 << level
-        scan_active = offset < n
-        if scan_active:
-            jobs.append((scan[offset:], scan[:-offset]))
-        tree_active = cols.shape[1] > 1
-        if tree_active:
-            pairs = cols.shape[1] // 2
-            jobs.append((np.ascontiguousarray(cols[:, 0:2 * pairs:2]),
-                         np.ascontiguousarray(cols[:, 1:2 * pairs:2])))
-        done = and_jobs(ctx, jobs)
-        if scan_active:
-            scan = np.concatenate([scan[:offset], done[0]])
-        if tree_active:
-            merged = done[-1]
-            cols = np.hstack([merged, cols[:, 2 * pairs:]])
-        level += 1
-
-    no_equal_before = np.concatenate([public_bit_share(ctx, 1, 1), scan[:n - 1]])
-    all_ge = cols[:, 0]
-    finish = and_jobs(ctx, [(
-        np.concatenate([sigma, all_ge]),
-        np.concatenate([no_equal_before, not_bits(ctx, sigma)]),
-    )])[0]
-    is_first = finish[:n]
-    is_dominated = finish[n:]
+    # dominated: t_star[j] <= t_i[j] on every j and s_min < sums[i], so never
+    # a row tied with the minimum, the fetched row included
+    dominance = np.hstack([not_bits(ctx, bits[n:]).reshape(n, m), bits[:n, None]])
+    is_first, is_dominated = _and_columns(ctx, [path, dominance])
     marked = is_first ^ is_dominated
-    if debug_out is not None:
-        debug_out.update(sigma=sigma, is_first=is_first,
-                         is_dominated=is_dominated, marked=marked)
 
     vmax_col = np.full(n, ctx.rand.vmax_share, dtype=np.uint64)
     return obliv_select(ctx, marked, vmax_col, sums)
@@ -174,14 +154,14 @@ def run_query(ctx: PartyContext, p_shares: np.ndarray, q_shares: np.ndarray) -> 
 
     taken: list[np.ndarray] = []
     while True:
-        s_min, t_star, p_star = fetch_min(ctx, sums, t_shares, p_shares)
+        s_min, t_star, p_star, path = fetch_min(ctx, sums, t_shares, p_shares)
         below_sentinel = less_than(ctx, s_min, vmax_share)
         stop = open_bit(ctx, int(not_bits(ctx, below_sentinel)[0]))
         if stop:
             # the fetched row is stale once everything is filtered: drop it
             break
         taken.append(p_star)
-        sums = filter_round(ctx, t_shares, t_star, s_min, sums)
+        sums = filter_round(ctx, t_shares, t_star, s_min, sums, path)
         if len(taken) > n:
             raise ProtocolError("query loop exceeded the database size")
 

@@ -229,6 +229,11 @@ def _min_oracle(keys):
     return idx
 
 
+def _path_winners(path1, path2):
+    """Rows whose tournament path bits all reconstruct to 1."""
+    return np.flatnonzero(reconstruct_bits(path1, path2).all(axis=1)).tolist()
+
+
 def test_min_with_payload_walkthrough(table_example):
     database, _, mapped, _ = table_example
     sums = mapped.sum(axis=1)  # (3, 5, 5, 4)
@@ -236,7 +241,7 @@ def test_min_with_payload_walkthrough(table_example):
     t1, t2 = share_pair(mapped, R64, seed=24)
     p1, p2 = share_pair(database, R64, seed=25)
     ctx1, ctx2 = session_pair(l=64, seed=26)
-    (kk1, pay1), (kk2, pay2) = run_two(ctx1, ctx2, lambda c: min_with_payload(
+    (kk1, pay1, _), (kk2, pay2, _) = run_two(ctx1, ctx2, lambda c: min_with_payload(
         c, k1 if c.party == 1 else k2,
         [t1 if c.party == 1 else t2, p1 if c.party == 1 else p2]))
     assert int(reconstruct(R64, kk1, kk2)[0]) == 3
@@ -246,35 +251,44 @@ def test_min_with_payload_walkthrough(table_example):
 
 @pytest.mark.parametrize("l", [8, 64])
 def test_min_with_payload_random_instances(l):
+    """Random sizes, then n = 1, 2 and odd 9 with its minimum last; the path
+    bits AND to a one-hot vector at the lowest-index minimum."""
     ring = Ring(l)
     rng = np.random.default_rng(27)
-    for trial in range(12):
-        n = int(rng.integers(1, 65))
+    for trial in range(15):
+        n = int(rng.integers(1, 65)) if trial < 12 else (1, 2, 9)[trial - 12]
         keys = rng.integers(0, 50, size=n, dtype=np.uint64)
         if trial % 3 == 0 and n > 2:
             keys[rng.integers(0, n)] = keys.min()  # force duplicate minima
+        if trial == 14:  # the minimum sits in the odd tail three levels carry
+            keys[:-1] += 1
+            keys[-1] = 0
         payload = rng.integers(0, 50, size=(n, 2), dtype=np.uint64)
         k1, k2 = share_pair(keys, ring, seed=100 + trial)
         p1, p2 = share_pair(payload, ring, seed=200 + trial)
         ctx1, ctx2 = session_pair(l=l, seed=300 + trial)
-        (m1, pay1), (m2, pay2) = run_two(ctx1, ctx2, lambda c: min_with_payload(
+        (m1, pay1, path1), (m2, pay2, path2) = run_two(ctx1, ctx2, lambda c: min_with_payload(
             c, k1 if c.party == 1 else k2, [p1 if c.party == 1 else p2]))
         idx = _min_oracle(keys)
         assert int(reconstruct(ring, m1, m2)[0]) == keys[idx]
         assert reconstruct(ring, pay1[0], pay2[0]).tolist() == payload[idx].tolist()
+        assert path1.shape == path2.shape == (n, max(1, cl2(n)))
+        assert _path_winners(path1, path2) == [idx], (n, keys.tolist())
         assert ctx1.meters.secext == n - 1
         assert ctx1.chan.rounds == cl2(n) * (msb_rounds(l) + select_rounds())
 
 
 def test_min_with_payload_all_equal_takes_first():
-    keys = np.full(7, 9, dtype=np.uint64)
-    payload = np.arange(14, dtype=np.uint64).reshape(7, 2)
-    k1, k2 = share_pair(keys, R64, seed=28)
-    p1, p2 = share_pair(payload, R64, seed=29)
-    ctx1, ctx2 = session_pair(l=64, seed=30)
-    (_, pay1), (_, pay2) = run_two(ctx1, ctx2, lambda c: min_with_payload(
-        c, k1 if c.party == 1 else k2, [p1 if c.party == 1 else p2]))
-    assert reconstruct(R64, pay1[0], pay2[0]).tolist() == [0, 1]
+    for n, seed in ((7, 28), (8, 32), (2, 35), (1, 38)):
+        keys = np.full(n, 9, dtype=np.uint64)
+        payload = np.arange(2 * n, dtype=np.uint64).reshape(n, 2)
+        k1, k2 = share_pair(keys, R64, seed=seed)
+        p1, p2 = share_pair(payload, R64, seed=seed + 1)
+        ctx1, ctx2 = session_pair(l=64, seed=seed + 2)
+        (_, pay1, path1), (_, pay2, path2) = run_two(ctx1, ctx2, lambda c: min_with_payload(
+            c, k1 if c.party == 1 else k2, [p1 if c.party == 1 else p2]))
+        assert reconstruct(R64, pay1[0], pay2[0]).tolist() == [0, 1]
+        assert _path_winners(path1, path2) == [0], n
 
 
 def test_min_with_payload_rejects_empty():

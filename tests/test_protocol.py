@@ -62,23 +62,36 @@ def test_ring_width_is_the_narrowest_safe_width():
             ring_width(m, bound)
 
 
+def _check_engine_query(engine, data, query):
+    """Rows, rounds and all three randomness counters, exactly."""
+    n, m = data.shape
+    l = engine.ring.l
+    assert l == ring_width(m, int(data.max()))
+    rows, metrics = engine.query(query)
+    assert same_rows(rows, plaintext_skyline(data, query)), (n, m)
+    assert metrics.rounds == query_rounds(n, m, l, metrics.k), (n, m)
+    want = budget_for_query(n, m, l, metrics.k)
+    for ctx in engine.last_contexts:
+        used = (ctx.rand.arith.consumed, ctx.rand.bin.consumed, ctx.rand.dabits.consumed)
+        assert used == (want.arith_triples, want.bin_words, want.dabits), (n, m)
+
+
 @pytest.mark.parametrize("kind", ["inde", "corr", "anti"])
 def test_default_width_engine_is_exact(kind):
     n, m, bound = 40, 3, 100
     data = generate(DatasetSpec(kind, n, m, seed=17, bound=bound))
     engine = LocalEngine(data, seed=5)
-    l = engine.ring.l
-    assert l == ring_width(m, int(data.max())) <= 11
+    assert engine.ring.l <= 11
     rng = np.random.default_rng(18)
     for _ in range(3):
-        query = rng.integers(0, int(data.max()) + 1, size=m)
-        rows, metrics = engine.query(query)
-        assert same_rows(rows, plaintext_skyline(data, query))
-        assert metrics.rounds == query_rounds(n, m, l, metrics.k)
-        want = budget_for_query(n, m, l, metrics.k)
-        for ctx in engine.last_contexts:
-            used = (ctx.rand.arith.consumed, ctx.rand.bin.consumed, ctx.rand.dabits.consumed)
-            assert used == (want.arith_triples, want.bin_words, want.dabits)
+        _check_engine_query(engine, data, rng.integers(0, int(data.max()) + 1, size=m))
+    # the filter's AND trees change shape with n and m: dense ties at every
+    # tournament size up to one past a power of two
+    for n in (1, 2, 7, 33, 64, 65):
+        for m in (1, 2, 5):
+            data = generate(DatasetSpec(kind, n, m, seed=n * 10 + m, bound=3))
+            engine = LocalEngine(data, seed=n + m)
+            _check_engine_query(engine, data, rng.integers(0, int(data.max()) + 1, size=m))
 
 
 def test_default_width_engine_on_an_all_zero_database():
@@ -148,7 +161,7 @@ def test_fetch_walkthrough_initial_and_filtered(table_example):
 
     s1, s2 = share_pair(mapped.sum(axis=1), R64, seed=60)
     ctx1, ctx2 = session_pair(seed=61)
-    (a1, b1, c1), (a2, b2, c2) = run_two(ctx1, ctx2, lambda c: fetch_min(
+    (a1, b1, c1, _), (a2, b2, c2, _) = run_two(ctx1, ctx2, lambda c: fetch_min(
         c, s1 if c.party == 1 else s2, t1 if c.party == 1 else t2,
         p1 if c.party == 1 else p2))
     assert int(reconstruct(R64, a1, a2)[0]) == 3
@@ -159,76 +172,68 @@ def test_fetch_walkthrough_initial_and_filtered(table_example):
     vmax = default_vmax(64)
     s1, s2 = share_pair(np.array([vmax, vmax, 5, 4], dtype=np.uint64), R64, seed=62)
     ctx1, ctx2 = session_pair(seed=63)
-    (a1, b1, c1), (a2, b2, c2) = run_two(ctx1, ctx2, lambda c: fetch_min(
+    (a1, b1, c1, _), (a2, b2, c2, _) = run_two(ctx1, ctx2, lambda c: fetch_min(
         c, s1 if c.party == 1 else s2, t1 if c.party == 1 else t2,
         p1 if c.party == 1 else p2))
     assert int(reconstruct(R64, a1, a2)[0]) == 4
     assert reconstruct(R64, c1, c2).tolist() == [19, 101]
 
 
+def _fetch_and_filter(ctx1, ctx2, t, p, s):
+    """One fetch and one filter round on (party 1, party 2) share pairs;
+    returns the rows the fetch's path bits pick and both parties' new sums."""
+    (mn1, ts1, _, path1), (mn2, ts2, _, path2) = run_two(ctx1, ctx2, lambda c: fetch_min(
+        c, s[c.party - 1], t[c.party - 1], p[c.party - 1]))
+    winners = np.flatnonzero(reconstruct_bits(path1, path2).all(axis=1)).tolist()
+    new = run_two(ctx1, ctx2, lambda c: filter_round(
+        c, t[c.party - 1], (ts1, ts2)[c.party - 1], (mn1, mn2)[c.party - 1],
+        s[c.party - 1], (path1, path2)[c.party - 1]))
+    return winners, new
+
+
 def test_filter_round_walkthrough(table_example):
     """Both rounds of the walkthrough: the fetched row and the row it
     dominates get the sentinel, everything else survives verbatim."""
-    _, _, mapped, _ = table_example
+    database, _, mapped, _ = table_example
     vmax = default_vmax(64)
-    t1, t2 = share_pair(mapped, R64, seed=64)
+    t = share_pair(mapped, R64, seed=64)
+    p = share_pair(database, R64, seed=65)
 
-    s1, s2 = share_pair(mapped.sum(axis=1), R64, seed=65)
-    st1, st2 = share_pair(mapped[0], R64, seed=66)   # fetched (1, 2), sum 3
-    mn1, mn2 = share_pair(np.array([3]), R64, seed=67)
+    s = share_pair(mapped.sum(axis=1), R64, seed=66)   # fetches (1, 2), sum 3
     ctx1, ctx2 = session_pair(seed=68)
-    dbg = {1: {}, 2: {}}
-    n1, n2 = run_two(ctx1, ctx2, lambda c: filter_round(
-        c, t1 if c.party == 1 else t2, st1 if c.party == 1 else st2,
-        (mn1 if c.party == 1 else mn2)[0:1], s1 if c.party == 1 else s2,
-        debug_out=dbg[c.party]))
-    assert reconstruct(R64, n1, n2).tolist() == [vmax, vmax, 5, 4]
-    marked = reconstruct_bits(dbg[1]["marked"], dbg[2]["marked"])
-    assert marked.tolist() == [1, 1, 0, 0]
-    first = reconstruct_bits(dbg[1]["is_first"], dbg[2]["is_first"])
-    assert first.sum() == 1 and first[0] == 1
+    winners, new = _fetch_and_filter(ctx1, ctx2, t, p, s)
+    assert winners == [0]
+    assert reconstruct(R64, *new).tolist() == [vmax, vmax, 5, 4]
 
     # round 2: fetched (3, 1) with sum 4 dominates (4, 1)
-    s1, s2 = share_pair(np.array([vmax, vmax, 5, 4], dtype=np.uint64), R64, seed=69)
-    st1, st2 = share_pair(mapped[3], R64, seed=70)
-    mn1, mn2 = share_pair(np.array([4]), R64, seed=71)
+    s = share_pair(np.array([vmax, vmax, 5, 4], dtype=np.uint64), R64, seed=69)
     ctx1, ctx2 = session_pair(seed=72)
-    dbg = {1: {}, 2: {}}
-    n1, n2 = run_two(ctx1, ctx2, lambda c: filter_round(
-        c, t1 if c.party == 1 else t2, st1 if c.party == 1 else st2,
-        (mn1 if c.party == 1 else mn2)[0:1], s1 if c.party == 1 else s2,
-        debug_out=dbg[c.party]))
-    assert reconstruct(R64, n1, n2).tolist() == [vmax] * 4
-    marked = reconstruct_bits(dbg[1]["marked"], dbg[2]["marked"])
-    assert marked.tolist() == [0, 0, 1, 1]
+    winners, new = _fetch_and_filter(ctx1, ctx2, t, p, s)
+    assert winners == [3]
+    assert reconstruct(R64, *new).tolist() == [vmax] * 4
 
 
 def test_filter_marks_exactly_one_first_per_round():
     """Whatever the tie structure, exactly one row is taken as the round's
-    winner and winners never double as dominated rows."""
+    winner and winners never double as dominated rows: a winner flagged
+    both ways would keep its sum."""
     rng = np.random.default_rng(73)
+    vmax = default_vmax(64)
     for trial in range(8):
         n, m = int(rng.integers(1, 20)), int(rng.integers(1, 4))
         mapped = rng.integers(0, 5, size=(n, m))  # dense ties
         sums = mapped.sum(axis=1)
         idx = int(np.argmin(sums))
-        t1, t2 = share_pair(mapped, R64, seed=80 + trial)
-        s1, s2 = share_pair(sums, R64, seed=90 + trial)
-        st1, st2 = share_pair(mapped[idx], R64, seed=100 + trial)
-        mn1, mn2 = share_pair(np.array([sums[idx]]), R64, seed=110 + trial)
+        dominated = (mapped >= mapped[idx]).all(axis=1) & (sums > sums[idx])
+        t = share_pair(mapped, R64, seed=80 + trial)
+        s = share_pair(sums, R64, seed=90 + trial)
+        p = share_pair(mapped, R64, seed=100 + trial)
         ctx1, ctx2 = session_pair(seed=120 + trial)
-        dbg = {1: {}, 2: {}}
-        run_two(ctx1, ctx2, lambda c: filter_round(
-            c, t1 if c.party == 1 else t2, st1 if c.party == 1 else st2,
-            (mn1 if c.party == 1 else mn2)[0:1], s1 if c.party == 1 else s2,
-            debug_out=dbg[c.party]))
-        first = reconstruct_bits(dbg[1]["is_first"], dbg[2]["is_first"])
-        domi = reconstruct_bits(dbg[1]["is_dominated"], dbg[2]["is_dominated"])
-        assert first.sum() == 1
-        assert first[idx] == 1
-        assert (first & domi).sum() == 0
-        marked = reconstruct_bits(dbg[1]["marked"], dbg[2]["marked"])
-        assert (marked == (first ^ domi)).all()
+        winners, new = _fetch_and_filter(ctx1, ctx2, t, p, s)
+        assert winners == [idx]
+        marked = dominated.copy()
+        marked[idx] = True
+        assert reconstruct(R64, *new).tolist() == np.where(marked, vmax, sums).tolist()
 
 
 def test_run_query_walkthrough(table_example):
@@ -274,41 +279,34 @@ def test_run_query_random_vs_brute_force():
 
 
 def test_sentinel_never_collides_and_filtered_rows_stay_filtered():
-    """Stepwise debug run: live sums stay strictly below the sentinel and a
-    fetched row is never one that an earlier round already marked."""
+    """Stepwise run: live sums stay strictly below the sentinel, a fetched
+    row is never one that an earlier round already marked, and a row at the
+    sentinel stays there."""
     rng = np.random.default_rng(140)
     database = rng.integers(0, 40, size=(12, 3))
     query = rng.integers(0, 40, size=3)
     vmax = default_vmax(64)
 
-    mapped = np.abs(database.astype(np.int64) - query)
     p1, p2, q1, q2 = _shared_instance(database, query, seed=141)
     ctx1, ctx2 = session_pair(seed=142)
 
-    t1, t2 = run_two(ctx1, ctx2, lambda c: map_database(
+    t = run_two(ctx1, ctx2, lambda c: map_database(
         c, p1 if c.party == 1 else p2, q1 if c.party == 1 else q2))
-    s1, s2 = attribute_sums(t1), attribute_sums(t2)
+    s = (attribute_sums(t[0]), attribute_sums(t[1]))
     ever_marked = np.zeros(12, dtype=bool)
     for _ in range(13):
-        sums = reconstruct(R64, s1, s2)
+        sums = reconstruct(R64, *s)
         live = sums < vmax
-        assert (sums[live] < vmax).all()
+        assert (sums[~live] == vmax).all()
         if not live.any():
             break
         fetched = int(np.argmin(np.where(live, sums, np.iinfo(np.int64).max)))
         assert not ever_marked[fetched]
-        (mn1, ts1, _), (mn2, ts2, _) = run_two(ctx1, ctx2, lambda c: fetch_min(
-            c, s1 if c.party == 1 else s2, t1 if c.party == 1 else t2,
-            p1 if c.party == 1 else p2))
-        dbg = {1: {}, 2: {}}
-        new1, new2 = run_two(ctx1, ctx2, lambda c: filter_round(
-            c, t1 if c.party == 1 else t2,
-            ts1 if c.party == 1 else ts2,
-            (mn1 if c.party == 1 else mn2), s1 if c.party == 1 else s2,
-            debug_out=dbg[c.party]))
-        marked_now = reconstruct_bits(dbg[1]["marked"], dbg[2]["marked"]).astype(bool)
+        winners, s = _fetch_and_filter(ctx1, ctx2, t, (p1, p2), s)
+        assert winners == [fetched]
+        marked_now = reconstruct(R64, *s) == vmax
+        assert marked_now[fetched] and marked_now[ever_marked].all()
         ever_marked |= marked_now
-        s1, s2 = new1, new2
     assert ever_marked.all()
 
 
