@@ -13,22 +13,24 @@ exhaustion raises) or streaming (a seeded dealer extends both parties' pools
 in lockstep on demand; both consumption orders are identical because the
 online protocol is deterministic).
 
-Pool file format (strict pools, one file per party):
+Pool file format (strict pools, one file per party), walked from KINDS:
 
     header '<5sBBQ'  magic b"SSKR2", l:u8, party:u8, vmax:u64 (the public sentinel)
-    counts '<QQQ'    arith triples, binary triple words, daBits
+    counts '<Q'      one count per kind
     vmax sharing     one value, ceil(l/8) bytes little-endian
-    arith block      u values, then v values, then w values
-    binary block     u words, v words, w words (8-byte LE each, 64 lanes/word)
-    daBit block      bits (one byte each), then arithmetic values
+    kind blocks      per kind, its parts in turn, each `count` elements in the
+                     part's codec: ring values ceil(l/8) bytes LE, '<u8', 'u1'
 
-All streams are in consumption order; nothing follows the daBit block.
+Kinds and parts go in KINDS order, which is consumption order, and nothing
+follows the last block.  The magic names this layout: change it whenever
+KINDS changes.
 """
 
 from __future__ import annotations
 
 import struct
 import threading
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,9 +44,27 @@ from .sharing import (
     value_width_bytes,
 )
 
+RING = "ring"  # the codec of a part of ring values: encode_values/decode_values
+
+
+class Kind(NamedTuple):
+    name: str     # read_pool_file's meta key
+    attr: str     # the PartyRandomness attribute holding its pool
+    budget: str   # the RandomnessBudget field counting it
+    deal: str     # the Dealer method dealing both parties' parts, looked up per call
+    codecs: tuple  # one per part, in pool order: RING or a numpy dtype string
+
+
+# dealing order, which is also the pool file's order
+KINDS = (
+    Kind("arith", "arith", "arith_triples", "arith_triples", (RING, RING, RING)),
+    Kind("bin_words", "bin", "bin_words", "bin_triple_words", ("<u8", "<u8", "<u8")),
+    Kind("dabits", "dabits", "dabits", "dabits", ("u1", RING)),
+)
+
 POOL_MAGIC = b"SSKR2"
 _POOL_HEADER = struct.Struct("<5sBBQ")
-_POOL_COUNTS = struct.Struct("<QQQ")
+_POOL_COUNTS = struct.Struct("<" + "Q" * len(KINDS))
 
 # the least a streaming refill deals: chunks this small stay in cache while
 # they are dealt, and a query that needs only part of a chunk wastes little
@@ -137,17 +157,9 @@ class Dealer:
         return (u1, v1, w1), (u2, v2, w2)
 
     def bin_triple_words(self, nwords: int) -> tuple[tuple, tuple]:
-        full = 1 << 64
-        u = self.rng.integers(0, full, size=nwords, dtype=np.uint64)
-        v = self.rng.integers(0, full, size=nwords, dtype=np.uint64)
-        w = u & v
-        u1 = self.rng.integers(0, full, size=nwords, dtype=np.uint64)
-        v1 = self.rng.integers(0, full, size=nwords, dtype=np.uint64)
-        w1 = self.rng.integers(0, full, size=nwords, dtype=np.uint64)
-        u ^= u1
-        v ^= v1
-        w ^= w1
-        return (u1, v1, w1), (u, v, w)
+        u, v, u1, v1, w1 = (self.rng.integers(0, 1 << 64, size=nwords, dtype=np.uint64)
+                            for _ in range(5))
+        return (u1, v1, w1), (u ^ u1, v ^ v1, (u & v) ^ w1)
 
     def dabits(self, count: int) -> tuple[tuple, tuple]:
         bits = self._bits(count)
@@ -188,70 +200,61 @@ class _PairedFeeder:
 
 
 class PartyRandomness:
-    """One party's correlated-randomness hand for a session."""
+    """One party's correlated-randomness hand for a session: one pool per
+    kind, at the kind's attribute (.arith, .bin, .dabits)."""
 
-    def __init__(self, arith: StreamPool, bin_words: StreamPool, dabits: StreamPool,
-                 vmax: int, vmax_share: int):
-        self.arith = arith
-        self.bin = bin_words
-        self.dabits = dabits
+    def __init__(self, pools, vmax: int, vmax_share: int):
+        for kind, pool in zip(KINDS, pools, strict=True):
+            setattr(self, kind.attr, pool)
         self.vmax = vmax
         self.vmax_share = vmax_share
+
+
+def _filled(kind: Kind, parts) -> StreamPool:
+    pool = StreamPool(len(kind.codecs))
+    pool.push(tuple(parts))
+    return pool
 
 
 def deal_strict(ring: Ring, seed, budget: RandomnessBudget, vmax: int
                 ) -> tuple[PartyRandomness, PartyRandomness]:
     """Pre-deal an exact budget; pools raise on exhaustion."""
     dealer = Dealer(ring, seed)
-    at1, at2 = dealer.arith_triples(budget.arith_triples)
-    bt1, bt2 = dealer.bin_triple_words(budget.bin_words)
-    db1, db2 = dealer.dabits(budget.dabits)
-    v1, v2 = dealer.value_sharing(vmax)
-    out = []
-    for triples, words, dabits, vshare in ((at1, bt1, db1, v1), (at2, bt2, db2, v2)):
-        arith = StreamPool(3)
-        arith.push(triples)
-        binp = StreamPool(3)
-        binp.push(words)
-        dab = StreamPool(2)
-        dab.push(dabits)
-        out.append(PartyRandomness(arith, binp, dab, vmax, vshare))
-    return out[0], out[1]
+    pairs = [getattr(dealer, kind.deal)(getattr(budget, kind.budget)) for kind in KINDS]
+    shares = dealer.value_sharing(vmax)
+    return tuple(
+        PartyRandomness([_filled(kind, pair[i]) for kind, pair in zip(KINDS, pairs)],
+                        vmax, shares[i])
+        for i in (0, 1)
+    )
 
 
 def deal_streaming(ring: Ring, seed, vmax: int, chunk: int = STREAM_CHUNK
                    ) -> tuple[PartyRandomness, PartyRandomness]:
     """Lazily dealt pools that never exhaust; both parties extend in lockstep."""
     dealer = Dealer(ring, seed)
-    hands = ([], [])
-    for parts, generate in ((3, dealer.arith_triples), (3, dealer.bin_triple_words),
-                            (2, dealer.dabits)):
-        feeder = _PairedFeeder(generate, chunk)
-        for index, hand in enumerate(hands):
-            hand.append(StreamPool(parts, feeder.refill_for(index)))
-    v1, v2 = dealer.value_sharing(vmax)
-    return (
-        PartyRandomness(*hands[0], vmax, v1),
-        PartyRandomness(*hands[1], vmax, v2),
+    feeders = [_PairedFeeder(getattr(dealer, kind.deal), chunk) for kind in KINDS]
+    shares = dealer.value_sharing(vmax)
+    return tuple(
+        PartyRandomness([StreamPool(len(kind.codecs), feeder.refill_for(i))
+                         for kind, feeder in zip(KINDS, feeders)], vmax, shares[i])
+        for i in (0, 1)
     )
 
 
 def write_pool_file(path: str, party: int, l: int, rand: PartyRandomness,
                     budget: RandomnessBudget):
     """Serialize a strict pool (single un-consumed chunk per kind)."""
-    u, v, w = rand.arith.take(budget.arith_triples)
-    bu, bv, bw = rand.bin.take(budget.bin_words)
-    bits, vals = rand.dabits.take(budget.dabits)
+    counts = [getattr(budget, kind.budget) for kind in KINDS]
+    taken = [getattr(rand, kind.attr).take(count) for kind, count in zip(KINDS, counts)]
     with open(path, "wb") as f:
         f.write(_POOL_HEADER.pack(POOL_MAGIC, l, party, rand.vmax))
-        f.write(_POOL_COUNTS.pack(budget.arith_triples, budget.bin_words, budget.dabits))
+        f.write(_POOL_COUNTS.pack(*counts))
         f.write(encode_values(np.array([rand.vmax_share], dtype=np.uint64), l))
-        for part in (u, v, w):
-            f.write(encode_values(part, l))
-        for part in (bu, bv, bw):
-            f.write(part.astype("<u8").tobytes())
-        f.write(bits.tobytes())
-        f.write(encode_values(vals, l))
+        for kind, parts in zip(KINDS, taken):
+            for codec, part in zip(kind.codecs, parts):
+                f.write(encode_values(part, l) if codec == RING
+                        else part.astype(codec).tobytes())
 
 
 def read_pool_file(path: str) -> tuple[PartyRandomness, dict]:
@@ -266,27 +269,23 @@ def read_pool_file(path: str) -> tuple[PartyRandomness, dict]:
         at += size
         return blob[at - size:at]
 
+    def part(codec: str, count: int) -> np.ndarray:
+        if codec == RING:
+            return decode_values(take(count * value_width_bytes(l)), l)
+        raw = take(count * np.dtype(codec).itemsize)
+        return np.frombuffer(raw, dtype=codec).astype(np.dtype(codec).type)  # a native copy
+
     magic, l, party, vmax = _POOL_HEADER.unpack(take(_POOL_HEADER.size))
     if magic != POOL_MAGIC:
         raise ValueError(f"{path}: bad magic {magic!r}")
     check_file_header(path, l, party)
     if not 1 <= vmax <= default_vmax(l):
         raise ValueError(f"{path}: sentinel {vmax} outside [1, 2^(l-2)] at l={l}")
-    n_arith, n_binw, n_dab = _POOL_COUNTS.unpack(take(_POOL_COUNTS.size))
-    width = value_width_bytes(l)
-    vmax_share = int(decode_values(take(width), l)[0])
-    arith_parts = [decode_values(take(width * n_arith), l) for _ in range(3)]
-    bin_parts = [np.frombuffer(take(8 * n_binw), dtype="<u8").astype(np.uint64)
-                 for _ in range(3)]
-    bits = np.frombuffer(take(n_dab), dtype=np.uint8).copy()
-    vals = decode_values(take(width * n_dab), l)
+    counts = _POOL_COUNTS.unpack(take(_POOL_COUNTS.size))
+    vmax_share = int(decode_values(take(value_width_bytes(l)), l)[0])
+    pools = [_filled(kind, [part(codec, count) for codec in kind.codecs])
+             for kind, count in zip(KINDS, counts)]
     if at != len(blob):
         raise ValueError(f"{path}: {len(blob) - at} trailing bytes after the last section")
-    arith = StreamPool(3)
-    arith.push(tuple(arith_parts))
-    binp = StreamPool(3)
-    binp.push(tuple(bin_parts))
-    dab = StreamPool(2)
-    dab.push((bits, vals))
-    meta = {"l": l, "party": party, "arith": n_arith, "bin_words": n_binw, "dabits": n_dab}
-    return PartyRandomness(arith, binp, dab, vmax, vmax_share), meta
+    meta = {"l": l, "party": party, **{kind.name: count for kind, count in zip(KINDS, counts)}}
+    return PartyRandomness(pools, vmax, vmax_share), meta

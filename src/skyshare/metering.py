@@ -19,7 +19,7 @@ bit-by-value multiplication the protocol has.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .bitpack import words_for
 from .ppa import carry_plan, ceil_log2, msb_rounds, pair_levels
@@ -101,22 +101,11 @@ class RandomnessBudget:
     b2a_bytes: int = 0
 
     def __add__(self, other: "RandomnessBudget") -> "RandomnessBudget":
-        return RandomnessBudget(
-            self.secext + other.secext,
-            self.arith_triples + other.arith_triples,
-            self.bin_words + other.bin_words,
-            self.dabits + other.dabits,
-            self.b2a_bytes + other.b2a_bytes,
-        )
+        return RandomnessBudget(*(getattr(self, f.name) + getattr(other, f.name)
+                                  for f in fields(self)))
 
     def scaled(self, times: int) -> "RandomnessBudget":
-        return RandomnessBudget(
-            self.secext * times,
-            self.arith_triples * times,
-            self.bin_words * times,
-            self.dabits * times,
-            self.b2a_bytes * times,
-        )
+        return RandomnessBudget(*(getattr(self, f.name) * times for f in fields(self)))
 
 
 def msb_cost(batch: int, l: int) -> RandomnessBudget:

@@ -310,6 +310,7 @@ class Server:
             self._spawn(self._register_peer, conn)
 
     def _register_peer(self, conn: socket.socket):
+        conn.settimeout(self.handshake_timeout)  # the deadline of every read on the link
         try:
             session = _read_peer_hello(conn, self.ring.l, 1)
         except (FrameError, OSError) as exc:
@@ -335,18 +336,18 @@ class Server:
 
         No correlated randomness is touched before the acknowledgement comes
         back, so a session the peer never joins (its client half went
-        missing) aborts with both servers' pool cursors still aligned.
+        missing) aborts with both servers' pool cursors still aligned.  The
+        handshake timeout stays the deadline of every read on the link, so a
+        peer that stalls mid-session aborts it and frees the execution lock.
         """
         sock = socket.create_connection(self.peer_addr, timeout=self.handshake_timeout)
         try:
-            sock.settimeout(self.handshake_timeout)
             _write_peer_hello(sock, session, self.ring.l, self.party)
             if _read_peer_hello(sock, self.ring.l, 2) != session:
                 raise FrameError("peer acknowledged another session")
         except (FrameError, OSError):
             sock.close()
             raise
-        sock.settimeout(None)
         return sock
 
     def _run_session(self, peer_conn: socket.socket, session: int, q_share: np.ndarray):
@@ -432,7 +433,7 @@ def tcp_query(servers: list[str], q, l: int | None = None, seed: int = 0, scale:
             socks.append(socket.create_connection(parse_endpoint(endpoint), timeout=timeout))
         hellos = []
         for sock in socks:
-            kind, _, payload = read_frame(sock)
+            kind, _, payload = read_bounded_frame(sock, _SERVER_HELLO.size)
             if kind != KIND_HELLO:
                 raise FrameError(f"expected a server hello, got kind {kind}")
             hellos.append(_decode_server_hello(payload))
@@ -455,7 +456,7 @@ def tcp_query(servers: list[str], q, l: int | None = None, seed: int = 0, scale:
         for sock, share in zip(socks, (s1, s2)):
             write_frame(sock, KIND_QUERY, session, _encode_query_payload(ring_l, share[0]))
         results = []
-        for sock in socks:
+        for sock in socks:  # a result's size depends on k, so only MAX_FRAME caps it
             kind, got_session, payload = read_frame(sock)
             if kind != KIND_RESULT or got_session != session:
                 raise FrameError("unexpected frame while waiting for the result")

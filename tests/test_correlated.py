@@ -1,3 +1,4 @@
+import struct
 import sys
 import threading
 
@@ -7,6 +8,7 @@ import pytest
 from conftest import reconstruct, run_two, session_pair
 
 from skyshare.correlated import (
+    KINDS,
     Dealer,
     PoolExhausted,
     StreamPool,
@@ -202,19 +204,75 @@ def test_budget_is_sufficient_for_worst_case_query():
 
 
 def test_pool_file_round_trip(tmp_path):
+    for l in (13, 64):
+        _check_pool_file_round_trip(tmp_path, l)
+
+
+def _check_pool_file_round_trip(tmp_path, l):
+    ring = Ring(l)
     budget = RandomnessBudget(secext=0, arith_triples=9, bin_words=4, dabits=6)
-    r1, r2 = deal_strict(R64, 21, budget, default_vmax(64))
-    p1 = str(tmp_path / "party1.pool")
-    write_pool_file(p1, 1, 64, r1, budget)
-    back, meta = read_pool_file(p1)
-    assert meta == {"l": 64, "party": 1, "arith": 9, "bin_words": 4, "dabits": 6}
-    # reconstructed against the in-memory counterpart still forms triples
-    u1, v1, w1 = back.arith.take(9)
-    u2, v2, w2 = r2.arith.take(9)
-    u, v, w = (reconstruct(R64, a, b) for a, b in ((u1, u2), (v1, v2), (w1, w2)))
-    assert (w == R64.reduce(u * v)).all()
-    assert back.vmax_share == r1.vmax_share
-    assert back.vmax == default_vmax(64)
+    dealt = deal_strict(ring, 21, budget, default_vmax(l))
+    again = deal_strict(ring, 21, budget, default_vmax(l))
+    backs = []
+    for party in (1, 2):
+        path = str(tmp_path / f"l{l}party{party}.pool")
+        write_pool_file(path, party, l, dealt[party - 1], budget)
+        back, meta = read_pool_file(path)
+        assert meta == {"l": l, "party": party, "arith": 9, "bin_words": 4, "dabits": 6}
+        want = again[party - 1]
+        # every part of every kind comes back exactly as the same seed deals it
+        for kind in KINDS:
+            count = getattr(budget, kind.budget)
+            got_parts = getattr(back, kind.attr).take(count)
+            want_parts = getattr(want, kind.attr).take(count)
+            assert len(got_parts) == len(want_parts) == len(kind.codecs)
+            for got, exp in zip(got_parts, want_parts):
+                assert got.dtype == exp.dtype and np.array_equal(got, exp), (l, kind.name)
+            with pytest.raises(PoolExhausted):
+                getattr(back, kind.attr).take(1)
+        assert back.vmax_share == want.vmax_share
+        assert back.vmax == default_vmax(l)
+        backs.append(read_pool_file(path)[0])
+    # the two parties' files still reconstruct to triples
+    (u1, v1, w1), (u2, v2, w2) = (back.arith.take(9) for back in backs)
+    u, v, w = (reconstruct(ring, a, b) for a, b in ((u1, u2), (v1, v2), (w1, w2)))
+    assert (w == ring.reduce(u * v)).all()
+
+
+@pytest.mark.parametrize("l", [13, 64])
+def test_pool_file_layout_is_sskr2(tmp_path, l):
+    """Known arrays in every part, written and compared with the documented
+    layout built from struct; no dealer runs, so no RNG stream is pinned."""
+    mask, width = (1 << l) - 1, (l + 7) // 8
+
+    def ring_values(*xs):
+        return np.array([x & mask for x in xs], dtype=np.uint64)
+
+    def le(values):
+        return b"".join(int(x).to_bytes(width, "little") for x in values)
+
+    arith = (ring_values(1, 2), ring_values(3, mask), ring_values(0x1234, 0x5A5A5A5A))
+    words = tuple(np.array([w], dtype=np.uint64) for w in (0x0123456789ABCDEF, 2**64 - 1, 7))
+    bits, bit_values = np.array([1, 0, 1], dtype=np.uint8), ring_values(1, 0, mask)
+    vmax, vmax_share = 300, 0x2BCD & mask
+    rand, _ = deal_strict(Ring(l), 0, RandomnessBudget(), vmax)
+    rand.vmax_share = vmax_share
+    for attr, parts in (("arith", arith), ("bin", words), ("dabits", (bits, bit_values))):
+        setattr(rand, attr, StreamPool(len(parts)))
+        getattr(rand, attr).push(parts)
+    budget = RandomnessBudget(arith_triples=2, bin_words=1, dabits=3)
+    path = tmp_path / "p.pool"
+    write_pool_file(str(path), 2, l, rand, budget)
+    expected = (struct.pack("<5sBBQ", b"SSKR2", l, 2, vmax) + struct.pack("<QQQ", 2, 1, 3)
+                + le([vmax_share]) + b"".join(le(part) for part in arith)
+                + b"".join(struct.pack("<Q", int(word[0])) for word in words)
+                + bytes(bits.tolist()) + le(bit_values))
+    assert path.read_bytes() == expected
+    back, meta = read_pool_file(str(path))
+    assert meta == {"l": l, "party": 2, "arith": 2, "bin_words": 1, "dabits": 3}
+    for got, want in zip(back.arith.take(2) + back.bin.take(1) + back.dabits.take(3),
+                         arith + words + (bits, bit_values)):
+        assert np.array_equal(got, want)
 
 
 def test_pool_file_rejects_truncation(tmp_path):

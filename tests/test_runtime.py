@@ -1,4 +1,5 @@
 import socket
+import threading
 import time
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from skyshare import runtime
 from skyshare.channel import (
+    KIND_HELLO,
     KIND_NAMES,
     KIND_OPEN_BIT,
     KIND_QUERY,
@@ -19,7 +21,7 @@ from skyshare.channel import (
     read_frame,
     write_frame,
 )
-from skyshare.correlated import deal_strict, write_pool_file
+from skyshare.correlated import deal_streaming, deal_strict, write_pool_file
 from skyshare.metering import budget_for_query, query_rounds
 from skyshare.protocol import ring_width
 from skyshare.ring import Ring, default_vmax
@@ -307,6 +309,75 @@ def test_server_refuses_a_frame_longer_than_it_can_hold(tmp_path, table_example,
     finally:
         for s in servers:
             s.stop()
+
+
+@pytest.mark.parametrize("party", [1, 2])
+def test_stalled_peer_aborts_the_session_and_frees_the_server(party, capsys):
+    """A fake peer acks each session and then says nothing: the handshake
+    timeout ends the session, and the next session still reaches the peer."""
+    l = 16
+    ring = Ring(l)
+    shares, _ = share_matrix(np.array([[3, 1], [1, 3], [2, 2]]), np.random.default_rng(0), ring)
+    rand, _ = deal_streaming(ring, 1, default_vmax(l))
+    dialled = socket.create_server(("127.0.0.1", 0))  # where server 1 dials its peer
+    peer_port = dialled.getsockname()[1] if party == 1 else _free_port()
+    server = Server(party, "127.0.0.1:0", f"127.0.0.1:{peer_port}", shares, rand, l,
+                    latency_ms=0.0, handshake_timeout=0.5)
+    server.start()
+    held = [dialled]
+    try:
+        dialled.settimeout(5.0)
+        for session in (11, 12):
+            client = socket.create_connection(("127.0.0.1", server.port), timeout=5.0)
+            held.append(client)
+            read_frame(client)  # the server hello
+            if party == 2:  # the fake party 1 binds its link to the session first
+                link = socket.create_connection(server.peer_addr, timeout=5.0)
+                runtime._write_peer_hello(link, session, l, 1)
+            write_frame(client, KIND_QUERY, session,
+                        runtime._encode_query_payload(l, np.zeros(2, np.uint64)))
+            # the dial (party 1) or the ack (party 2) comes only once the lock is free
+            if party == 1:
+                link, _ = dialled.accept()
+                link.settimeout(5.0)
+                assert runtime._read_peer_hello(link, l, 1) == session
+                runtime._write_peer_hello(link, session, l, 2)
+            else:
+                assert runtime._read_peer_hello(link, l, 2) == session
+            held.append(link)  # and then the fake peer stalls
+            out = _server_lines(capsys, f"session {session} aborted", 1)
+            assert f"server {party}: session {session} aborted" in out
+            assert client.recv(1) == b""  # the client is let go, not left waiting
+    finally:
+        for sock in held:
+            sock.close()
+        server.stop()
+
+
+def test_client_caps_the_server_hello():
+    # a hello one byte longer than a hello can be is refused before its body
+    declared = len(encode_frame(KIND_HELLO, 0, bytes(runtime._SERVER_HELLO.size))) - 4 + 1
+    fake = socket.create_server(("127.0.0.1", 0))
+    accepted = []
+
+    def greet():
+        for _ in range(2):
+            conn, _ = fake.accept()
+            accepted.append(conn)
+            conn.sendall(declared.to_bytes(4, "big"))
+
+    greeter = threading.Thread(target=greet, daemon=True)
+    greeter.start()
+    endpoint = f"127.0.0.1:{fake.getsockname()[1]}"
+    try:
+        started = time.monotonic()
+        with pytest.raises(FrameError, match="exceeds the limit"):
+            tcp_query([endpoint, endpoint], [1, 2], timeout=5.0)
+        assert time.monotonic() - started < 2.0
+        greeter.join(timeout=5.0)
+    finally:
+        for sock in accepted + [fake]:
+            sock.close()
 
 
 def test_bytes_grow_with_database_size():
