@@ -8,10 +8,13 @@ Wire frame (both transports carry identical bytes):
     payload  little-endian value/bit streams, structured by the caller
 
 One protocol round = both parties have sent and received one flight; the
-round counter increments on every completed exchange.  Byte meters count
-application payload only (frame headers excluded), per direction.  Injected
-latency is applied on the receive side of each flight, so crossing flights
-of one round overlap and the round floor is one one-way delay.
+round counter increments on every completed exchange.  The two flights of
+a round are the same size, so a peer flight of any other length is a
+FrameError, and the TCP transport refuses a longer one before reading it.
+Byte meters count application payload only (frame headers excluded), per
+direction.  Injected latency is applied on the receive side of each
+flight, so crossing flights of one round overlap and the round floor is
+one one-way delay.
 """
 
 from __future__ import annotations
@@ -94,9 +97,14 @@ def _read_length(sock: socket.socket, limit: int) -> int:
     return length
 
 
-def read_body(sock: socket.socket) -> bytes:
-    """Read one frame's length prefix, check it, and return the rest."""
-    return recv_exact(sock, _read_length(sock, MAX_FRAME))
+def read_body(sock: socket.socket, max_payload: int | None = None) -> bytes:
+    """Read one frame's length prefix, check it, and return the rest.
+
+    With max_payload, a declared length longer than a frame of that payload
+    is refused before any of the body is buffered; without, MAX_FRAME caps it.
+    """
+    limit = MAX_FRAME if max_payload is None else _HEAD.size + max_payload
+    return recv_exact(sock, _read_length(sock, limit))
 
 
 def read_frame(sock: socket.socket) -> tuple[int, int, bytes]:
@@ -104,9 +112,8 @@ def read_frame(sock: socket.socket) -> tuple[int, int, bytes]:
 
 
 def read_bounded_frame(sock: socket.socket, max_payload: int) -> tuple[int, int, bytes]:
-    """read_frame for a frame whose payload can hold at most max_payload bytes:
-    a longer declared length is refused before any of the body is buffered."""
-    return decode_frame(recv_exact(sock, _read_length(sock, _HEAD.size + max_payload)))
+    """read_frame for a frame whose payload can hold at most max_payload bytes."""
+    return decode_frame(read_body(sock, max_payload))
 
 
 def write_frame(sock: socket.socket, kind: int, session: int, payload: bytes):
@@ -129,19 +136,23 @@ class ChannelBase:
     def _send_frame(self, frame: bytes):
         raise NotImplementedError
 
-    def _recv_frame(self) -> bytes:
+    def _recv_frame(self, max_payload: int) -> bytes:
+        """The next frame's body; a frame whose payload exceeds max_payload
+        may be refused before its body is read."""
         raise NotImplementedError
 
     def exchange(self, payload: bytes, kind: int = KIND_ROUND_DATA) -> bytes:
-        """Send one flight, receive the peer's, count one round."""
+        """Send one flight, receive the peer's of the same size, count one round."""
         self._send_frame(encode_frame(kind, self.session, payload))
-        got_kind, got_session, got = decode_frame(self._recv_frame())
+        got_kind, got_session, got = decode_frame(self._recv_frame(len(payload)))
         if got_session != self.session:
             raise FrameError(f"session mismatch: {got_session} != {self.session}")
         if got_kind != kind:
             raise FrameError(
                 f"round desync: expected {KIND_NAMES[kind]}, got {KIND_NAMES[got_kind]}"
             )
+        if len(got) != len(payload):
+            raise FrameError(f"peer flight of {len(got)} bytes, ours has {len(payload)}")
         self.rounds += 1
         self.bytes_tx += len(payload)
         self.bytes_rx += len(got)
@@ -184,7 +195,7 @@ class LocalChannel(ChannelBase):
         """Unblock a peer whose counterpart died mid-protocol."""
         self._outbox.put((0.0, None))
 
-    def _recv_frame(self) -> bytes:
+    def _recv_frame(self, max_payload: int) -> bytes:
         deliver_at, frame = self._inbox.get()
         if frame is None:
             raise FrameError("peer aborted the session")
@@ -223,8 +234,8 @@ class TcpChannel(ChannelBase):
             raise FrameError(f"peer link write failed: {self._writer_err}")
         self._outq.put(frame)
 
-    def _recv_frame(self) -> bytes:
-        body = read_body(self._sock)
+    def _recv_frame(self, max_payload: int) -> bytes:
+        body = read_body(self._sock, max_payload)
         if self.latency_s > 0:
             time.sleep(self.latency_s)
         return body

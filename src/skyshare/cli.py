@@ -83,7 +83,7 @@ def cmd_deal(args) -> int:
         print(f"party {party}: {share_path} + {pool_path}")
     print(f"dealt for n={n} m={m} bound={bound} l={l} k_max={k_max} "
           f"({budget.arith_triples} mul triples, {budget.bin_words} AND words, "
-          f"{budget.dabits} daBits)")
+          f"{budget.dabits} daBits, {budget.cross_words} cross words)")
     return 0
 
 

@@ -1,11 +1,13 @@
 """Offline dealer for the correlated randomness the online phase consumes.
 
 Kinds: arithmetic multiplication triples (u, v, w = u*v), binary AND triples
-(packed 64 lanes per word, w = u & v), and daBits (a random bit held both as
+(packed 64 lanes per word, w = u & v), daBits (a random bit held both as
 an XOR sharing and as an arithmetic sharing) used to hop a bit from the
-binary domain into the arithmetic one.  The filtering sentinel is dealt once
-per pool as an ordinary sharing of the public vmax constant, so the online
-phase treats it like any other shared value.
+binary domain into the arithmetic one, and cross words for one-sided ANDs
+(packed likewise: party 1 holds a mask r, party 2 a mask s, and each an
+XOR share of r & s).  The filtering sentinel is dealt once per pool as an
+ordinary sharing of the public vmax constant, so the online phase treats
+it like any other shared value.
 
 The dealer is trusted in the semi-honest two-server model and is run by the
 owner-side tooling.  Pools are either strict (pre-dealt to an exact budget,
@@ -15,7 +17,7 @@ online protocol is deterministic).
 
 Pool file format (strict pools, one file per party), walked from KINDS:
 
-    header '<5sBBQ'  magic b"SSKR2", l:u8, party:u8, vmax:u64 (the public sentinel)
+    header '<5sBBQ'  magic b"SSKR3", l:u8, party:u8, vmax:u64 (the public sentinel)
     counts '<Q'      one count per kind
     vmax sharing     one value, ceil(l/8) bytes little-endian
     kind blocks      per kind, its parts in turn, each `count` elements in the
@@ -60,9 +62,10 @@ KINDS = (
     Kind("arith", "arith", "arith_triples", "arith_triples", (RING, RING, RING)),
     Kind("bin_words", "bin", "bin_words", "bin_triple_words", ("<u8", "<u8", "<u8")),
     Kind("dabits", "dabits", "dabits", "dabits", ("u1", RING)),
+    Kind("cross_words", "cross", "cross_words", "cross_words", ("<u8", "<u8")),
 )
 
-POOL_MAGIC = b"SSKR2"
+POOL_MAGIC = b"SSKR3"
 _POOL_HEADER = struct.Struct("<5sBBQ")
 _POOL_COUNTS = struct.Struct("<" + "Q" * len(KINDS))
 
@@ -161,6 +164,11 @@ class Dealer:
                             for _ in range(5))
         return (u1, v1, w1), (u ^ u1, v ^ v1, (u & v) ^ w1)
 
+    def cross_words(self, nwords: int) -> tuple[tuple, tuple]:
+        r, s, w1 = (self.rng.integers(0, 1 << 64, size=nwords, dtype=np.uint64)
+                    for _ in range(3))
+        return (r, w1), (s, (r & s) ^ w1)
+
     def dabits(self, count: int) -> tuple[tuple, tuple]:
         bits = self._bits(count)
         b1 = self._bits(count)
@@ -201,7 +209,7 @@ class _PairedFeeder:
 
 class PartyRandomness:
     """One party's correlated-randomness hand for a session: one pool per
-    kind, at the kind's attribute (.arith, .bin, .dabits)."""
+    kind, at the kind's attribute (.arith, .bin, .dabits, .cross)."""
 
     def __init__(self, pools, vmax: int, vmax_share: int):
         for kind, pool in zip(KINDS, pools, strict=True):

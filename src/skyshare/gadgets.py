@@ -1,12 +1,15 @@
 """Comparison and oblivious-minimum gadgets built on the online primitives.
 
 less_than computes XOR shares of msb(a - b) for a batch of shared pairs.
-Each party bit-decomposes its local share of d = a - b; the two bit columns
-feed the log-depth carry circuit as binary sharings (party 1 holds the
-first addend's bits, party 2 the second's).  The output bit equals
-(a < b) under the signed reading whenever a, b and a - b stay inside
-(-2^(l-1), 2^(l-1)), which the protocol layer guarantees via its
-domain-bound checks; the raw msb identity holds on the full ring.
+Each party bit-decomposes its local share of d = a - b, so party 1 holds
+the bits of one addend of d1 + d2 and party 2 those of the other, and the
+carry into the top bit is a comparison between two private bit strings
+(ppa's plan).  The leaf blocks take one flight of one-sided ANDs, each
+party evaluating its side of every block's factored G and P on its own bit
+columns; the combine tree takes one Beaver AND flight per level.  The
+output bit equals (a < b) under the signed reading whenever a, b and a - b
+stay inside (-2^(l-1), 2^(l-1)), which the protocol layer guarantees via
+its domain-bound checks; the raw msb identity holds on the full ring.
 """
 
 from __future__ import annotations
@@ -14,8 +17,29 @@ from __future__ import annotations
 import numpy as np
 
 from .bitpack import bits_of_values, unpack_bits
-from .online import PartyContext, and_packed, not_bits, obliv_select, public_bit_share
-from .ppa import carry_plan, pair_levels
+from .online import (
+    PartyContext,
+    and_one_sided,
+    and_packed,
+    not_bits,
+    obliv_select,
+    public_bit_share,
+)
+from .ppa import LeafTables, carry_plan, pair_levels
+
+
+def _leaf_blocks(ctx: PartyContext, leaf: LeafTables, lanes: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Shares of every leaf block's G, and of the P of every block above the
+    lowest, from one flight of one-sided ANDs."""
+    factors = leaf.factors[ctx.party - 1]
+    vals = lanes[factors[0]]  # (rows, words): this party's monomial per row
+    for rows in factors[1:]:
+        vals &= lanes[rows]
+    vals[leaf.sent] = and_one_sided(ctx, vals[leaf.sent])
+    out = np.bitwise_xor.reduceat(vals, leaf.starts, axis=0)
+    blocks = (len(leaf.starts) + 1) // 2
+    return out[:blocks], out[blocks:]
 
 
 def less_than(ctx: PartyContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -25,29 +49,18 @@ def less_than(ctx: PartyContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     l = ctx.ring.l
     n = a.size
     lanes = bits_of_values((a - b).ravel(), l)  # (l, words); reads the low l bits only
-    mine = lanes[:l - 1]
-    zeros = np.zeros_like(mine)
-    # (G, P) of every segment, stacked so each level slices both at once
-    gp = np.empty((2,) + mine.shape, dtype=np.uint64)
-    # adder inputs: a-bits live at party 1, b-bits at party 2
-    gp[0] = and_packed(ctx, mine, zeros) if ctx.is_p1 else and_packed(ctx, zeros, mine)
-    gp[1] = mine  # share of a_i XOR b_i is each party's own bit column
-
     plan = carry_plan(l)
-    for pairs in plan.level_pairs[:-1]:
-        lo = gp[:, 0:2 * pairs:2]
-        hi = gp[:, 1:2 * pairs:2]
-        hi_p = hi[1:]
-        # one flight: hi_p AND lo_g, hi_p AND lo_p
-        z = and_packed(ctx, np.concatenate((hi_p, hi_p)), lo)
-        z[0] ^= hi[0]
-        gp = np.concatenate((z, gp[:, 2 * pairs:]), axis=1)
-    if plan.combine_levels:  # the root combine (always one pair) needs only G
-        carry = gp[0, 1] ^ and_packed(ctx, gp[1, 1], gp[0, 0])
-    else:
-        carry = gp[0, 0]
+    # g[i] is segment i's G, p[i] segment i+1's P: the lowest never needs one
+    g, p = _leaf_blocks(ctx, plan.leaf, lanes)
+    for pairs in plan.level_pairs:
+        hi_p = p[0:2 * pairs:2]
+        # one flight: every hi P AND its lo G, and AND its lo P above the lowest
+        z = and_packed(ctx, np.concatenate((hi_p, hi_p[1:])),
+                       np.concatenate((g[0:2 * pairs:2], p[1:2 * pairs - 1:2])))
+        g = np.concatenate((z[:pairs] ^ g[1:2 * pairs:2], g[2 * pairs:]))
+        p = np.concatenate((z[pairs:], p[2 * pairs - 1:]))
 
-    out = lanes[l - 1] ^ carry
+    out = lanes[l - 1] ^ g[0]
     ctx.meters.secext += n
     return unpack_bits(out, n).reshape(a.shape)
 

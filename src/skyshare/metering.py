@@ -11,7 +11,10 @@ k rows is
 The round forms below are the registry the runtime's meters are checked
 against: the implementation must hit them exactly, so every structural
 choice (batched comparison levels, merged flag circuits, the one-flight
-daBit select) is encoded here and nowhere else.
+daBit select) is encoded here and nowhere else.  A comparison's rounds and
+its AND counts come from ppa's carry plan: msb_cost charges one cross word
+per one-sided AND row of the leaf blocks and one AND-triple word per
+combine row, per 64 compared lanes.
 
 Functions that still take a `mode` accept only MODE_DABIT, the one
 bit-by-value multiplication the protocol has.
@@ -96,6 +99,7 @@ class RandomnessBudget:
     arith_triples: int = 0
     bin_words: int = 0
     dabits: int = 0
+    cross_words: int = 0
     # not randomness: the bytes a party sends to open its daBit-masked bits,
     # ceil(batch/8) per select, which query_bytes needs
     b2a_bytes: int = 0
@@ -109,10 +113,13 @@ class RandomnessBudget:
 
 
 def msb_cost(batch: int, l: int) -> RandomnessBudget:
-    """Binary-triple words consumed by one batched comparison of `batch` pairs."""
-    return RandomnessBudget(
-        secext=batch, bin_words=carry_plan(l).total_and_rows * words_for(batch)
-    )
+    """One batched comparison of `batch` pairs: a cross word per one-sided AND
+    row of the leaf blocks and an AND-triple word per combine row, each row
+    packing the batch into words."""
+    plan = carry_plan(l)
+    words = words_for(batch)
+    return RandomnessBudget(secext=batch, bin_words=plan.combine_rows * words,
+                            cross_words=plan.cross_rows * words)
 
 
 def select_cost(batch: int, width: int) -> RandomnessBudget:
@@ -170,12 +177,13 @@ def query_bytes(n: int, m: int, l: int, k: int) -> int:
     """Payload bytes each party sends in a query returning k rows (and
     receives: the flights are symmetric).
 
-    16 per AND word (its e and f words), 2*ceil(l/8) per Beaver product (e
-    and f values), the packed daBit openings, and one byte per opened stop
-    bit.
+    16 per AND word (its e and f words), 8 per cross word (its masked
+    operand), 2*ceil(l/8) per Beaver product (e and f values), the packed
+    daBit openings, and one byte per opened stop bit.
     """
     cost = query_cost(n, m, l, k)
-    return (16 * cost.bin_words + 2 * value_width_bytes(l) * cost.arith_triples
+    return (16 * cost.bin_words + 8 * cost.cross_words
+            + 2 * value_width_bytes(l) * cost.arith_triples
             + cost.b2a_bytes + (k + 1))
 
 

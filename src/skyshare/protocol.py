@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gadgets import less_than, min_with_payload
-from .metering import msb_invocations
+from .metering import msb_invocations, query_cost
 from .online import (
     PartyContext,
     and_jobs,
@@ -148,6 +148,7 @@ def run_query(ctx: PartyContext, p_shares: np.ndarray, q_shares: np.ndarray) -> 
     """Full query loop: fetch, stop test (single opened bit), append, filter."""
     n, m = p_shares.shape
     start_count = ctx.meters.secext
+    start_cross = ctx.rand.cross.consumed
     t_shares = map_database(ctx, p_shares, q_shares)
     sums = attribute_sums(t_shares)
     vmax_share = np.array([ctx.rand.vmax_share], dtype=np.uint64)
@@ -172,5 +173,12 @@ def run_query(ctx: PartyContext, p_shares: np.ndarray, q_shares: np.ndarray) -> 
     if used != expected:
         raise ProtocolError(
             f"comparison meter drift: {used} != {expected} for n={n} m={m} k={k}"
+        )
+    # the benchmark gate meters only the other kinds: check the cross words here
+    cross = ctx.rand.cross.consumed - start_cross
+    expected = query_cost(n, m, ctx.ring.l, k).cross_words
+    if cross != expected:
+        raise ProtocolError(
+            f"cross-word meter drift: {cross} != {expected} for n={n} m={m} k={k}"
         )
     return QueryOutcome(rows=rows, k=k, secext=used)

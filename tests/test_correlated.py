@@ -19,6 +19,7 @@ from skyshare.correlated import (
 )
 from skyshare.metering import RandomnessBudget, budget_for_query, msb_invocations
 from skyshare.online import mul_shares
+from skyshare.plaintext import plaintext_skyline
 from skyshare.ring import Ring, default_vmax
 
 R64 = Ring(64)
@@ -51,6 +52,8 @@ def test_dealt_binary_triples_are_and_triples():
         dealer = Dealer(Ring(l), 2)
         (u1, v1, w1), (u2, v2, w2) = dealer.bin_triple_words(200)
         assert ((u1 ^ u2) & (v1 ^ v2) == (w1 ^ w2)).all(), l
+        (r, w1), (s, w2) = dealer.cross_words(200)  # party 1's mask, party 2's
+        assert (r & s == w1 ^ w2).all(), l
 
 
 def test_dealt_dabits_agree_across_domains():
@@ -199,8 +202,34 @@ def test_budget_is_sufficient_for_worst_case_query():
             assert rand.arith.consumed <= budget.arith_triples
             assert rand.bin.consumed <= budget.bin_words
             assert rand.dabits.consumed <= budget.dabits
-            consumed = (rand.arith.consumed, rand.bin.consumed, rand.dabits.consumed)
-            assert consumed == (exact.arith_triples, exact.bin_words, exact.dabits)
+            assert rand.cross.consumed <= budget.cross_words
+            consumed = (rand.arith.consumed, rand.bin.consumed, rand.dabits.consumed,
+                        rand.cross.consumed)
+            assert consumed == (exact.arith_triples, exact.bin_words, exact.dabits,
+                                exact.cross_words)
+
+
+def test_a_pool_one_cross_word_short_fails_without_rows():
+    """A strict pool dealt one cross word below what the query consumes
+    raises PoolExhausted; the query returns no rows."""
+    from skyshare.protocol import run_query
+    from skyshare.sharing import share_matrix
+
+    rng = np.random.default_rng(12)
+    data = rng.integers(0, 6, size=(9, 2))
+    q = rng.integers(0, 6, size=2)
+    ring = Ring(11)
+    p1, p2 = share_matrix(data, rng, ring)
+    q1, q2 = share_matrix(q[None, :], rng, ring)
+    k = len(plaintext_skyline(data, q))
+    budget = budget_for_query(9, 2, 11, k)
+    budget.cross_words -= 1
+    ctx1, ctx2 = session_pair(l=11, seed=3, budget=budget)
+    returned = []
+    with pytest.raises(PoolExhausted):
+        returned.append(run_two(ctx1, ctx2, lambda c: run_query(
+            c, p1 if c.party == 1 else p2, (q1 if c.party == 1 else q2)[0])))
+    assert returned == []
 
 
 def test_pool_file_round_trip(tmp_path):
@@ -210,7 +239,7 @@ def test_pool_file_round_trip(tmp_path):
 
 def _check_pool_file_round_trip(tmp_path, l):
     ring = Ring(l)
-    budget = RandomnessBudget(secext=0, arith_triples=9, bin_words=4, dabits=6)
+    budget = RandomnessBudget(secext=0, arith_triples=9, bin_words=4, dabits=6, cross_words=5)
     dealt = deal_strict(ring, 21, budget, default_vmax(l))
     again = deal_strict(ring, 21, budget, default_vmax(l))
     backs = []
@@ -218,7 +247,8 @@ def _check_pool_file_round_trip(tmp_path, l):
         path = str(tmp_path / f"l{l}party{party}.pool")
         write_pool_file(path, party, l, dealt[party - 1], budget)
         back, meta = read_pool_file(path)
-        assert meta == {"l": l, "party": party, "arith": 9, "bin_words": 4, "dabits": 6}
+        assert meta == {"l": l, "party": party, "arith": 9, "bin_words": 4, "dabits": 6,
+                        "cross_words": 5}
         want = again[party - 1]
         # every part of every kind comes back exactly as the same seed deals it
         for kind in KINDS:
@@ -240,7 +270,7 @@ def _check_pool_file_round_trip(tmp_path, l):
 
 
 @pytest.mark.parametrize("l", [13, 64])
-def test_pool_file_layout_is_sskr2(tmp_path, l):
+def test_pool_file_layout_is_sskr3(tmp_path, l):
     """Known arrays in every part, written and compared with the documented
     layout built from struct; no dealer runs, so no RNG stream is pinned."""
     mask, width = (1 << l) - 1, (l + 7) // 8
@@ -254,30 +284,41 @@ def test_pool_file_layout_is_sskr2(tmp_path, l):
     arith = (ring_values(1, 2), ring_values(3, mask), ring_values(0x1234, 0x5A5A5A5A))
     words = tuple(np.array([w], dtype=np.uint64) for w in (0x0123456789ABCDEF, 2**64 - 1, 7))
     bits, bit_values = np.array([1, 0, 1], dtype=np.uint8), ring_values(1, 0, mask)
+    cross = (np.array([5, 2**63], dtype=np.uint64),
+             np.array([0xFEDCBA9876543210, 1], dtype=np.uint64))
     vmax, vmax_share = 300, 0x2BCD & mask
     rand, _ = deal_strict(Ring(l), 0, RandomnessBudget(), vmax)
     rand.vmax_share = vmax_share
-    for attr, parts in (("arith", arith), ("bin", words), ("dabits", (bits, bit_values))):
+    for attr, parts in (("arith", arith), ("bin", words), ("dabits", (bits, bit_values)),
+                        ("cross", cross)):
         setattr(rand, attr, StreamPool(len(parts)))
         getattr(rand, attr).push(parts)
-    budget = RandomnessBudget(arith_triples=2, bin_words=1, dabits=3)
+    budget = RandomnessBudget(arith_triples=2, bin_words=1, dabits=3, cross_words=2)
     path = tmp_path / "p.pool"
     write_pool_file(str(path), 2, l, rand, budget)
-    expected = (struct.pack("<5sBBQ", b"SSKR2", l, 2, vmax) + struct.pack("<QQQ", 2, 1, 3)
+    expected = (struct.pack("<5sBBQ", b"SSKR3", l, 2, vmax) + struct.pack("<QQQQ", 2, 1, 3, 2)
                 + le([vmax_share]) + b"".join(le(part) for part in arith)
                 + b"".join(struct.pack("<Q", int(word[0])) for word in words)
-                + bytes(bits.tolist()) + le(bit_values))
+                + bytes(bits.tolist()) + le(bit_values)
+                + b"".join(struct.pack("<QQ", *(int(w) for w in part)) for part in cross))
     assert path.read_bytes() == expected
     back, meta = read_pool_file(str(path))
-    assert meta == {"l": l, "party": 2, "arith": 2, "bin_words": 1, "dabits": 3}
-    for got, want in zip(back.arith.take(2) + back.bin.take(1) + back.dabits.take(3),
-                         arith + words + (bits, bit_values)):
+    assert meta == {"l": l, "party": 2, "arith": 2, "bin_words": 1, "dabits": 3, "cross_words": 2}
+    for got, want in zip(back.arith.take(2) + back.bin.take(1) + back.dabits.take(3)
+                         + back.cross.take(2), arith + words + (bits, bit_values) + cross):
         assert np.array_equal(got, want)
+
+
+def test_pool_file_refuses_the_sskr2_layout(tmp_path):
+    path, blob = _pool_blob(tmp_path)
+    path.write_bytes(b"SSKR2" + blob[5:])
+    with pytest.raises(ValueError, match="bad magic"):
+        read_pool_file(str(path))
 
 
 def test_pool_file_rejects_truncation(tmp_path):
     # a cut at any byte, section boundaries included, is a ValueError
-    budget = RandomnessBudget(secext=0, arith_triples=5, bin_words=2, dabits=3)
+    budget = RandomnessBudget(secext=0, arith_triples=5, bin_words=2, dabits=3, cross_words=2)
     r1, _ = deal_strict(R64, 5, budget, default_vmax(64))
     path = str(tmp_path / "p.pool")
     write_pool_file(path, 1, 64, r1, budget)

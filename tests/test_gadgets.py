@@ -3,12 +3,12 @@ import pytest
 
 from conftest import reconstruct, reconstruct_bits, run_two, session_pair, share_pair
 
-from skyshare.bitpack import bits_of_values, pack_bits
+from skyshare.bitpack import bits_of_values, pack_bits, unpack_bits
 from skyshare.correlated import StreamPool
 from skyshare.gadgets import less_than, min_with_payload
-from skyshare.metering import cl2, select_cost, select_rounds
-from skyshare.online import and_jobs, bit_mul, not_bits, obliv_select, open_bit
-from skyshare.ppa import CarryPlan, carry_plan, msb_rounds
+from skyshare.metering import cl2, query_rounds, select_cost, select_rounds
+from skyshare.online import and_jobs, and_one_sided, bit_mul, not_bits, obliv_select, open_bit
+from skyshare.ppa import CarryPlan, block_outputs, carry_plan, msb_rounds
 from skyshare.ring import Ring
 
 R8 = Ring(8)
@@ -25,15 +25,107 @@ def _compare_all_pairs(l, a_vals, b_vals, seed=0):
     return reconstruct_bits(r1, r2)
 
 
+def _gf2_rank(rows):
+    """Rank over GF(2) of a matrix given as int bit-mask rows."""
+    rank = 0
+    rows = [r for r in rows if r]
+    while rows:
+        pivot = max(rows)
+        top = 1 << (pivot.bit_length() - 1)
+        rows = [r ^ pivot if r & top else r for r in rows if r != pivot]
+        rows = [r for r in rows if r]
+        rank += 1
+    return rank
+
+
+def _monomial(mask, bits):
+    """The AND of the bits that mask selects."""
+    return int(bits & mask == mask)
+
+
+def test_block_factoring_matches_ripple_carry_exhaustively():
+    """For w = 1..3, over all 2^(2w) bit inputs, each factored output equals
+    the ripple-carry G and P, and its one-sided AND count is rank(M) of its
+    cross-term matrix: 1, 3, 7 for G and 0, 2, 6 for P."""
+    for w, ranks in ((1, (1, 0)), (2, (3, 2)), (3, (7, 6))):
+        outputs = block_outputs(w)
+        for out, rank in zip(outputs, ranks):
+            matrix = {}  # the cross matrix's row of a^S, as a bit mask over T
+            for s, t in out.cross:
+                matrix[s] = matrix.get(s, 0) ^ (1 << t)
+            assert len(out.cross) == _gf2_rank(list(matrix.values())) == rank, w
+        for a in range(1 << w):
+            for b in range(1 << w):
+                g, p = 0, 1
+                for i in range(w):
+                    ai, bi = a >> i & 1, b >> i & 1
+                    g = (ai & bi) | ((ai ^ bi) & g)
+                    p &= ai ^ bi
+                for out, want in zip(outputs, (g, p)):
+                    got = 0
+                    for s, t in out.local:
+                        got ^= _monomial(s, a) ^ _monomial(t, b)
+                    for s, t in out.cross:
+                        got ^= _monomial(s, a) & _monomial(t, b)
+                    assert got == want, (w, a, b)
+
+
 def test_carry_plan_shape():
-    for l in (4, 8, 16, 64):
+    # l = 8, 11, 13, 64: blocks (3,2,2), (3,3,2,2), (3,3,3,3), (3, 2 x 30);
+    # a block's one-sided ANDs are 7 / 7+6 / 3+2, and a combine level of
+    # `pairs` combines issues 2*pairs - 1 Beaver ANDs
+    for l, blocks, cross, combine in ((8, (3, 2, 2), 17, 2), (11, (3, 3, 2, 2), 30, 4),
+                                      (13, (3, 3, 3, 3), 46, 4), (64, (3,) + (2,) * 30, 157, 55)):
         plan = carry_plan(l)
-        assert plan.combine_levels == cl2(l - 1)
-        assert plan.total_and_rows == 3 * l - 6
-        assert plan.and_rounds == 1 + cl2(l - 1)
+        assert plan.blocks == blocks
+        assert plan.combine_levels == cl2(len(blocks))
+        assert plan.and_rounds == 1 + cl2(len(blocks))
+        assert (plan.cross_rows, plan.combine_rows) == (cross, combine)
+        assert plan.total_and_rows == cross + combine
+    # at every width: G-only lowest block, G and P above it, and the tree's
+    # S - 1 combines less the P the root (one per level) skips
+    for l in range(2, 65):
+        plan = carry_plan(l)
+        segments = len(plan.blocks)
+        assert sum(plan.blocks) == l - 1 and max(plan.blocks) <= 3, l
+        assert list(plan.blocks) == sorted(plan.blocks, reverse=True), l
+        assert plan.and_rounds == 1 + cl2(segments) == 1 + cl2(-(-(l - 1) // 3)), l
+        assert plan.cross_rows == ({1: 1, 2: 3, 3: 7}[plan.blocks[0]]
+                                   + sum({1: 1, 2: 5, 3: 13}[w] for w in plan.blocks[1:])), l
+        assert plan.combine_rows == 2 * (segments - 1) - cl2(segments), l
     assert CarryPlan(2).total_and_rows == 1
     with pytest.raises(ValueError):
         CarryPlan(1)
+
+
+def test_msb_rounds_never_exceed_the_leaf_and_tree():
+    for l in range(2, 65):
+        assert msb_rounds(l) <= 1 + cl2(l - 1), l
+    assert [msb_rounds(l) for l in (11, 12, 13)] == [3, 3, 3]
+    # whole queries at the benchmark shapes and typical k: 264, 1,650 and 524 before
+    assert query_rounds(16, 3, 11, 6) == 180
+    assert query_rounds(128, 4, 11, 28) == 1128
+    assert query_rounds(4096, 2, 13, 5) == 356
+
+
+def test_and_one_sided_every_input_pair_and_masked_flights():
+    """Every (x, y) bit pair, party 1 holding x and party 2 holding y in the
+    clear: the shares XOR to x AND y, and each party's flight is exactly its
+    operand XOR its dealt mask."""
+    x = pack_bits(np.array([0, 0, 1, 1] * 32, dtype=np.uint8))  # two words
+    y = pack_bits(np.array([0, 1, 0, 1] * 32, dtype=np.uint8))
+    r, s, w1 = np.random.default_rng(41).integers(0, 2**64, size=(3, 2), dtype=np.uint64)
+    ctx1, ctx2 = session_pair(l=8, seed=41, keep_payloads=True)
+    for ctx, parts in ((ctx1, (r, w1)), (ctx2, (s, (r & s) ^ w1))):
+        ctx.rand.cross = StreamPool(2)
+        ctx.rand.cross.push(parts)
+    z1, z2 = run_two(ctx1, ctx2, lambda c: and_one_sided(c, x if c.party == 1 else y))
+    assert (z1 ^ z2 == x & y).all()
+    assert (unpack_bits(x & y, 128) == np.array([0, 0, 0, 1] * 32)).all()
+    sent_by_2 = np.frombuffer(ctx1.chan.payload_log[0][1], dtype="<u8")
+    sent_by_1 = np.frombuffer(ctx2.chan.payload_log[0][1], dtype="<u8")
+    assert (sent_by_1 == x ^ r).all() and (sent_by_2 == y ^ s).all()
+    assert ctx1.chan.rounds == 1 and ctx1.chan.bytes_tx == ctx2.chan.bytes_tx == 16
 
 
 def test_less_than_equal_inputs_give_zero():

@@ -63,7 +63,7 @@ def test_ring_width_is_the_narrowest_safe_width():
 
 
 def _check_engine_query(engine, data, query):
-    """Rows, rounds and all three randomness counters, exactly."""
+    """Rows, rounds and all four randomness counters, exactly."""
     n, m = data.shape
     l = engine.ring.l
     assert l == ring_width(m, int(data.max()))
@@ -72,8 +72,9 @@ def _check_engine_query(engine, data, query):
     assert metrics.rounds == query_rounds(n, m, l, metrics.k), (n, m)
     want = budget_for_query(n, m, l, metrics.k)
     for ctx in engine.last_contexts:
-        used = (ctx.rand.arith.consumed, ctx.rand.bin.consumed, ctx.rand.dabits.consumed)
-        assert used == (want.arith_triples, want.bin_words, want.dabits), (n, m)
+        used = (ctx.rand.arith.consumed, ctx.rand.bin.consumed, ctx.rand.dabits.consumed,
+                ctx.rand.cross.consumed)
+        assert used == (want.arith_triples, want.bin_words, want.dabits, want.cross_words), (n, m)
 
 
 @pytest.mark.parametrize("kind", ["inde", "corr", "anti"])

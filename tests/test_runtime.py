@@ -90,17 +90,22 @@ def test_local_channel_round_and_kind_discipline():
     out = [None, None]
     run_pair(
         (lambda: out.__setitem__(0, c1.exchange(b"alpha")), c1),
-        (lambda: out.__setitem__(1, c2.exchange(b"beta")), c2),
+        (lambda: out.__setitem__(1, c2.exchange(b"omega")), c2),
     )
-    assert out == [b"beta", b"alpha"]
+    assert out == [b"omega", b"alpha"]
     assert c1.rounds == c2.rounds == 1
-    assert c1.bytes_tx == 5 and c1.bytes_rx == 4
+    assert c1.bytes_tx == 5 and c1.bytes_rx == 5
 
     with pytest.raises(FrameError):
         run_pair(
             (lambda: c1.exchange(b"x", kind=KIND_ROUND_DATA), c1),
             (lambda: c2.exchange(b"y", kind=KIND_OPEN_BIT), c2),
         )
+
+    # the two flights of a round are the same size; anything else is refused
+    c1, c2 = LocalChannel.pair(8)
+    with pytest.raises(FrameError, match="peer flight of [45] bytes, ours has [45]"):
+        run_pair((lambda: c1.exchange(b"alpha"), c1), (lambda: c2.exchange(b"beta"), c2))
 
 
 def test_poisoned_peer_unblocks():
@@ -348,6 +353,42 @@ def test_stalled_peer_aborts_the_session_and_frees_the_server(party, capsys):
             out = _server_lines(capsys, f"session {session} aborted", 1)
             assert f"server {party}: session {session} aborted" in out
             assert client.recv(1) == b""  # the client is let go, not left waiting
+    finally:
+        for sock in held:
+            sock.close()
+        server.stop()
+
+
+@pytest.mark.parametrize("extra", [1, -1])
+def test_peer_flight_of_another_size_aborts_the_session(extra, capsys):
+    """A fake party 1 answers the server's first flight with one byte more
+    (refused from its length prefix) or one byte less: a FrameError aborts
+    the session and the client is let go."""
+    l, session = 16, 21
+    ring = Ring(l)
+    shares, _ = share_matrix(np.array([[3, 1], [1, 3], [2, 2]]), np.random.default_rng(0), ring)
+    rand, _ = deal_streaming(ring, 1, default_vmax(l))
+    server = Server(2, "127.0.0.1:0", f"127.0.0.1:{_free_port()}", shares, rand, l,
+                    latency_ms=0.0, handshake_timeout=5.0)
+    server.start()
+    held = []
+    try:
+        client = socket.create_connection(("127.0.0.1", server.port), timeout=5.0)
+        held.append(client)
+        read_frame(client)  # the server hello
+        link = socket.create_connection(server.peer_addr, timeout=5.0)
+        held.append(link)
+        runtime._write_peer_hello(link, session, l, 1)
+        write_frame(client, KIND_QUERY, session,
+                    runtime._encode_query_payload(l, np.zeros(2, np.uint64)))
+        assert runtime._read_peer_hello(link, l, 2) == session
+        kind, got_session, flight = read_frame(link)
+        assert (kind, got_session) == (KIND_ROUND_DATA, session) and flight
+        write_frame(link, KIND_ROUND_DATA, session, bytes(len(flight) + extra))
+        out = _server_lines(capsys, f"session {session} aborted", 1)
+        reason = "exceeds the limit" if extra > 0 else "peer flight of"
+        assert f"server 2: session {session} aborted: " in out and reason in out
+        assert client.recv(1) == b""
     finally:
         for sock in held:
             sock.close()
