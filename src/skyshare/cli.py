@@ -22,7 +22,7 @@ from .protocol import check_domain, ring_width
 from .ring import Ring
 from .runtime import LocalEngine, Server, tcp_query
 from .sharing import share_matrix, write_share_file
-from .correlated import deal_strict, write_pool_file
+from .correlated import KINDS, deal_strict, write_pool_file
 
 
 def _fail(message: str) -> int:
@@ -81,9 +81,8 @@ def cmd_deal(args) -> int:
         write_share_file(share_path, party, shares, l, args.scale or 1)
         write_pool_file(pool_path, party, l, rand, budget)
         print(f"party {party}: {share_path} + {pool_path}")
-    print(f"dealt for n={n} m={m} bound={bound} l={l} k_max={k_max} "
-          f"({budget.arith_triples} mul triples, {budget.bin_words} AND words, "
-          f"{budget.dabits} daBits, {budget.cross_words} cross words)")
+    counts = ", ".join(f"{getattr(budget, kind.budget)} {kind.name}" for kind in KINDS)
+    print(f"dealt for n={n} m={m} bound={bound} l={l} k_max={k_max} ({counts})")
     return 0
 
 

@@ -217,6 +217,17 @@ class PartyRandomness:
         self.vmax = vmax
         self.vmax_share = vmax_share
 
+    def cursors(self) -> tuple[int, ...]:
+        """How far each kind's pool has been consumed, in KINDS order."""
+        return tuple(getattr(self, kind.attr).consumed for kind in KINDS)
+
+    def burn_to(self, cursors):
+        """Skip each kind's pool forward to the given cursor (never back);
+        past the end of a strict pool this raises PoolExhausted."""
+        for kind, at in zip(KINDS, cursors, strict=True):
+            pool = getattr(self, kind.attr)
+            pool.take(max(0, at - pool.consumed))
+
 
 def _filled(kind: Kind, parts) -> StreamPool:
     pool = StreamPool(len(kind.codecs))

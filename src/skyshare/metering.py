@@ -1,4 +1,4 @@
-"""Closed-form cost model: comparison counts, round counts, session metrics.
+"""Closed-form cost model: one walk per protocol phase.
 
 The protocol's cost is dominated by secure MSB extractions (one per compared
 pair).  The exact total for a query over n tuples of m attributes returning
@@ -8,13 +8,14 @@ k rows is
                     +  k*n*(m+1)  (filter comparisons per completed loop)
     = n*m + k*n*(2+m) + n
 
-The round forms below are the registry the runtime's meters are checked
-against: the implementation must hit them exactly, so every structural
-choice (batched comparison levels, merged flag circuits, the one-flight
-daBit select) is encoded here and nowhere else.  A comparison's rounds and
-its AND counts come from ppa's carry plan: msb_cost charges one cross word
-per one-sided AND row of the leaf blocks and one AND-triple word per
-combine row, per 64 compared lanes.
+Each phase's cost is stated once, as a walk over its flights that yields
+one RandomnessBudget: rounds, payload bytes each party sends, secure
+comparisons and every kind of correlated randomness together.  run_query
+checks each session's meters against query_cost field for field, and the
+*_rounds and query_bytes readers below are views of the same walks, so
+every structural choice (batched comparison levels, level-locked flag
+trees, the one-flight daBit select) is encoded here and nowhere else.  A
+comparison's rounds and AND counts come from ppa's carry plan.
 
 Functions that still take a `mode` accept only MODE_DABIT, the one
 bit-by-value multiplication the protocol has.
@@ -22,10 +23,12 @@ bit-by-value multiplication the protocol has.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import operator
+from dataclasses import dataclass
+from itertools import zip_longest
 
 from .bitpack import words_for
-from .ppa import carry_plan, ceil_log2, msb_rounds, pair_levels
+from .ppa import carry_plan, ceil_log2, pair_levels
 from .sharing import value_width_bytes
 
 MODE_DABIT = "dabit"
@@ -49,23 +52,69 @@ def check_mode(mode: str):
         raise ValueError(f"unknown multiplication mode {mode!r}; only {MODE_DABIT!r} exists")
 
 
-def select_rounds() -> int:
-    # the daBit opening and the Beaver e/f of r*y share one flight
-    return 1
+@dataclass
+class RandomnessBudget:
+    """What one party spends in a session: flights, payload bytes sent,
+    secure comparisons, and each kind of correlated randomness consumed.
+    The flights are symmetric, so bytes is also what the party receives."""
+
+    rounds: int = 0
+    bytes: int = 0
+    secext: int = 0
+    arith_triples: int = 0
+    bin_words: int = 0
+    dabits: int = 0
+    cross_words: int = 0
+
+    # vars() holds the fields in declaration order
+    def __add__(self, other: "RandomnessBudget") -> "RandomnessBudget":
+        return RandomnessBudget(*map(operator.add, vars(self).values(), vars(other).values()))
+
+    def __sub__(self, other: "RandomnessBudget") -> "RandomnessBudget":
+        return RandomnessBudget(*map(operator.sub, vars(self).values(), vars(other).values()))
+
+    def scaled(self, times: int) -> "RandomnessBudget":
+        return RandomnessBudget(*(value * times for value in vars(self).values()))
 
 
-def map_rounds(l: int, mode: str = MODE_DABIT) -> int:
+def msb_cost(batch: int, l: int) -> RandomnessBudget:
+    """One batched comparison of `batch` pairs, rows packed 64 lanes a word:
+    the carry plan's rounds, a cross word (8 bytes, its masked operand) per
+    one-sided AND row of the leaf blocks and an AND-triple word (16 bytes,
+    its e and f) per combine row."""
+    plan = carry_plan(l)
+    words = words_for(batch)
+    cross = plan.cross_rows * words
+    ands = plan.combine_rows * words
+    return RandomnessBudget(rounds=plan.and_rounds, bytes=8 * cross + 16 * ands,
+                            secext=batch, bin_words=ands, cross_words=cross)
+
+
+def select_cost(batch: int, width: int, l: int) -> RandomnessBudget:
+    """Oblivious two-way select of `batch` rows, `width` values per row, in
+    one flight: a daBit per row, opened packed, and a triple per value,
+    whose e and f take ceil(l/8) bytes each."""
+    return RandomnessBudget(rounds=1,
+                            bytes=(batch + 7) // 8 + 2 * value_width_bytes(l) * batch * width,
+                            arith_triples=batch * width, dabits=batch)
+
+
+def map_cost(n: int, m: int, l: int, mode: str) -> RandomnessBudget:
     check_mode(mode)
-    return msb_rounds(l) + select_rounds()
+    return msb_cost(n * m, l) + select_cost(n * m, 1, l)
 
 
-def fetch_rounds(n: int, l: int, mode: str = MODE_DABIT) -> int:
+def fetch_cost(n: int, m: int, l: int, mode: str) -> RandomnessBudget:
     check_mode(mode)
-    return cl2(n) * (msb_rounds(l) + select_rounds())
+    total = RandomnessBudget()
+    for pairs in pair_levels(n):
+        total = total + msb_cost(pairs, l) + select_cost(pairs, 1 + 2 * m, l)
+    return total
 
 
-def stop_rounds(l: int) -> int:
-    return msb_rounds(l) + 1
+def stop_cost(l: int) -> RandomnessBudget:
+    # one comparison, then the opened stop bit: one round of one byte
+    return msb_cost(1, l) + RandomnessBudget(rounds=1, bytes=1)
 
 
 def path_columns(n: int) -> int:
@@ -74,89 +123,21 @@ def path_columns(n: int) -> int:
     return max(1, cl2(n))
 
 
-def filt_rounds(n: int, m: int, l: int, mode: str = MODE_DABIT) -> int:
-    # one fused comparison batch, then the AND tree over the fetch's path
-    # bits running level-locked with the one over the m+1 dominance
-    # columns, then one overwrite.
-    check_mode(mode)
-    flag_levels = max(cl2(m + 1), cl2(path_columns(n)))
-    return msb_rounds(l) + flag_levels + select_rounds()
-
-
-def query_rounds(n: int, m: int, l: int, k: int, mode: str = MODE_DABIT) -> int:
-    per_loop = fetch_rounds(n, l, mode) + stop_rounds(l)
-    return map_rounds(l, mode) + (k + 1) * per_loop + k * filt_rounds(n, m, l, mode)
-
-
-# --- correlated-randomness accounting ---------------------------------------
-
-
-@dataclass
-class RandomnessBudget:
-    """Per-kind correlated randomness needed by one query session."""
-
-    secext: int = 0
-    arith_triples: int = 0
-    bin_words: int = 0
-    dabits: int = 0
-    cross_words: int = 0
-    # not randomness: the bytes a party sends to open its daBit-masked bits,
-    # ceil(batch/8) per select, which query_bytes needs
-    b2a_bytes: int = 0
-
-    def __add__(self, other: "RandomnessBudget") -> "RandomnessBudget":
-        return RandomnessBudget(*(getattr(self, f.name) + getattr(other, f.name)
-                                  for f in fields(self)))
-
-    def scaled(self, times: int) -> "RandomnessBudget":
-        return RandomnessBudget(*(getattr(self, f.name) * times for f in fields(self)))
-
-
-def msb_cost(batch: int, l: int) -> RandomnessBudget:
-    """One batched comparison of `batch` pairs: a cross word per one-sided AND
-    row of the leaf blocks and an AND-triple word per combine row, each row
-    packing the batch into words."""
-    plan = carry_plan(l)
-    words = words_for(batch)
-    return RandomnessBudget(secext=batch, bin_words=plan.combine_rows * words,
-                            cross_words=plan.cross_rows * words)
-
-
-def select_cost(batch: int, width: int) -> RandomnessBudget:
-    """Oblivious two-way select of `batch` rows, `width` values per row:
-    one daBit per row, one triple per value."""
-    return RandomnessBudget(arith_triples=batch * width, dabits=batch,
-                            b2a_bytes=(batch + 7) // 8)
-
-
-def map_cost(n: int, m: int, l: int, mode: str) -> RandomnessBudget:
-    check_mode(mode)
-    return msb_cost(n * m, l) + select_cost(n * m, 1)
-
-
-def fetch_cost(n: int, m: int, l: int, mode: str) -> RandomnessBudget:
-    check_mode(mode)
-    total = RandomnessBudget()
-    for pairs in pair_levels(n):
-        total = total + msb_cost(pairs, l) + select_cost(pairs, 1 + 2 * m)
-    return total
-
-
-def stop_cost(l: int) -> RandomnessBudget:
-    return msb_cost(1, l)
-
-
 def filt_cost(n: int, m: int, l: int, mode: str) -> RandomnessBudget:
+    # one fused comparison batch, then the AND tree over the fetch's path
+    # bits running level-locked with the one over the m+1 dominance columns
+    # (one flight per level, each tree's pairs packed as one job of
+    # n*pairs bits), then one overwrite
     check_mode(mode)
     total = msb_cost(n * (m + 1), l)
-    # the two AND trees, each level's pairs packed as one job of n*pairs bits
-    for pairs in pair_levels(path_columns(n)) + pair_levels(m + 1):
-        total.bin_words += words_for(n * pairs)
-    return total + select_cost(n, 1)
+    for level in zip_longest(pair_levels(path_columns(n)), pair_levels(m + 1), fillvalue=0):
+        words = sum(words_for(n * pairs) for pairs in level)
+        total = total + RandomnessBudget(rounds=1, bytes=16 * words, bin_words=words)
+    return total + select_cost(n, 1, l)
 
 
 def query_cost(n: int, m: int, l: int, k: int, mode: str = MODE_DABIT) -> RandomnessBudget:
-    """What a query returning k rows consumes: map, k+1 fetches and stop
+    """What a query returning k rows costs: map, k+1 fetches and stop
     tests, k filters."""
     per_loop = fetch_cost(n, m, l, mode) + stop_cost(l)
     return map_cost(n, m, l, mode) + per_loop.scaled(k + 1) + filt_cost(n, m, l, mode).scaled(k)
@@ -173,18 +154,34 @@ def budget_for_query(n: int, m: int, l: int, k_max: int, mode: str = MODE_DABIT)
     return total
 
 
+# --- views of the walks ------------------------------------------------------
+# Rounds depend on neither m nor the batch, so the one-column walks give them.
+
+
+def map_rounds(l: int, mode: str = MODE_DABIT) -> int:
+    return map_cost(1, 1, l, mode).rounds
+
+
+def fetch_rounds(n: int, l: int, mode: str = MODE_DABIT) -> int:
+    return fetch_cost(n, 1, l, mode).rounds
+
+
+def stop_rounds(l: int) -> int:
+    return stop_cost(l).rounds
+
+
+def filt_rounds(n: int, m: int, l: int, mode: str = MODE_DABIT) -> int:
+    return filt_cost(n, m, l, mode).rounds
+
+
+def query_rounds(n: int, m: int, l: int, k: int, mode: str = MODE_DABIT) -> int:
+    return query_cost(n, m, l, k, mode).rounds
+
+
 def query_bytes(n: int, m: int, l: int, k: int) -> int:
     """Payload bytes each party sends in a query returning k rows (and
-    receives: the flights are symmetric).
-
-    16 per AND word (its e and f words), 8 per cross word (its masked
-    operand), 2*ceil(l/8) per Beaver product (e and f values), the packed
-    daBit openings, and one byte per opened stop bit.
-    """
-    cost = query_cost(n, m, l, k)
-    return (16 * cost.bin_words + 8 * cost.cross_words
-            + 2 * value_width_bytes(l) * cost.arith_triples
-            + cost.b2a_bytes + (k + 1))
+    receives: the flights are symmetric)."""
+    return query_cost(n, m, l, k).bytes
 
 
 # --- session metrics ---------------------------------------------------------

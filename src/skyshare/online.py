@@ -1,5 +1,5 @@
-"""Online two-party primitives: Beaver products, one-sided ANDs, the
-one-flight select.
+"""Online two-party primitives: Beaver ANDs, one-sided ANDs, the one-flight
+select.
 
 Every function here is SPMD: both parties run the same code on their own
 shares, exchanging one flight per round through the session channel, and
@@ -55,46 +55,6 @@ def open_bit(ctx: PartyContext, bit_share: int) -> int:
     """Reveal one shared bit to both parties.  The only value opening."""
     got = ctx.chan.exchange(bytes([bit_share & 1]), kind=KIND_OPEN_BIT)
     return (bit_share ^ got[0]) & 1
-
-
-def _masked_operands(ctx: PartyContext, x: np.ndarray, y: np.ndarray):
-    """Take one triple per element of y and mask a Beaver product's operands.
-
-    Returns the flight rows e = x - u and f = y - v, x broadcast against y,
-    flattened to shape (2, y.size), and the triple.
-    """
-    triple = ctx.rand.arith.take(y.size)
-    ef = np.empty((2,) + y.shape, dtype=np.uint64)
-    np.subtract(x, triple[0].reshape(y.shape), out=ef[0])
-    np.subtract(y, triple[1].reshape(y.shape), out=ef[1])
-    return ef.reshape(2, y.size), triple
-
-
-def _beaver_product(ctx: PartyContext, ef: np.ndarray, triple) -> np.ndarray:
-    """Shares of x*y from the opened e and f (ef, overwritten), flat."""
-    u, v, w = triple
-    e = ef[0]
-    f = ef[1]
-    z = f * u
-    if ctx.is_p1:  # e*v + e*f, the public term folded in at party 1
-        f += v
-        e *= f
-    else:
-        e *= v
-    z += e
-    z += w
-    return z
-
-
-def mul_shares(ctx: PartyContext, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Beaver product of two arithmetic-shared arrays (element-wise)."""
-    if x.shape != y.shape:
-        raise ValueError("operand shape mismatch")
-    l = ctx.ring.l
-    ef, triple = _masked_operands(ctx, x, y)
-    peer = decode_values(ctx.chan.exchange(encode_values(ef, l)), l)
-    ef += peer.reshape(ef.shape)  # the opened e = x - u and f = y - v
-    return _beaver_product(ctx, ef, triple).reshape(x.shape)
 
 
 def and_packed(ctx: PartyContext, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -187,13 +147,25 @@ def bit_mul(ctx: PartyContext, bits: np.ndarray, values: np.ndarray) -> np.ndarr
         raise ValueError("bit/value length mismatch")
     l = ctx.ring.l
     rbits, rvals = ctx.rand.dabits.take(n)
-    ef, triple = _masked_operands(ctx, rvals if values.ndim == 1 else rvals[:, None], values)
+    # the Beaver e = r - u and f = y - v of r*y, r broadcast against y's rows
+    u, v, w = (part.reshape(values.shape) for part in ctx.rand.arith.take(values.size))
+    ef = np.empty((2,) + values.shape, dtype=np.uint64)
+    np.subtract(rvals if values.ndim == 1 else rvals[:, None], u, out=ef[0])
+    np.subtract(values, v, out=ef[1])
     c = np.packbits(bits.reshape(n) ^ rbits, bitorder="little")
     payload = c.tobytes() + encode_values(ef, l)
     got = ctx.chan.exchange(payload)
     c ^= np.frombuffer(got, dtype=np.uint8, count=c.size)
-    ef += decode_values(memoryview(got)[c.size:], l).reshape(ef.shape)
-    ry = _beaver_product(ctx, ef, triple).reshape(values.shape)
+    ef += decode_values(memoryview(got)[c.size:], l).reshape(ef.shape)  # the opened e and f
+    e, f = ef
+    ry = f * u
+    if ctx.is_p1:  # e*v + e*f, the public term folded in at party 1
+        f += v
+        e *= f
+    else:
+        e *= v
+    ry += e
+    ry += w
     # c is public: the product is r*y where c = 0 and y - r*y where c = 1
     c_bits = np.unpackbits(c, count=n, bitorder="little").view(bool)
     return np.where(c_bits if values.ndim == 1 else c_bits[:, None], values - ry, ry)

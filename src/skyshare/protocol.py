@@ -14,15 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .correlated import KINDS
 from .gadgets import less_than, min_with_payload
-from .metering import msb_invocations, query_cost
-from .online import (
-    PartyContext,
-    and_jobs,
-    not_bits,
-    obliv_select,
-    open_bit,
-)
+from .metering import RandomnessBudget, query_cost
+from .online import PartyContext, and_jobs, not_bits, obliv_select, open_bit
 from .ring import MAX_WIDTH, Ring, default_vmax
 
 
@@ -144,11 +139,21 @@ class QueryOutcome:
     secext: int
 
 
+def _meters(ctx: PartyContext) -> RandomnessBudget:
+    """The session's meters so far, in query_cost's terms."""
+    return RandomnessBudget(rounds=ctx.chan.rounds, bytes=ctx.chan.bytes_tx,
+                            secext=ctx.meters.secext,
+                            **{kind.budget: getattr(ctx.rand, kind.attr).consumed for kind in KINDS})
+
+
 def run_query(ctx: PartyContext, p_shares: np.ndarray, q_shares: np.ndarray) -> QueryOutcome:
-    """Full query loop: fetch, stop test (single opened bit), append, filter."""
+    """Full query loop: fetch, stop test (single opened bit), append, filter.
+
+    The session's rounds, bytes, comparisons and randomness must equal
+    query_cost exactly; a ProtocolError names every field that drifted.
+    """
     n, m = p_shares.shape
-    start_count = ctx.meters.secext
-    start_cross = ctx.rand.cross.consumed
+    start = _meters(ctx)
     t_shares = map_database(ctx, p_shares, q_shares)
     sums = attribute_sums(t_shares)
     vmax_share = np.array([ctx.rand.vmax_share], dtype=np.uint64)
@@ -168,17 +173,9 @@ def run_query(ctx: PartyContext, p_shares: np.ndarray, q_shares: np.ndarray) -> 
 
     k = len(taken)
     rows = np.vstack(taken) if taken else np.zeros((0, m), dtype=np.uint64)
-    used = ctx.meters.secext - start_count
-    expected = msb_invocations(n, m, k)
-    if used != expected:
-        raise ProtocolError(
-            f"comparison meter drift: {used} != {expected} for n={n} m={m} k={k}"
-        )
-    # the benchmark gate meters only the other kinds: check the cross words here
-    cross = ctx.rand.cross.consumed - start_cross
-    expected = query_cost(n, m, ctx.ring.l, k).cross_words
-    if cross != expected:
-        raise ProtocolError(
-            f"cross-word meter drift: {cross} != {expected} for n={n} m={m} k={k}"
-        )
-    return QueryOutcome(rows=rows, k=k, secext=used)
+    used = vars(_meters(ctx) - start)
+    want = vars(query_cost(n, m, ctx.ring.l, k))
+    drift = [f"{name} {used[name]} != {value}" for name, value in want.items() if used[name] != value]
+    if drift:
+        raise ProtocolError(f"meter drift for n={n} m={m} k={k}: " + ", ".join(drift))
+    return QueryOutcome(rows=rows, k=k, secext=used["secext"])

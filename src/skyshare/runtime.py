@@ -5,8 +5,9 @@ client talks to each server with hello/query/result frames (the server's
 hello publishes the session parameters the client checks its query
 against before sharing it); the servers talk to
 each other with round-data/open-bit frames plus one unmetered hello frame
-that binds a peer connection to a session (metrics cover protocol flights
-only, so in-process and TCP sessions report identical numbers).
+each way that binds a peer connection to a session and carries the
+sender's pool cursors (metrics cover protocol flights only, so in-process
+and TCP sessions report identical numbers).
 """
 
 from __future__ import annotations
@@ -30,18 +31,19 @@ from .channel import (
     read_frame,
     write_frame,
 )
-from .correlated import PartyRandomness, deal_streaming, deal_strict, read_pool_file
-from .metering import MODE_DABIT, SessionMetrics, budget_for_query, check_mode
+from .correlated import KINDS, PartyRandomness, PoolExhausted, deal_streaming, read_pool_file
+from .metering import MODE_DABIT, SessionMetrics, check_mode
 from .online import PartyContext
 from .protocol import check_domain, ring_width, run_query
 from .ring import Ring, default_vmax
 from .sharing import decode_values, encode_values, read_share_file, share_matrix, value_width_bytes
 
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 _SERVER_HELLO = struct.Struct("<BBHQ")  # version, ring width, attribute count, vmax
 _QUERY_HEAD = struct.Struct("<BBH")  # version, ring width, attribute count
 _RESULT_HEAD = struct.Struct("<I")   # row count
-_PEER_HELLO = struct.Struct("<BBB")  # version, ring width, sender's party
+# version, ring width, sender's party, its pool cursor per kind
+_PEER_HELLO = struct.Struct("<BBB" + "Q" * len(KINDS))
 
 
 def parse_endpoint(text: str) -> tuple[str, int]:
@@ -117,22 +119,24 @@ def _decode_query_payload(payload: bytes, l: int) -> np.ndarray:
     return values
 
 
-def _write_peer_hello(sock: socket.socket, session: int, l: int, party: int):
-    """Bind a peer link to a session (party 1's hello, party 2's ack)."""
-    write_frame(sock, KIND_QUERY, session, _PEER_HELLO.pack(PROTOCOL_VERSION, l, party))
+def _write_peer_hello(sock: socket.socket, session: int, l: int, party: int, cursors):
+    """Bind a peer link to a session (party 1's hello, party 2's ack) and
+    tell the peer how far each of the sender's pools has been consumed."""
+    write_frame(sock, KIND_QUERY, session, _PEER_HELLO.pack(PROTOCOL_VERSION, l, party, *cursors))
 
 
-def _read_peer_hello(sock: socket.socket, l: int, party: int) -> int:
-    """Read and check the peer's hello or ack; returns its session id."""
+def _read_peer_hello(sock: socket.socket, l: int, party: int) -> tuple[int, tuple[int, ...]]:
+    """Read and check the peer's hello or ack; returns its session id and
+    the peer's pool cursors."""
     kind, session, payload = read_bounded_frame(sock, _PEER_HELLO.size)
     if kind != KIND_QUERY or len(payload) != _PEER_HELLO.size:
         raise FrameError("bad peer hello")
-    ver, peer_l, peer_party = _PEER_HELLO.unpack(payload)
+    ver, peer_l, peer_party, *cursors = _PEER_HELLO.unpack(payload)
     if ver != PROTOCOL_VERSION:
         raise FrameError(f"version mismatch: peer hello v{ver}")
     if peer_l != l or peer_party != party:
         raise FrameError("peer hello does not match this server's ring width or peer party")
-    return session
+    return session, tuple(cursors)
 
 
 def _encode_result(rows: np.ndarray, l: int) -> bytes:
@@ -158,7 +162,7 @@ class LocalEngine:
     """
 
     def __init__(self, data, l: int | None = None, seed: int = 0, latency_ms: float = 0.0,
-                 bound: int | None = None, vmax: int | None = None, scale: int = 1):
+                 bound: int | None = None, vmax: int | None = None):
         """l defaults to the narrowest width the data bound admits (ring_width)."""
         plain = np.asarray(data, dtype=np.int64)
         if plain.ndim != 2 or plain.shape[0] < 1:
@@ -173,7 +177,6 @@ class LocalEngine:
         self.vmax = check_domain(self.n, self.m, self.bound, self.ring, vmax)
         self.mode = MODE_DABIT  # the only one; benchmark reports print it
         self.latency_s = latency_ms / 1000.0
-        self.scale = scale
         self._seeds = np.random.SeedSequence(seed)
         owner_rng = np.random.default_rng(self._seeds.spawn(1)[0])
         self.p1_shares, self.p2_shares = share_matrix(plain, owner_rng, self.ring)
@@ -184,8 +187,7 @@ class LocalEngine:
         self._sessions += 1
         return self._seeds.spawn(1)[0].spawn(2)
 
-    def query(self, q, budget_kmax: int | None = None, keep_payloads: bool = False
-              ) -> tuple[list[tuple[int, ...]], SessionMetrics]:
+    def query(self, q, keep_payloads: bool = False) -> tuple[list[tuple[int, ...]], SessionMetrics]:
         """Run one full query session in-process; returns rows in fetch order."""
         q_arr = np.asarray(q, dtype=np.int64)
         if q_arr.shape != (self.m,):
@@ -193,11 +195,7 @@ class LocalEngine:
         if (q_arr < 0).any() or (q_arr > self.bound).any():
             raise ValueError(f"query attributes must lie in [0, {self.bound}]")
         dealer_seed, client_seed = self._next_session_seeds()
-        if budget_kmax is None:
-            rand1, rand2 = deal_streaming(self.ring, dealer_seed, self.vmax)
-        else:
-            budget = budget_for_query(self.n, self.m, self.ring.l, budget_kmax)
-            rand1, rand2 = deal_strict(self.ring, dealer_seed, budget, self.vmax)
+        rand1, rand2 = deal_streaming(self.ring, dealer_seed, self.vmax)
         q1, q2 = share_matrix(q_arr[None, :], np.random.default_rng(client_seed), self.ring)
         session_id = self._sessions
         chan1, chan2 = LocalChannel.pair(session_id, self.latency_s, keep_payloads)
@@ -312,16 +310,16 @@ class Server:
     def _register_peer(self, conn: socket.socket):
         conn.settimeout(self.handshake_timeout)  # the deadline of every read on the link
         try:
-            session = _read_peer_hello(conn, self.ring.l, 1)
+            session, cursors = _read_peer_hello(conn, self.ring.l, 1)
         except (FrameError, OSError) as exc:
             print(f"server {self.party}: rejected peer link: {exc}", flush=True)
             conn.close()
             return
         with self._peer_ready:
-            self._pending_peers[session] = conn
+            self._pending_peers[session] = conn, cursors
             self._peer_ready.notify_all()
 
-    def _wait_peer(self, session: int, timeout: float = 30.0) -> socket.socket:
+    def _wait_peer(self, session: int, timeout: float = 30.0) -> tuple[socket.socket, tuple]:
         deadline = time.monotonic() + timeout
         with self._peer_ready:
             while session not in self._pending_peers:
@@ -331,24 +329,41 @@ class Server:
                 self._peer_ready.wait(remaining)
             return self._pending_peers.pop(session)
 
-    def _dial_peer(self, session: int) -> socket.socket:
-        """Open the per-session peer link and wait for the peer's commit.
+    def _dial_peer(self, session: int) -> tuple[socket.socket, tuple]:
+        """Open the per-session peer link and wait for the peer's commit;
+        returns the link and the peer's pool cursors.
 
         No correlated randomness is touched before the acknowledgement comes
         back, so a session the peer never joins (its client half went
-        missing) aborts with both servers' pool cursors still aligned.  The
+        missing) aborts with both servers' pool cursors where they were.  The
         handshake timeout stays the deadline of every read on the link, so a
         peer that stalls mid-session aborts it and frees the execution lock.
         """
         sock = socket.create_connection(self.peer_addr, timeout=self.handshake_timeout)
         try:
-            _write_peer_hello(sock, session, self.ring.l, self.party)
-            if _read_peer_hello(sock, self.ring.l, 2) != session:
+            _write_peer_hello(sock, session, self.ring.l, self.party, self.rand.cursors())
+            acked, cursors = _read_peer_hello(sock, self.ring.l, 2)
+            if acked != session:
                 raise FrameError("peer acknowledged another session")
         except (FrameError, OSError):
             sock.close()
             raise
-        return sock
+        return sock, cursors
+
+    def _run_aligned(self, peer_conn: socket.socket, session: int, q_share: np.ndarray,
+                     peer_cursors: tuple):
+        """Burn each pool forward to the peer's cursor, then run the session.
+
+        Both servers burn to the larger cursor of each kind, so a session
+        that aborted after either side consumed randomness leaves the next
+        one aligned.  A burn past the end of a pool aborts with PoolExhausted.
+        """
+        try:
+            self.rand.burn_to(peer_cursors)
+        except PoolExhausted:
+            peer_conn.close()
+            raise
+        return self._run_session(peer_conn, session, q_share)
 
     def _run_session(self, peer_conn: socket.socket, session: int, q_share: np.ndarray):
         chan = TcpChannel(peer_conn, session, self.latency_s)
@@ -387,13 +402,14 @@ class Server:
                 raise FrameError(f"query has {q_share.size} attributes, database has {m}")
             if self.party == 1:
                 with self._exec_lock:
-                    peer_conn = self._dial_peer(session)
-                    outcome, metrics = self._run_session(peer_conn, session, q_share)
+                    peer_conn, peer_cursors = self._dial_peer(session)
+                    outcome, metrics = self._run_aligned(peer_conn, session, q_share, peer_cursors)
             else:
-                peer_conn = self._wait_peer(session, timeout=self.handshake_timeout)
+                peer_conn, peer_cursors = self._wait_peer(session, timeout=self.handshake_timeout)
                 with self._exec_lock:
-                    _write_peer_hello(peer_conn, session, self.ring.l, self.party)
-                    outcome, metrics = self._run_session(peer_conn, session, q_share)
+                    _write_peer_hello(peer_conn, session, self.ring.l, self.party,
+                                      self.rand.cursors())
+                    outcome, metrics = self._run_aligned(peer_conn, session, q_share, peer_cursors)
             self.completed.append(metrics)
             write_frame(conn, KIND_RESULT, session, _encode_result(outcome.rows, self.ring.l))
         except (FrameError, OSError, ValueError, RuntimeError) as exc:

@@ -16,7 +16,7 @@ from skyshare.correlated import StreamPool
 from skyshare.datasets import DatasetSpec, generate
 from skyshare.gadgets import less_than
 from skyshare.metering import msb_invocations, query_rounds
-from skyshare.online import bit_mul, mul_shares
+from skyshare.online import bit_mul
 from skyshare.plaintext import brute_force_skyline, plaintext_skyline, same_rows
 from skyshare.protocol import map_database
 from skyshare.ring import Ring
@@ -215,31 +215,30 @@ def test_criterion_7_leakage_audit():
         assert len(opened) == metrics.k + 1
         assert all(tx == 1 and rx == 1 for _, tx, rx in opened)
 
-    # (b) Beaver openings at l=4: exact uniformity, input independence
+    # (b) the select's Beaver e = r - u and f = y - v at l=4: exact
+    # uniformity and input independence, one select row per triple mask
     ring4 = Ring(4)
+    u, v = (g.ravel() for g in np.meshgrid(np.arange(16, dtype=np.uint64),
+                                           np.arange(16, dtype=np.uint64), indexing="ij"))
+    rows = u.size
+    u1, v1, w1, ra1, y1 = (np.full(rows, s, dtype=np.uint64) for s in (7, 1, 4, 3, 2))
+    b1 = np.zeros(rows, dtype=np.uint8)  # party 1's shares of the bit and of the daBit r = 1
+    dabits = {1: (b1, ra1), 2: (b1 ^ 1, (1 - ra1) & 15)}
+    triples = {1: (u1, v1, w1), 2: ((u - u1) & 15, (v - v1) & 15, (u * v - w1) & 15)}
     histograms = []
-    for x, y in ((5, 12), (0, 1)):
+    for bit, y in ((1, 12), (0, 1)):
+        ctx1, ctx2 = session_pair(l=4, seed=bit, keep_payloads=True)
+        for ctx in (ctx1, ctx2):
+            ctx.rand.dabits, ctx.rand.arith = StreamPool(2), StreamPool(3)
+            ctx.rand.dabits.push(dabits[ctx.party])
+            ctx.rand.arith.push(triples[ctx.party])
+        z1, z2 = run_two(ctx1, ctx2, lambda c: bit_mul(
+            c, b1 if c.party == 1 else b1 ^ bit, y1 if c.party == 1 else (y - y1) & 15))
+        assert (reconstruct(ring4, z1, z2) == bit * y).all()
+        _, flight = ctx1.chan.payload_log[0]  # party 2's packed c, then its e and f
+        e2, f2 = np.frombuffer(flight[(rows + 7) // 8:], dtype=np.uint8).reshape(2, rows)
         counts = np.zeros((16, 16), dtype=int)
-        for u in range(16):
-            for v in range(16):
-                ctx1, ctx2 = session_pair(l=4, seed=u * 16 + v, keep_payloads=True)
-                ctx1.rand.arith = StreamPool(3)
-                ctx2.rand.arith = StreamPool(3)
-                u1, v1, w1 = 7, 1, 4
-                ctx1.rand.arith.push(tuple(np.array([t], dtype=np.uint64)
-                                           for t in (u1, v1, w1)))
-                ctx2.rand.arith.push(tuple(np.array([t % 16], dtype=np.uint64)
-                                           for t in (u - u1, v - v1, u * v - w1)))
-                x1, y1 = 9, 2
-                z1, z2 = run_two(ctx1, ctx2, lambda c: mul_shares(
-                    c,
-                    np.array([x1 if c.party == 1 else (x - x1) % 16], dtype=np.uint64),
-                    np.array([y1 if c.party == 1 else (y - y1) % 16], dtype=np.uint64)))
-                assert int(reconstruct(ring4, z1, z2)[0]) == (x * y) % 16
-                _, payload = ctx1.chan.payload_log[0]
-                e = (x1 - u1 + int(payload[0])) % 16
-                f = (y1 - v1 + int(payload[1])) % 16
-                counts[e, f] += 1
+        np.add.at(counts, ((ra1 - u1 + e2) & 15, (y1 - v1 + f2) & 15), 1)
         assert (counts == 1).all()
         histograms.append(counts)
     assert (histograms[0] == histograms[1]).all()

@@ -18,7 +18,6 @@ from skyshare.correlated import (
     write_pool_file,
 )
 from skyshare.metering import RandomnessBudget, budget_for_query, msb_invocations
-from skyshare.online import mul_shares
 from skyshare.plaintext import plaintext_skyline
 from skyshare.ring import Ring, default_vmax
 
@@ -144,17 +143,17 @@ def test_streaming_pools_stay_in_lockstep_across_threads():
     """Party threads take the same sequence from streaming pools without
     waiting for each other, across hundreds of chunk boundaries, two
     sessions at once (more threads than cores): the pieces still pair up,
-    so every triple reconstructs and every daBit agrees."""
+    so every triple and cross word reconstructs and every daBit agrees."""
     ring = Ring(13)
     sessions = [deal_streaming(ring, seed, default_vmax(13), chunk=7) for seed in (31, 32)]
-    sizes = np.random.default_rng(5).integers(0, 20, size=(400, 3)).tolist()
+    sizes = np.random.default_rng(5).integers(0, 20, size=(400, len(KINDS))).tolist()
     taken = {(s, i): [] for s in range(len(sessions)) for i in (0, 1)}
 
     def party(s, i):
         rand = sessions[s][i]
-        for arith, words, dabits in sizes:
-            taken[s, i].append((rand.arith.take(arith), rand.bin.take(words),
-                                rand.dabits.take(dabits)))
+        for row in sizes:
+            taken[s, i].append({kind.name: getattr(rand, kind.attr).take(count)
+                                for kind, count in zip(KINDS, row)})
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -167,16 +166,19 @@ def test_streaming_pools_stay_in_lockstep_across_threads():
         assert not any(t.is_alive() for t in threads)
     finally:
         sys.setswitchinterval(interval)
-    total = [sum(col) for col in zip(*sizes)]
+    total = tuple(sum(col) for col in zip(*sizes))
     for s, rand in enumerate(sessions):
-        for (a1, w1, d1), (a2, w2, d2) in zip(taken[s, 0], taken[s, 1]):
-            u, v, w = (reconstruct(ring, x, y) for x, y in zip(a1, a2))
+        for one, two in zip(taken[s, 0], taken[s, 1]):
+            u, v, w = (reconstruct(ring, x, y) for x, y in zip(one["arith"], two["arith"]))
             assert (w == ring.reduce(u * v)).all()
-            bu, bv, bw = (x ^ y for x, y in zip(w1, w2))
+            bu, bv, bw = (x ^ y for x, y in zip(one["bin_words"], two["bin_words"]))
             assert (bu & bv == bw).all()
-            assert (reconstruct(ring, d1[1], d2[1]) == (d1[0] ^ d2[0])).all()
+            (b1, a1), (b2, a2) = one["dabits"], two["dabits"]
+            assert (reconstruct(ring, a1, a2) == (b1 ^ b2)).all()
+            (r, w1), (mask, w2) = one["cross_words"], two["cross_words"]
+            assert (r & mask == w1 ^ w2).all()
         for r in rand:
-            assert [r.arith.consumed, r.bin.consumed, r.dabits.consumed] == total
+            assert r.cursors() == total
 
 
 def test_budget_is_sufficient_for_worst_case_query():
@@ -199,14 +201,8 @@ def test_budget_is_sufficient_for_worst_case_query():
         assert out1.k == out2.k
         exact = budget_for_query(n, m, 64, out1.k)
         for rand in (ctx1.rand, ctx2.rand):
-            assert rand.arith.consumed <= budget.arith_triples
-            assert rand.bin.consumed <= budget.bin_words
-            assert rand.dabits.consumed <= budget.dabits
-            assert rand.cross.consumed <= budget.cross_words
-            consumed = (rand.arith.consumed, rand.bin.consumed, rand.dabits.consumed,
-                        rand.cross.consumed)
-            assert consumed == (exact.arith_triples, exact.bin_words, exact.dabits,
-                                exact.cross_words)
+            for kind, used in zip(KINDS, rand.cursors()):
+                assert used == getattr(exact, kind.budget) <= getattr(budget, kind.budget)
 
 
 def test_a_pool_one_cross_word_short_fails_without_rows():
@@ -361,42 +357,3 @@ def test_pool_file_records_the_dealt_sentinel(tmp_path):
     path, _ = _pool_blob(tmp_path, l=11, vmax=300)
     back, meta = read_pool_file(str(path))
     assert meta["l"] == 11 and back.vmax == 300
-
-
-def test_beaver_openings_are_uniform_and_input_independent():
-    """Exact distribution check at l=4: the opened (e, f) pair sweeps the
-    whole plane once as the dealer's (u, v) sweep it, whatever (x, y) are."""
-    r4 = Ring(4)
-
-    def one_value(x):
-        return np.array([x % 16], dtype=np.uint64)
-
-    histograms = []
-    for x, y in ((3, 11), (0, 7)):
-        x1, x2 = 6, (x - 6) % 16
-        y1, y2 = 13, (y - 13) % 16
-        counts = np.zeros((16, 16), dtype=int)
-        for u in range(16):
-            for v in range(16):
-                ctx1, ctx2 = session_pair(l=4, seed=u * 16 + v, keep_payloads=True)
-                # replace the dealt triples with the enumerated one
-                u1, v1, w1 = 5, 9, 2
-                ctx1.rand.arith = StreamPool(3)
-                ctx1.rand.arith.push((one_value(u1), one_value(v1), one_value(w1)))
-                ctx2.rand.arith = StreamPool(3)
-                ctx2.rand.arith.push((one_value(u - u1), one_value(v - v1),
-                                      one_value(u * v - w1)))
-                z1, z2 = run_two(ctx1, ctx2, lambda c: mul_shares(
-                    c,
-                    one_value(x1 if c.party == 1 else x2),
-                    one_value(y1 if c.party == 1 else y2)))
-                assert int(reconstruct(r4, z1, z2)[0]) == (x * y) % 16
-                # the opened pair as party 1 sees it: own masked share + peer's
-                _, payload = ctx1.chan.payload_log[0]
-                peer = np.frombuffer(payload, dtype=np.uint8)
-                e = (x1 - u1 + int(peer[0])) % 16
-                f = (y1 - v1 + int(peer[1])) % 16
-                counts[e, f] += 1
-        assert (counts == 1).all(), "openings must sweep the plane exactly once"
-        histograms.append(counts)
-    assert (histograms[0] == histograms[1]).all()

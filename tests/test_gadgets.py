@@ -6,7 +6,7 @@ from conftest import reconstruct, reconstruct_bits, run_two, session_pair, share
 from skyshare.bitpack import bits_of_values, pack_bits, unpack_bits
 from skyshare.correlated import StreamPool
 from skyshare.gadgets import less_than, min_with_payload
-from skyshare.metering import cl2, query_rounds, select_cost, select_rounds
+from skyshare.metering import cl2, query_rounds, select_cost
 from skyshare.online import and_jobs, and_one_sided, bit_mul, not_bits, obliv_select, open_bit
 from skyshare.ppa import CarryPlan, block_outputs, carry_plan, msb_rounds
 from skyshare.ring import Ring
@@ -251,7 +251,7 @@ def test_bit_mul_openings_are_uniform_and_input_independent_l4():
             z1, z2 = run_two(ctx1, ctx2, lambda c: bit_mul(
                 c, b1 if c.party == 1 else b2, y1 if c.party == 1 else (y - y1) & 15))
             assert (reconstruct(ring, z1, z2) == bit * y).all()
-            assert ctx1.chan.rounds == select_rounds()
+            assert ctx1.chan.rounds == 1
             _, flight = ctx1.chan.payload_log[0]  # party 2's c, then its e and f values
             nc = (rows + 7) // 8
             c2 = np.unpackbits(np.frombuffer(flight[:nc], dtype=np.uint8), bitorder="little")
@@ -278,9 +278,10 @@ def _select(l, bits, u, v, seed):
         c, b1 if c.party == 1 else b2,
         u1 if c.party == 1 else u2, v1 if c.party == 1 else v2))
     width = u.shape[1] if u.ndim == 2 else 1
-    want = select_cost(bits.size, width)
+    want = select_cost(bits.size, width, l)
     for ctx in (ctx1, ctx2):
-        assert ctx.chan.rounds == select_rounds()
+        assert (ctx.chan.rounds, ctx.chan.bytes_tx) == (want.rounds, want.bytes) == \
+            (1, (bits.size + 7) // 8 + 2 * ((l + 7) // 8) * bits.size * width)
         assert (ctx.rand.arith.consumed, ctx.rand.dabits.consumed) == \
             (want.arith_triples, want.dabits)
     return reconstruct(ring, z1, z2)
@@ -367,7 +368,7 @@ def test_min_with_payload_random_instances(l):
         assert path1.shape == path2.shape == (n, max(1, cl2(n)))
         assert _path_winners(path1, path2) == [idx], (n, keys.tolist())
         assert ctx1.meters.secext == n - 1
-        assert ctx1.chan.rounds == cl2(n) * (msb_rounds(l) + select_rounds())
+        assert ctx1.chan.rounds == cl2(n) * (msb_rounds(l) + 1)  # a select takes one round
 
 
 def test_min_with_payload_all_equal_takes_first():

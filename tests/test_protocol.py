@@ -1,10 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 
 from conftest import reconstruct, reconstruct_bits, run_two, session_pair, share_pair
 
+from skyshare.correlated import KINDS
 from skyshare.datasets import DatasetSpec, generate
-from skyshare import online
+from skyshare import online, protocol
 from skyshare.metering import (
     budget_for_query,
     msb_invocations,
@@ -13,6 +16,7 @@ from skyshare.metering import (
 )
 from skyshare.plaintext import brute_force_skyline, plaintext_skyline, same_rows
 from skyshare.protocol import (
+    ProtocolError,
     attribute_sums,
     check_domain,
     fetch_min,
@@ -72,9 +76,7 @@ def _check_engine_query(engine, data, query):
     assert metrics.rounds == query_rounds(n, m, l, metrics.k), (n, m)
     want = budget_for_query(n, m, l, metrics.k)
     for ctx in engine.last_contexts:
-        used = (ctx.rand.arith.consumed, ctx.rand.bin.consumed, ctx.rand.dabits.consumed,
-                ctx.rand.cross.consumed)
-        assert used == (want.arith_triples, want.bin_words, want.dabits, want.cross_words), (n, m)
+        assert ctx.rand.cursors() == tuple(getattr(want, kind.budget) for kind in KINDS), (n, m)
 
 
 @pytest.mark.parametrize("kind", ["inde", "corr", "anti"])
@@ -362,3 +364,31 @@ def test_flight_values_stay_below_the_ring_modulus(monkeypatch):
         for width, payload in value_flights:
             values = decode_values(payload, width)
             assert values.size and int(values.max()) < 1 << width, l
+
+
+@pytest.mark.parametrize("field", ["rounds", "bytes", "secext", *(k.budget for k in KINDS)])
+def test_run_query_names_each_drifted_meter(monkeypatch, field):
+    """Drift one meter at every stop opening, identically at both parties
+    so the query itself stays exact: run_query refuses the session and
+    names that meter and no other."""
+    pools = {kind.budget: kind.attr for kind in KINDS}
+    open_bit = protocol.open_bit
+
+    def drifting(ctx, bit):
+        if field == "rounds":
+            ctx.chan.rounds += 1
+        elif field == "bytes":
+            ctx.chan.bytes_tx += 1
+        elif field == "secext":
+            ctx.meters.secext += 1
+        else:
+            getattr(ctx.rand, pools[field]).take(1)
+        return open_bit(ctx, bit)
+
+    monkeypatch.setattr(protocol, "open_bit", drifting)
+    p1, p2, q1, q2 = _shared_instance([[3, 1], [1, 3], [2, 2], [4, 4]], [0, 0])
+    ctx1, ctx2 = session_pair(seed=150)
+    with pytest.raises(ProtocolError) as err:
+        run_two(ctx1, ctx2, lambda c: run_query(
+            c, p1 if c.party == 1 else p2, q1 if c.party == 1 else q2))
+    assert re.findall(r"(\w+) \d+ != \d+", str(err.value)) == [field]

@@ -21,12 +21,15 @@ from skyshare.channel import (
     read_frame,
     write_frame,
 )
-from skyshare.correlated import deal_streaming, deal_strict, write_pool_file
+from skyshare.correlated import KINDS, deal_streaming, deal_strict, write_pool_file
 from skyshare.metering import budget_for_query, query_rounds
+from skyshare.plaintext import plaintext_skyline, same_rows
 from skyshare.protocol import ring_width
 from skyshare.ring import Ring, default_vmax
 from skyshare.runtime import LocalEngine, Server, parse_endpoint, run_pair, tcp_query
 from skyshare.sharing import share_matrix, write_share_file
+
+FRESH = (0,) * len(KINDS)  # the pool cursors a fake peer reports in its hello
 
 
 def test_frame_round_trip_all_kinds():
@@ -338,17 +341,17 @@ def test_stalled_peer_aborts_the_session_and_frees_the_server(party, capsys):
             read_frame(client)  # the server hello
             if party == 2:  # the fake party 1 binds its link to the session first
                 link = socket.create_connection(server.peer_addr, timeout=5.0)
-                runtime._write_peer_hello(link, session, l, 1)
+                runtime._write_peer_hello(link, session, l, 1, FRESH)
             write_frame(client, KIND_QUERY, session,
                         runtime._encode_query_payload(l, np.zeros(2, np.uint64)))
             # the dial (party 1) or the ack (party 2) comes only once the lock is free
             if party == 1:
                 link, _ = dialled.accept()
                 link.settimeout(5.0)
-                assert runtime._read_peer_hello(link, l, 1) == session
-                runtime._write_peer_hello(link, session, l, 2)
+                assert runtime._read_peer_hello(link, l, 1)[0] == session
+                runtime._write_peer_hello(link, session, l, 2, FRESH)
             else:
-                assert runtime._read_peer_hello(link, l, 2) == session
+                assert runtime._read_peer_hello(link, l, 2)[0] == session
             held.append(link)  # and then the fake peer stalls
             out = _server_lines(capsys, f"session {session} aborted", 1)
             assert f"server {party}: session {session} aborted" in out
@@ -378,10 +381,10 @@ def test_peer_flight_of_another_size_aborts_the_session(extra, capsys):
         read_frame(client)  # the server hello
         link = socket.create_connection(server.peer_addr, timeout=5.0)
         held.append(link)
-        runtime._write_peer_hello(link, session, l, 1)
+        runtime._write_peer_hello(link, session, l, 1, FRESH)
         write_frame(client, KIND_QUERY, session,
                     runtime._encode_query_payload(l, np.zeros(2, np.uint64)))
-        assert runtime._read_peer_hello(link, l, 2) == session
+        assert runtime._read_peer_hello(link, l, 2)[0] == session
         kind, got_session, flight = read_frame(link)
         assert (kind, got_session) == (KIND_ROUND_DATA, session) and flight
         write_frame(link, KIND_ROUND_DATA, session, bytes(len(flight) + extra))
@@ -389,6 +392,74 @@ def test_peer_flight_of_another_size_aborts_the_session(extra, capsys):
         reason = "exceeds the limit" if extra > 0 else "peer flight of"
         assert f"server 2: session {session} aborted: " in out and reason in out
         assert client.recv(1) == b""
+    finally:
+        for sock in held:
+            sock.close()
+        server.stop()
+
+
+def test_an_aborted_session_leaves_the_next_query_exact(tmp_path, table_example, capsys):
+    """A fake party 1 completes one flight with the real party-2 server and
+    closes, leaving that server's pools ahead of its real peer's: the next
+    query through both real servers is still exact."""
+    database, query, _, _ = table_example
+    l, session = 64, 31
+    servers = _start_servers(tmp_path, np.asarray(database))
+    held = []
+    try:
+        client = socket.create_connection(("127.0.0.1", servers[1].port), timeout=5.0)
+        held.append(client)
+        read_frame(client)  # the server hello
+        link = socket.create_connection(servers[1].peer_addr, timeout=5.0)
+        held.append(link)
+        runtime._write_peer_hello(link, session, l, 1, FRESH)
+        write_frame(client, KIND_QUERY, session,
+                    runtime._encode_query_payload(l, np.zeros(2, np.uint64)))
+        assert runtime._read_peer_hello(link, l, 2) == (session, FRESH)
+        kind, _, flight = read_frame(link)
+        assert kind == KIND_ROUND_DATA
+        write_frame(link, KIND_ROUND_DATA, session, bytes(len(flight)))
+        link.close()
+        assert f"server 2: session {session} aborted" in _server_lines(
+            capsys, f"session {session} aborted", 1)
+        assert client.recv(1) == b""
+        assert servers[1].rand.cursors() != servers[0].rand.cursors()
+        endpoints = [f"127.0.0.1:{s.port}" for s in servers]
+        assert same_rows(tcp_query(endpoints, query, l=l, seed=3), plaintext_skyline(database, query))
+        assert servers[1].rand.cursors() == servers[0].rand.cursors()
+    finally:
+        for sock in held:
+            sock.close()
+        for s in servers:
+            s.stop()
+
+
+def test_a_burn_past_the_pool_end_aborts_cleanly(capsys):
+    """A peer whose hello claims more randomness consumed than the pool
+    holds: the server aborts the session with PoolExhausted."""
+    l, session = 16, 41
+    ring = Ring(l)
+    shares, _ = share_matrix(np.array([[3, 1], [1, 3]]), np.random.default_rng(0), ring)
+    budget = budget_for_query(2, 2, l, 2)
+    rand, _ = deal_strict(ring, 1, budget, default_vmax(l))
+    server = Server(2, "127.0.0.1:0", f"127.0.0.1:{_free_port()}", shares, rand, l,
+                    latency_ms=0.0, handshake_timeout=5.0)
+    server.start()
+    held = []
+    try:
+        client = socket.create_connection(("127.0.0.1", server.port), timeout=5.0)
+        held.append(client)
+        read_frame(client)  # the server hello
+        link = socket.create_connection(server.peer_addr, timeout=5.0)
+        held.append(link)
+        beyond = tuple(getattr(budget, kind.budget) + 1 for kind in KINDS)
+        runtime._write_peer_hello(link, session, l, 1, beyond)
+        write_frame(client, KIND_QUERY, session,
+                    runtime._encode_query_payload(l, np.zeros(2, np.uint64)))
+        assert runtime._read_peer_hello(link, l, 2) == (session, FRESH)
+        out = _server_lines(capsys, f"session {session} aborted", 1)
+        assert f"server 2: session {session} aborted: pool exhausted" in out
+        assert link.recv(1) == b"" and client.recv(1) == b""
     finally:
         for sock in held:
             sock.close()
