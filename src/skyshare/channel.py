@@ -123,15 +123,13 @@ def write_frame(sock: socket.socket, kind: int, session: int, payload: bytes):
 class ChannelBase:
     """Common metering and validation; subclasses move the bytes."""
 
-    def __init__(self, session: int, latency_s: float = 0.0, keep_payloads: bool = False):
+    def __init__(self, session: int, latency_s: float = 0.0):
         self.session = session
         self.latency_s = latency_s
-        self.keep_payloads = keep_payloads
         self.rounds = 0
         self.bytes_tx = 0
         self.bytes_rx = 0
         self.transcript: list[tuple[int, int, int]] = []  # (kind, tx bytes, rx bytes)
-        self.payload_log: list[tuple[int, bytes]] = []
 
     def _send_frame(self, frame: bytes):
         raise NotImplementedError
@@ -157,8 +155,6 @@ class ChannelBase:
         self.bytes_tx += len(payload)
         self.bytes_rx += len(got)
         self.transcript.append((kind, len(payload), len(got)))
-        if self.keep_payloads:
-            self.payload_log.append((kind, got))
         return got
 
     def close(self):
@@ -174,19 +170,16 @@ class LocalChannel(ChannelBase):
     wake-up, not a Python-level condition variable.
     """
 
-    def __init__(self, outbox, inbox, session, latency_s=0.0, keep_payloads=False):
-        super().__init__(session, latency_s, keep_payloads)
+    def __init__(self, outbox, inbox, session, latency_s=0.0):
+        super().__init__(session, latency_s)
         self._outbox = outbox
         self._inbox = inbox
 
     @classmethod
-    def pair(cls, session: int = 0, latency_s: float = 0.0, keep_payloads: bool = False):
+    def pair(cls, session: int = 0, latency_s: float = 0.0):
         q12: queue.SimpleQueue = queue.SimpleQueue()
         q21: queue.SimpleQueue = queue.SimpleQueue()
-        return (
-            cls(q12, q21, session, latency_s, keep_payloads),
-            cls(q21, q12, session, latency_s, keep_payloads),
-        )
+        return cls(q12, q21, session, latency_s), cls(q21, q12, session, latency_s)
 
     def _send_frame(self, frame: bytes):
         self._outbox.put((time.monotonic() + self.latency_s, frame))
@@ -210,8 +203,8 @@ class TcpChannel(ChannelBase):
     """Socket transport with a writer thread so simultaneous large flights
     from both parties cannot deadlock on full send buffers."""
 
-    def __init__(self, sock: socket.socket, session, latency_s=0.0, keep_payloads=False):
-        super().__init__(session, latency_s, keep_payloads)
+    def __init__(self, sock: socket.socket, session, latency_s=0.0):
+        super().__init__(session, latency_s)
         self._sock = sock
         self._outq: queue.SimpleQueue = queue.SimpleQueue()
         self._writer_err = None

@@ -1,6 +1,7 @@
 """Operator commands: gen, deal, serve, query, verify, bench.
 
-Global flags (before the subcommand): --l, --vmax-exp, --latency-ms, --seed.
+Global flags (before the subcommand): --l, --latency-ms, --seed.  The
+filtering sentinel is not a flag: it is 2^(l-2) of the ring width.
 Dataset parameters may come from a key = value config file, with
 command-line flags taking precedence.  Every command is deterministic under
 --seed apart from wall-clock fields.
@@ -62,11 +63,10 @@ def cmd_deal(args) -> int:
     columns = args.columns.split(",") if args.columns else None
     data, _ = load_csv(args.data, columns=columns, scale=args.scale or 1)
     n, m = data.shape
-    vmax = _vmax(args)
     bound = dataset_bound(data)
-    l = ring_width(m, bound, vmax) if args.l is None else args.l
+    l = ring_width(m, bound) if args.l is None else args.l
     ring = Ring(l)
-    vmax = check_domain(n, m, bound, ring, vmax)
+    vmax = check_domain(m, bound, ring)
     k_max = args.kmax if args.kmax else n
     if args.sessions < 1:
         return _fail("--sessions must be at least 1")
@@ -119,8 +119,7 @@ def cmd_verify(args) -> int:
     if args.servers:
         run = lambda q: tcp_query(args.servers.split(","), q, args.l, seed=args.seed)
     else:
-        engine = LocalEngine(data, l=args.l, seed=args.seed, latency_ms=args.latency_ms,
-                             vmax=_vmax(args))
+        engine = LocalEngine(data, l=args.l, seed=args.seed, latency_ms=args.latency_ms)
         run = lambda q: engine.query(q)[0]
     matched = 0
     for i, q in enumerate(queries):
@@ -147,8 +146,7 @@ def cmd_bench(args) -> int:
             for m in m_list:
                 spec = DatasetSpec(kind=kind, n=n, m=m, seed=args.seed, bound=args.bound or 1000)
                 data = generate(spec)
-                engine = LocalEngine(data, l=args.l, seed=args.seed,
-                                     latency_ms=args.latency_ms, vmax=_vmax(args))
+                engine = LocalEngine(data, l=args.l, seed=args.seed, latency_ms=args.latency_ms)
                 rng = np.random.default_rng(np.random.SeedSequence(args.seed).spawn(2)[1])
                 for _ in range(args.queries):
                     q = rng.integers(0, spec.bound + 1, size=m)
@@ -166,19 +164,12 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def _vmax(args) -> int | None:
-    """The --vmax-exp sentinel, or None for the ring width's default."""
-    return 1 << args.vmax_exp if args.vmax_exp else None
-
-
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="skyshare",
                                   description="secret-shared skyline queries over two servers")
     top.add_argument("--l", type=int, default=None,
                      help="ring width in bits (default: the narrowest the data bound "
                           "admits; the query client learns it from the servers)")
-    top.add_argument("--vmax-exp", type=int, default=0,
-                     help="filter sentinel exponent; 0 means l-2")
     top.add_argument("--latency-ms", type=float, default=None,
                      help="injected one-way channel latency "
                           "(default: 1 for serve, 0 elsewhere)")
@@ -213,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="peer link endpoint (party 1 dials it, party 2 binds it)")
     serve.add_argument("--shares", required=True)
     serve.add_argument("--pool", required=True)
-    serve.set_defaults(fn=cmd_serve, latency_default=1.0)
+    serve.set_defaults(fn=cmd_serve)
 
     query = sub.add_parser("query", help="issue one skyline query against two servers")
     query.add_argument("--servers", required=True, help="host:port,host:port")

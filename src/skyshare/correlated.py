@@ -5,15 +5,18 @@ Kinds: arithmetic multiplication triples (u, v, w = u*v), binary AND triples
 an XOR sharing and as an arithmetic sharing) used to hop a bit from the
 binary domain into the arithmetic one, and cross words for one-sided ANDs
 (packed likewise: party 1 holds a mask r, party 2 a mask s, and each an
-XOR share of r & s).  The filtering sentinel is dealt once per pool as an
-ordinary sharing of the public vmax constant, so the online phase treats
-it like any other shared value.
+XOR share of r & s).  Every arithmetic sharing goes through
+sharing.share_matrix.  The filtering sentinel vmax, the public constant
+default_vmax(l) wherever the program deals, is shared once per pool, so
+the online phase treats it like any other shared value; the pool header
+records it because a pool file comes from outside the program.
 
 The dealer is trusted in the semi-honest two-server model and is run by the
 owner-side tooling.  Pools are either strict (pre-dealt to an exact budget,
 exhaustion raises) or streaming (a seeded dealer extends both parties' pools
-in lockstep on demand; both consumption orders are identical because the
-online protocol is deterministic).
+in lockstep on demand, at least STREAM_CHUNK elements a refill; both
+consumption orders are identical because the online protocol is
+deterministic).
 
 Pool file format (strict pools, one file per party), walked from KINDS:
 
@@ -37,11 +40,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .metering import RandomnessBudget
-from .ring import MAX_WIDTH, Ring, default_vmax
+from .ring import Ring, default_vmax
 from .sharing import (
     check_file_header,
     decode_values,
     encode_values,
+    share_matrix,
     uniform_values,
     value_width_bytes,
 )
@@ -138,14 +142,6 @@ class Dealer:
         self.ring = ring
         self.rng = np.random.default_rng(seed)
 
-    def _split(self, plain: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Share plain (overwritten): a uniform share 1 and plain - share 1."""
-        s1 = uniform_values(self.rng, self.ring, plain.shape)
-        plain -= s1
-        if self.ring.l < MAX_WIDTH:
-            plain &= self.ring.mask_np
-        return s1, plain
-
     def _bits(self, count: int) -> np.ndarray:
         raw = self.rng.integers(0, 256, size=(count + 7) // 8, dtype=np.uint8)
         return np.unpackbits(raw, count=count, bitorder="little")
@@ -154,9 +150,9 @@ class Dealer:
         u = uniform_values(self.rng, self.ring, count)
         v = uniform_values(self.rng, self.ring, count)
         w = u * v
-        u1, u2 = self._split(u)
-        v1, v2 = self._split(v)
-        w1, w2 = self._split(w)
+        u1, u2 = share_matrix(u, self.rng, self.ring)
+        v1, v2 = share_matrix(v, self.rng, self.ring)
+        w1, w2 = share_matrix(w, self.rng, self.ring)
         return (u1, v1, w1), (u2, v2, w2)
 
     def bin_triple_words(self, nwords: int) -> tuple[tuple, tuple]:
@@ -172,12 +168,8 @@ class Dealer:
     def dabits(self, count: int) -> tuple[tuple, tuple]:
         bits = self._bits(count)
         b1 = self._bits(count)
-        a1, a2 = self._split(bits.astype(np.uint64))
+        a1, a2 = share_matrix(bits, self.rng, self.ring)
         return (b1, a1), (bits ^ b1, a2)
-
-    def value_sharing(self, value: int) -> tuple[int, int]:
-        s1 = int(self.rng.integers(0, self.ring.modulus, dtype=np.uint64))
-        return s1, (value - s1) & self.ring.mask
 
 
 class _PairedFeeder:
@@ -240,7 +232,7 @@ def deal_strict(ring: Ring, seed, budget: RandomnessBudget, vmax: int
     """Pre-deal an exact budget; pools raise on exhaustion."""
     dealer = Dealer(ring, seed)
     pairs = [getattr(dealer, kind.deal)(getattr(budget, kind.budget)) for kind in KINDS]
-    shares = dealer.value_sharing(vmax)
+    shares = [int(share[0]) for share in share_matrix([vmax], dealer.rng, ring)]
     return tuple(
         PartyRandomness([_filled(kind, pair[i]) for kind, pair in zip(KINDS, pairs)],
                         vmax, shares[i])
@@ -248,12 +240,12 @@ def deal_strict(ring: Ring, seed, budget: RandomnessBudget, vmax: int
     )
 
 
-def deal_streaming(ring: Ring, seed, vmax: int, chunk: int = STREAM_CHUNK
-                   ) -> tuple[PartyRandomness, PartyRandomness]:
-    """Lazily dealt pools that never exhaust; both parties extend in lockstep."""
+def deal_streaming(ring: Ring, seed, vmax: int) -> tuple[PartyRandomness, PartyRandomness]:
+    """Lazily dealt pools that never exhaust; both parties extend in lockstep,
+    at least STREAM_CHUNK elements a refill."""
     dealer = Dealer(ring, seed)
-    feeders = [_PairedFeeder(getattr(dealer, kind.deal), chunk) for kind in KINDS]
-    shares = dealer.value_sharing(vmax)
+    feeders = [_PairedFeeder(getattr(dealer, kind.deal), STREAM_CHUNK) for kind in KINDS]
+    shares = [int(share[0]) for share in share_matrix([vmax], dealer.rng, ring)]
     return tuple(
         PartyRandomness([StreamPool(len(kind.codecs), feeder.refill_for(i))
                          for kind, feeder in zip(KINDS, feeders)], vmax, shares[i])

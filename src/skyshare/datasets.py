@@ -68,13 +68,10 @@ def dataset_bound(data: np.ndarray) -> int:
     return int(data.max(initial=0))
 
 
-def save_csv(path: str, data: np.ndarray, columns: list[str] | None = None):
-    n, m = data.shape
-    names = columns or [f"a{j + 1}" for j in range(m)]
-    if len(names) != m:
-        raise ValueError("column name count mismatch")
+def save_csv(path: str, data: np.ndarray):
+    """Write data with the header a1, ..., am."""
     with open(path, "w", encoding="utf-8") as f:
-        f.write(",".join(names) + "\n")
+        f.write(",".join(f"a{j + 1}" for j in range(data.shape[1])) + "\n")
         for row in data:
             f.write(",".join(str(int(x)) for x in row) + "\n")
 

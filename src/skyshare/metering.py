@@ -36,11 +36,6 @@ MODE_DABIT = "dabit"
 METRICS_CSV_HEADER = "session,n,m,k,rounds,bytes_tx,bytes_rx,secext,wall_ms"
 
 
-def cl2(n: int) -> int:
-    """ceil(log2(n)) with cl2(1) = 0."""
-    return ceil_log2(n)
-
-
 def msb_invocations(n: int, m: int, k: int) -> int:
     """Exact secure-comparison count for a completed query returning k rows."""
     return n * m + k * n * (2 + m) + n
@@ -120,7 +115,7 @@ def stop_cost(l: int) -> RandomnessBudget:
 def path_columns(n: int) -> int:
     """Columns of the fetch's path-bit matrix: one per tournament level, and
     one public 1 at n = 1."""
-    return max(1, cl2(n))
+    return max(1, ceil_log2(n))
 
 
 def filt_cost(n: int, m: int, l: int, mode: str) -> RandomnessBudget:

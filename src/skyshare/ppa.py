@@ -232,8 +232,3 @@ def carry_plan(width: int) -> CarryPlan:
     if plan is None:
         plan = _PLANS[width] = CarryPlan(width)
     return plan
-
-
-def msb_rounds(l: int) -> int:
-    """Communication rounds of one batched shared-comparison."""
-    return carry_plan(l).and_rounds

@@ -25,10 +25,11 @@ class ProtocolError(RuntimeError):
     pass
 
 
-def check_domain(n: int, m: int, bound: int, ring: Ring, vmax: int | None = None) -> int:
+def check_domain(m: int, bound: int, ring: Ring) -> int:
     """Owner-side guard: attribute sums must stay strictly below the sentinel
-    and the sentinel below the comparison validity window."""
-    vmax = default_vmax(ring.l) if vmax is None else vmax
+    default_vmax(l), which keeps every compared value inside the comparison
+    validity window.  Returns the sentinel."""
+    vmax = default_vmax(ring.l)
     if bound < 0:
         raise ValueError("attribute bound must be non-negative")
     if not m * bound < vmax:
@@ -36,23 +37,35 @@ def check_domain(n: int, m: int, bound: int, ring: Ring, vmax: int | None = None
             f"m*B = {m * bound} must be < vmax = {vmax}; "
             f"raise the ring width or rescale the data"
         )
-    if not vmax <= 1 << (ring.l - 2):
-        raise ValueError(f"vmax {vmax} breaks the comparison precondition at l={ring.l}")
     return vmax
 
 
-def ring_width(m: int, bound: int, vmax: int | None = None) -> int:
-    """Smallest ring width l with m*B < vmax <= 2^(l-2).
+def check_query(q, m: int, vmax: int) -> np.ndarray:
+    """Client-side guard, before any share of q exists: m attributes, none
+    negative, and m*max(q) < vmax.  The owner keeps m*B < vmax and
+    |p - q| <= max(p, q), so every distance sum then stays below the
+    sentinel and the result is exact.  Returns q as an int64 array."""
+    q_arr = np.asarray(q, dtype=np.int64)
+    if q_arr.shape != (m,):
+        raise ValueError(f"query has {q_arr.size} attributes, the database has {m}")
+    if (q_arr < 0).any():
+        raise ValueError("query attributes must be non-negative")
+    top = m * int(q_arr.max(initial=0))
+    if not top < vmax:
+        raise ValueError(
+            f"query outside the exact window: m*max(q) = {top} must be < vmax = {vmax}"
+        )
+    return q_arr
 
-    The sentinel defaults to default_vmax(l) = 2^(l-2), so l-2 must cover
-    the bit length of m*B; an explicit vmax fixes l-2 >= bitlen(vmax-1)
-    instead, and check_domain still asserts m*B < vmax.  The width is public
-    to both servers: it reveals ceil(log2(m*B)) unless the caller pins l.
+
+def ring_width(m: int, bound: int) -> int:
+    """Smallest ring width l with m*B < default_vmax(l) = 2^(l-2), so l-2
+    must cover the bit length of m*B.  The width is public to both servers:
+    it reveals ceil(log2(m*B)) unless the caller pins l.
     """
     if bound < 0:
         raise ValueError("attribute bound must be non-negative")
-    top = m * bound if vmax is None else vmax - 1
-    l = max(2, top.bit_length() + 2)
+    l = max(2, (m * bound).bit_length() + 2)
     if l > MAX_WIDTH:
         raise ValueError(
             f"m*B = {m * bound} needs a {l}-bit ring, above the {MAX_WIDTH}-bit maximum; "

@@ -12,6 +12,7 @@ and TCP sessions report identical numbers).
 
 from __future__ import annotations
 
+import selectors
 import socket
 import struct
 import threading
@@ -34,7 +35,7 @@ from .channel import (
 from .correlated import KINDS, PartyRandomness, PoolExhausted, deal_streaming, read_pool_file
 from .metering import MODE_DABIT, SessionMetrics, check_mode
 from .online import PartyContext
-from .protocol import check_domain, ring_width, run_query
+from .protocol import check_domain, check_query, ring_width, run_query
 from .ring import Ring, default_vmax
 from .sharing import decode_values, encode_values, read_share_file, share_matrix, value_width_bytes
 
@@ -161,20 +162,17 @@ class LocalEngine:
     of sessions without sockets.
     """
 
-    def __init__(self, data, l: int | None = None, seed: int = 0, latency_ms: float = 0.0,
-                 bound: int | None = None, vmax: int | None = None):
-        """l defaults to the narrowest width the data bound admits (ring_width)."""
+    def __init__(self, data, l: int | None = None, seed: int = 0, latency_ms: float = 0.0):
+        """l defaults to the narrowest width the data maximum admits (ring_width)."""
         plain = np.asarray(data, dtype=np.int64)
         if plain.ndim != 2 or plain.shape[0] < 1:
             raise ValueError("database must be a non-empty n x m array")
         if (plain < 0).any():
             raise ValueError("attributes must be non-negative integers")
         self.n, self.m = plain.shape
-        self.bound = int(plain.max()) if bound is None else int(bound)
-        if plain.max(initial=0) > self.bound:
-            raise ValueError("declared bound below actual data maximum")
-        self.ring = Ring(ring_width(self.m, self.bound, vmax) if l is None else l)
-        self.vmax = check_domain(self.n, self.m, self.bound, self.ring, vmax)
+        bound = int(plain.max(initial=0))
+        self.ring = Ring(ring_width(self.m, bound) if l is None else l)
+        self.vmax = check_domain(self.m, bound, self.ring)
         self.mode = MODE_DABIT  # the only one; benchmark reports print it
         self.latency_s = latency_ms / 1000.0
         self._seeds = np.random.SeedSequence(seed)
@@ -187,18 +185,17 @@ class LocalEngine:
         self._sessions += 1
         return self._seeds.spawn(1)[0].spawn(2)
 
-    def query(self, q, keep_payloads: bool = False) -> tuple[list[tuple[int, ...]], SessionMetrics]:
-        """Run one full query session in-process; returns rows in fetch order."""
-        q_arr = np.asarray(q, dtype=np.int64)
-        if q_arr.shape != (self.m,):
-            raise ValueError(f"query must have {self.m} attributes")
-        if (q_arr < 0).any() or (q_arr > self.bound).any():
-            raise ValueError(f"query attributes must lie in [0, {self.bound}]")
+    def query(self, q) -> tuple[list[tuple[int, ...]], SessionMetrics]:
+        """Run one full query session in-process; returns rows in fetch order.
+
+        The query must lie in the exact window that tcp_query admits
+        (check_query)."""
+        q_arr = check_query(q, self.m, self.vmax)
         dealer_seed, client_seed = self._next_session_seeds()
         rand1, rand2 = deal_streaming(self.ring, dealer_seed, self.vmax)
         q1, q2 = share_matrix(q_arr[None, :], np.random.default_rng(client_seed), self.ring)
         session_id = self._sessions
-        chan1, chan2 = LocalChannel.pair(session_id, self.latency_s, keep_payloads)
+        chan1, chan2 = LocalChannel.pair(session_id, self.latency_s)
         ctx1 = PartyContext(1, self.ring, chan1, rand1)
         ctx2 = PartyContext(2, self.ring, chan2, rand2)
         started = time.perf_counter()
@@ -268,46 +265,51 @@ class Server:
 
     def start(self):
         self._client_sock = _listener(self.listen_addr)
-        self._spawn(self._accept_clients)
         if self.party == 2:
             self._peer_sock = _listener(self.peer_addr)
-            self._spawn(self._accept_peers)
+        self._spawn(self._accept)
 
     def stop(self):
         self._stop.set()
-        for sock in (self._client_sock, self._peer_sock):
-            if sock is not None:
-                # close() alone does not wake a thread blocked in accept() on Linux
-                try:
-                    sock.shutdown(socket.SHUT_RDWR)
-                except OSError:
-                    pass
-                sock.close()
+        with self._peer_ready:  # parked peer links are closed at once
+            self._peer_ready.notify_all()
+        listeners = [sock for sock in (self._client_sock, self._peer_sock) if sock is not None]
+        for sock in listeners:
+            # shutdown() wakes the accept loop's select on Linux; closing the
+            # listener before the loop has woken drops it from the selector unseen
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
         for t in self._threads:
             t.join(timeout=5)
+        for sock in listeners:
+            sock.close()
 
     def _spawn(self, fn, *args):
         t = threading.Thread(target=fn, args=args, daemon=True)
         t.start()
-        self._threads.append(t)
+        # only finished threads are dropped: stop() still joins every live one
+        self._threads = [x for x in self._threads if x.is_alive()] + [t]
 
-    def _accept_clients(self):
-        while not self._stop.is_set():
-            try:
-                conn, _ = self._client_sock.accept()
-            except OSError:
-                return
-            self._spawn(self._handle_client, conn)
-
-    def _accept_peers(self):
-        while not self._stop.is_set():
-            try:
-                conn, _ = self._peer_sock.accept()
-            except OSError:
-                return
-            self._spawn(self._register_peer, conn)
+    def _accept(self):
+        """One loop accepts on both listeners: client connections, and on
+        party 2 the peer links."""
+        with selectors.DefaultSelector() as ready:
+            ready.register(self._client_sock, selectors.EVENT_READ, self._handle_client)
+            if self._peer_sock is not None:
+                ready.register(self._peer_sock, selectors.EVENT_READ, self._register_peer)
+            while not self._stop.is_set():
+                for key, _ in ready.select():
+                    try:
+                        conn, _ = key.fileobj.accept()
+                    except OSError:  # stop() shut the listener down
+                        return
+                    self._spawn(key.data, conn)
 
     def _register_peer(self, conn: socket.socket):
+        """Park a peer link until its session's client claims it; a link no
+        client claims within the handshake timeout is closed and dropped."""
         conn.settimeout(self.handshake_timeout)  # the deadline of every read on the link
         try:
             session, cursors = _read_peer_hello(conn, self.ring.l, 1)
@@ -315,18 +317,34 @@ class Server:
             print(f"server {self.party}: rejected peer link: {exc}", flush=True)
             conn.close()
             return
+        deadline = time.monotonic() + self.handshake_timeout
         with self._peer_ready:
-            self._pending_peers[session] = conn, cursors
+            if session in self._pending_peers:
+                print(f"server {self.party}: rejected peer link: session {session} "
+                      f"already has one", flush=True)
+                conn.close()
+                return
+            parked = self._pending_peers[session] = conn, cursors
             self._peer_ready.notify_all()
+            while self._pending_peers.get(session) is parked:  # until a session claims it
+                remaining = deadline - time.monotonic()
+                if remaining <= 0 or self._stop.is_set():
+                    del self._pending_peers[session]
+                    print(f"server {self.party}: dropped the peer link of session {session}: "
+                          f"no client claimed it", flush=True)
+                    conn.close()
+                    return
+                self._peer_ready.wait(remaining)
 
-    def _wait_peer(self, session: int, timeout: float = 30.0) -> tuple[socket.socket, tuple]:
-        deadline = time.monotonic() + timeout
+    def _wait_peer(self, session: int) -> tuple[socket.socket, tuple]:
+        deadline = time.monotonic() + self.handshake_timeout
         with self._peer_ready:
             while session not in self._pending_peers:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0 or self._stop.is_set():
                     raise FrameError(f"peer link for session {session} never arrived")
                 self._peer_ready.wait(remaining)
+            self._peer_ready.notify_all()  # wakes the link's parking thread
             return self._pending_peers.pop(session)
 
     def _dial_peer(self, session: int) -> tuple[socket.socket, tuple]:
@@ -405,7 +423,7 @@ class Server:
                     peer_conn, peer_cursors = self._dial_peer(session)
                     outcome, metrics = self._run_aligned(peer_conn, session, q_share, peer_cursors)
             else:
-                peer_conn, peer_cursors = self._wait_peer(session, timeout=self.handshake_timeout)
+                peer_conn, peer_cursors = self._wait_peer(session)
                 with self._exec_lock:
                     _write_peer_hello(peer_conn, session, self.ring.l, self.party,
                                       self.rand.cursors())
@@ -431,17 +449,12 @@ def tcp_query(servers: list[str], q, l: int | None = None, seed: int = 0, scale:
     """Client role: learn the session parameters from both servers' hellos,
     check the query against them, share it, and reconstruct the result.
 
-    l, when given, must match the servers' ring width.  The query must keep
-    m * max(q) < vmax: the owner guarantees m * B < vmax and |p - q| <=
-    max(p, q), so every distance sum then stays below the sentinel and the
-    result is exact.  An out-of-window query is refused before any share
-    leaves the client.
+    l, when given, must match the servers' ring width.  The scaled query
+    must lie in the exact window (check_query); one outside it is refused
+    before any share leaves the client.
     """
     if len(servers) != 2:
         raise ValueError("exactly two server endpoints are required")
-    q_arr = np.asarray(q, dtype=np.int64) * scale
-    if (q_arr < 0).any():
-        raise ValueError("query attributes must be non-negative")
     # connect to both before sending anything: no partial sessions
     socks = []
     try:
@@ -458,13 +471,7 @@ def tcp_query(servers: list[str], q, l: int | None = None, seed: int = 0, scale:
         ring_l, m, vmax = hellos[0]
         if l is not None and l != ring_l:
             raise FrameError(f"ring width mismatch: client expects l={l}, servers use l={ring_l}")
-        if q_arr.shape != (m,):
-            raise ValueError(f"query has {q_arr.size} attributes, the database has {m}")
-        if not m * int(q_arr.max(initial=0)) < vmax:
-            raise ValueError(
-                f"query outside the exact window: m*max(q) = {m * int(q_arr.max())} "
-                f"must be < vmax = {vmax}"
-            )
+        q_arr = check_query(np.asarray(q, dtype=np.int64) * scale, m, vmax)
         ring = Ring(ring_l)
         rng = np.random.default_rng(seed)
         session = int(rng.integers(0, 1 << 32))

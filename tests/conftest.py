@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from skyshare.channel import LocalChannel
+from skyshare.channel import KIND_ROUND_DATA, LocalChannel
 from skyshare.correlated import deal_streaming, deal_strict
 from skyshare.online import PartyContext
 from skyshare.ring import Ring, default_vmax
@@ -11,16 +11,34 @@ from skyshare.runtime import run_pair
 from skyshare.sharing import share_matrix
 
 
-def session_pair(l=64, seed=0, budget=None, vmax=None, latency_s=0.0, keep_payloads=False):
-    """Build linked party contexts with streaming (or strict) randomness."""
+def _record_flights(chan):
+    """Keep every flight chan receives from its peer, as (kind, payload), in
+    chan.flights."""
+    chan.flights = []
+    exchange = chan.exchange
+
+    def recorded(payload, kind=KIND_ROUND_DATA):
+        got = exchange(payload, kind)
+        chan.flights.append((kind, got))
+        return got
+
+    chan.exchange = recorded
+
+
+def session_pair(l=64, seed=0, budget=None, record=False):
+    """Build linked party contexts with streaming (or strict) randomness;
+    with record, each channel keeps the flights it receives (_record_flights)."""
     ring = Ring(l)
-    vmax = default_vmax(l) if vmax is None else vmax
+    vmax = default_vmax(l)
     dealer_seed = np.random.SeedSequence(seed).spawn(1)[0]
     if budget is None:
         r1, r2 = deal_streaming(ring, dealer_seed, vmax)
     else:
         r1, r2 = deal_strict(ring, dealer_seed, budget, vmax)
-    c1, c2 = LocalChannel.pair(0, latency_s, keep_payloads)
+    c1, c2 = LocalChannel.pair()
+    if record:
+        _record_flights(c1)
+        _record_flights(c2)
     ctx1 = PartyContext(1, ring, c1, r1)
     ctx2 = PartyContext(2, ring, c2, r2)
     return ctx1, ctx2

@@ -62,8 +62,7 @@ def _accuracy_worker(jobs, out):
         if kind not in engines:
             data = generate(DatasetSpec(kind=kind, n=1000, m=6,
                                         seed=ACCURACY_SEEDS[kind], bound=ACCURACY_BOUND))
-            engines[kind] = (LocalEngine(data, l=64, seed=ACCURACY_SEEDS[kind],
-                                         bound=ACCURACY_BOUND), data)
+            engines[kind] = (LocalEngine(data, l=64, seed=ACCURACY_SEEDS[kind]), data)
         engine, data = engines[kind]
         rows, _ = engine.query(query)
         if not same_rows(rows, plaintext_skyline(data, query)):
@@ -172,7 +171,7 @@ def test_criterion_5_complexity_instrumentation():
         data = rng.integers(0, bound + 1, size=(n, m))
         row = data[int(rng.integers(0, n))]
         query = np.clip(row + rng.integers(-6, 7, size=m), 0, bound)
-        engine = LocalEngine(data, l=64, seed=seed, bound=bound)
+        engine = LocalEngine(data, l=64, seed=seed)
         rows, metrics = engine.query([int(x) for x in query])
         assert metrics.secext == msb_invocations(n, m, metrics.k), (n, m, metrics.k)
         assert metrics.k == len(rows)
@@ -195,7 +194,7 @@ def test_criterion_6_round_complexity():
         bound = 5 if l == 8 else 40
         data = rng.integers(0, bound + 1, size=(n, m))
         query = rng.integers(0, bound + 1, size=m)
-        engine = LocalEngine(data, l=l, seed=seed, bound=bound)
+        engine = LocalEngine(data, l=l, seed=seed)
         _, metrics = engine.query([int(x) for x in query])
         predicted = query_rounds(n, m, l, metrics.k)
         assert metrics.rounds == predicted, (n, m, l, metrics.k)
@@ -206,7 +205,7 @@ def test_criterion_7_leakage_audit():
     # (a) full-query transcript: the stop bit is the only opening, k+1 times
     rng = np.random.default_rng(77)
     data = rng.integers(0, 40, size=(37, 3))
-    engine = LocalEngine(data, l=64, seed=7, bound=40)
+    engine = LocalEngine(data, l=64, seed=7)
     rows, metrics = engine.query([int(x) for x in rng.integers(0, 41, size=3)])
     for ctx in engine.last_contexts:
         kinds = [kind for kind, _, _ in ctx.chan.transcript]
@@ -227,7 +226,7 @@ def test_criterion_7_leakage_audit():
     triples = {1: (u1, v1, w1), 2: ((u - u1) & 15, (v - v1) & 15, (u * v - w1) & 15)}
     histograms = []
     for bit, y in ((1, 12), (0, 1)):
-        ctx1, ctx2 = session_pair(l=4, seed=bit, keep_payloads=True)
+        ctx1, ctx2 = session_pair(l=4, seed=bit, record=True)
         for ctx in (ctx1, ctx2):
             ctx.rand.dabits, ctx.rand.arith = StreamPool(2), StreamPool(3)
             ctx.rand.dabits.push(dabits[ctx.party])
@@ -235,7 +234,7 @@ def test_criterion_7_leakage_audit():
         z1, z2 = run_two(ctx1, ctx2, lambda c: bit_mul(
             c, b1 if c.party == 1 else b1 ^ bit, y1 if c.party == 1 else (y - y1) & 15))
         assert (reconstruct(ring4, z1, z2) == bit * y).all()
-        _, flight = ctx1.chan.payload_log[0]  # party 2's packed c, then its e and f
+        _, flight = ctx1.chan.flights[0]  # party 2's packed c, then its e and f
         e2, f2 = np.frombuffer(flight[(rows + 7) // 8:], dtype=np.uint8).reshape(2, rows)
         counts = np.zeros((16, 16), dtype=int)
         np.add.at(counts, ((ra1 - u1 + e2) & 15, (y1 - v1 + f2) & 15), 1)
@@ -268,7 +267,7 @@ def test_criterion_8_transport_equivalence(tmp_path):
         data = rng.integers(0, bound + 1, size=(n, m))
         query = [int(x) for x in rng.integers(0, bound + 1, size=m)]
 
-        engine = LocalEngine(data, l=64, seed=trial, bound=bound)
+        engine = LocalEngine(data, l=64, seed=trial)
         local_rows, local_metrics = engine.query(query)
 
         sub = tmp_path / f"i{trial}"
@@ -302,7 +301,7 @@ def test_criterion_9_scalability_smoke():
     data = generate(DatasetSpec(kind="corr", n=n, m=m, seed=11, bound=1000))
     rng = np.random.default_rng(13)
     query = [int(x) for x in rng.integers(0, 1001, size=m)]
-    engine = LocalEngine(data, l=64, seed=3, bound=1000)
+    engine = LocalEngine(data, l=64, seed=3)
     started = time.perf_counter()
     rows, metrics = engine.query(query)
     elapsed = time.perf_counter() - started

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import reconstruct, run_two, session_pair
 
+from skyshare import correlated
 from skyshare.correlated import (
     KINDS,
     Dealer,
@@ -131,21 +132,23 @@ def test_pool_take_spans_chunks():
     assert pool.consumed == 9
 
 
-def test_streaming_pools_extend_and_match():
-    r1, r2 = deal_streaming(R64, 7, default_vmax(64), chunk=16)
+def test_streaming_pools_extend_and_match(monkeypatch):
+    monkeypatch.setattr(correlated, "STREAM_CHUNK", 16)
+    r1, r2 = deal_streaming(R64, 7, default_vmax(64))
     a = reconstruct(R64, r1.arith.take(100)[0], r2.arith.take(100)[0])
     assert a.size == 100
     assert reconstruct(R64, np.array([r1.vmax_share]), np.array([r2.vmax_share]))[0] \
         == default_vmax(64)
 
 
-def test_streaming_pools_stay_in_lockstep_across_threads():
+def test_streaming_pools_stay_in_lockstep_across_threads(monkeypatch):
     """Party threads take the same sequence from streaming pools without
     waiting for each other, across hundreds of chunk boundaries, two
     sessions at once (more threads than cores): the pieces still pair up,
     so every triple and cross word reconstructs and every daBit agrees."""
     ring = Ring(13)
-    sessions = [deal_streaming(ring, seed, default_vmax(13), chunk=7) for seed in (31, 32)]
+    monkeypatch.setattr(correlated, "STREAM_CHUNK", 7)
+    sessions = [deal_streaming(ring, seed, default_vmax(13)) for seed in (31, 32)]
     sizes = np.random.default_rng(5).integers(0, 20, size=(400, len(KINDS))).tolist()
     taken = {(s, i): [] for s in range(len(sessions)) for i in (0, 1)}
 

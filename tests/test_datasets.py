@@ -64,9 +64,9 @@ def test_invalid_specs_rejected():
 def test_csv_round_trip(tmp_path):
     data = generate(DatasetSpec(kind="inde", n=50, m=3, seed=5, bound=99))
     path = str(tmp_path / "data.csv")
-    save_csv(path, data, columns=["alpha", "beta", "gamma"])
+    save_csv(path, data)
     back, names = load_csv(path)
-    assert names == ["alpha", "beta", "gamma"]
+    assert names == ["a1", "a2", "a3"]
     assert (back == data).all()
     assert dataset_bound(back) == data.max()
 

@@ -6,9 +6,9 @@ from conftest import reconstruct, reconstruct_bits, run_two, session_pair, share
 from skyshare.bitpack import bits_of_values, pack_bits, unpack_bits
 from skyshare.correlated import StreamPool
 from skyshare.gadgets import less_than, min_with_payload
-from skyshare.metering import cl2, query_rounds, select_cost
+from skyshare.metering import query_rounds, select_cost
 from skyshare.online import and_jobs, and_one_sided, bit_mul, not_bits, obliv_select, open_bit
-from skyshare.ppa import CarryPlan, block_outputs, carry_plan, msb_rounds
+from skyshare.ppa import CarryPlan, block_outputs, carry_plan, ceil_log2
 from skyshare.ring import Ring
 
 R8 = Ring(8)
@@ -78,8 +78,8 @@ def test_carry_plan_shape():
                                       (13, (3, 3, 3, 3), 46, 4), (64, (3,) + (2,) * 30, 157, 55)):
         plan = carry_plan(l)
         assert plan.blocks == blocks
-        assert plan.combine_levels == cl2(len(blocks))
-        assert plan.and_rounds == 1 + cl2(len(blocks))
+        assert plan.combine_levels == ceil_log2(len(blocks))
+        assert plan.and_rounds == 1 + ceil_log2(len(blocks))
         assert (plan.cross_rows, plan.combine_rows) == (cross, combine)
         assert plan.total_and_rows == cross + combine
     # at every width: G-only lowest block, G and P above it, and the tree's
@@ -89,10 +89,10 @@ def test_carry_plan_shape():
         segments = len(plan.blocks)
         assert sum(plan.blocks) == l - 1 and max(plan.blocks) <= 3, l
         assert list(plan.blocks) == sorted(plan.blocks, reverse=True), l
-        assert plan.and_rounds == 1 + cl2(segments) == 1 + cl2(-(-(l - 1) // 3)), l
+        assert plan.and_rounds == 1 + ceil_log2(segments) == 1 + ceil_log2(-(-(l - 1) // 3)), l
         assert plan.cross_rows == ({1: 1, 2: 3, 3: 7}[plan.blocks[0]]
                                    + sum({1: 1, 2: 5, 3: 13}[w] for w in plan.blocks[1:])), l
-        assert plan.combine_rows == 2 * (segments - 1) - cl2(segments), l
+        assert plan.combine_rows == 2 * (segments - 1) - ceil_log2(segments), l
     assert CarryPlan(2).total_and_rows == 1
     with pytest.raises(ValueError):
         CarryPlan(1)
@@ -100,8 +100,8 @@ def test_carry_plan_shape():
 
 def test_msb_rounds_never_exceed_the_leaf_and_tree():
     for l in range(2, 65):
-        assert msb_rounds(l) <= 1 + cl2(l - 1), l
-    assert [msb_rounds(l) for l in (11, 12, 13)] == [3, 3, 3]
+        assert carry_plan(l).and_rounds <= 1 + ceil_log2(l - 1), l
+    assert [carry_plan(l).and_rounds for l in (11, 12, 13)] == [3, 3, 3]
     # whole queries at the benchmark shapes and typical k: 264, 1,650 and 524 before
     assert query_rounds(16, 3, 11, 6) == 180
     assert query_rounds(128, 4, 11, 28) == 1128
@@ -115,15 +115,15 @@ def test_and_one_sided_every_input_pair_and_masked_flights():
     x = pack_bits(np.array([0, 0, 1, 1] * 32, dtype=np.uint8))  # two words
     y = pack_bits(np.array([0, 1, 0, 1] * 32, dtype=np.uint8))
     r, s, w1 = np.random.default_rng(41).integers(0, 2**64, size=(3, 2), dtype=np.uint64)
-    ctx1, ctx2 = session_pair(l=8, seed=41, keep_payloads=True)
+    ctx1, ctx2 = session_pair(l=8, seed=41, record=True)
     for ctx, parts in ((ctx1, (r, w1)), (ctx2, (s, (r & s) ^ w1))):
         ctx.rand.cross = StreamPool(2)
         ctx.rand.cross.push(parts)
     z1, z2 = run_two(ctx1, ctx2, lambda c: and_one_sided(c, x if c.party == 1 else y))
     assert (z1 ^ z2 == x & y).all()
     assert (unpack_bits(x & y, 128) == np.array([0, 0, 0, 1] * 32)).all()
-    sent_by_2 = np.frombuffer(ctx1.chan.payload_log[0][1], dtype="<u8")
-    sent_by_1 = np.frombuffer(ctx2.chan.payload_log[0][1], dtype="<u8")
+    sent_by_2 = np.frombuffer(ctx1.chan.flights[0][1], dtype="<u8")
+    sent_by_1 = np.frombuffer(ctx2.chan.flights[0][1], dtype="<u8")
     assert (sent_by_1 == x ^ r).all() and (sent_by_2 == y ^ s).all()
     assert ctx1.chan.rounds == 1 and ctx1.chan.bytes_tx == ctx2.chan.bytes_tx == 16
 
@@ -171,7 +171,7 @@ def test_less_than_round_count():
     a1, a2 = share_pair(np.arange(10, dtype=np.uint64), R64, seed=1)
     run_two(ctx1, ctx2, lambda c: less_than(c, a1 if c.party == 1 else a2,
                                             a1 if c.party == 1 else a2))
-    assert ctx1.chan.rounds == msb_rounds(64)
+    assert ctx1.chan.rounds == carry_plan(64).and_rounds
     assert ctx1.meters.secext == 10
 
 
@@ -242,7 +242,7 @@ def test_bit_mul_openings_are_uniform_and_input_independent_l4():
     histograms = []
     for bit in (0, 1):
         for y in (5, 12):
-            ctx1, ctx2 = session_pair(l=4, seed=50, keep_payloads=True)
+            ctx1, ctx2 = session_pair(l=4, seed=50, record=True)
             for ctx in (ctx1, ctx2):
                 ctx.rand.dabits, ctx.rand.arith = StreamPool(2), StreamPool(3)
                 ctx.rand.dabits.push(dabits[ctx.party])
@@ -252,7 +252,7 @@ def test_bit_mul_openings_are_uniform_and_input_independent_l4():
                 c, b1 if c.party == 1 else b2, y1 if c.party == 1 else (y - y1) & 15))
             assert (reconstruct(ring, z1, z2) == bit * y).all()
             assert ctx1.chan.rounds == 1
-            _, flight = ctx1.chan.payload_log[0]  # party 2's c, then its e and f values
+            _, flight = ctx1.chan.flights[0]  # party 2's c, then its e and f values
             nc = (rows + 7) // 8
             c2 = np.unpackbits(np.frombuffer(flight[:nc], dtype=np.uint8), bitorder="little")
             e2, f2 = np.frombuffer(flight[nc:], dtype=np.uint8).reshape(2, rows)
@@ -365,10 +365,11 @@ def test_min_with_payload_random_instances(l):
         idx = _min_oracle(keys)
         assert int(reconstruct(ring, m1, m2)[0]) == keys[idx]
         assert reconstruct(ring, pay1[0], pay2[0]).tolist() == payload[idx].tolist()
-        assert path1.shape == path2.shape == (n, max(1, cl2(n)))
+        assert path1.shape == path2.shape == (n, max(1, ceil_log2(n)))
         assert _path_winners(path1, path2) == [idx], (n, keys.tolist())
         assert ctx1.meters.secext == n - 1
-        assert ctx1.chan.rounds == cl2(n) * (msb_rounds(l) + 1)  # a select takes one round
+        # a level is one comparison and one select round
+        assert ctx1.chan.rounds == ceil_log2(n) * (carry_plan(l).and_rounds + 1)
 
 
 def test_min_with_payload_all_equal_takes_first():

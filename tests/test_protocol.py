@@ -19,6 +19,7 @@ from skyshare.protocol import (
     ProtocolError,
     attribute_sums,
     check_domain,
+    check_query,
     fetch_min,
     filter_round,
     map_database,
@@ -39,11 +40,37 @@ def _shared_instance(database, query, seed=50):
 
 
 def test_check_domain_guards():
-    assert check_domain(10, 2, 100, R64) == default_vmax(64)
+    assert check_domain(2, 100, R64) == default_vmax(64)
     with pytest.raises(ValueError):
-        check_domain(10, 2, 2**61, R64)
-    with pytest.raises(ValueError):
-        check_domain(10, 2, 100, R64, vmax=1 << 63)
+        check_domain(2, 2**61, R64)
+
+
+def test_check_query_admits_exactly_the_window():
+    m, vmax = 3, 64  # 3 * 21 < 64 <= 3 * 22
+    assert check_query([21, 0, 21], m, vmax).tolist() == [21, 0, 21]
+    for q, reason in (([22, 0, 0], "exact window"), ([0, -1, 0], "non-negative"),
+                      ([1, 2], "attributes")):
+        with pytest.raises(ValueError, match=reason):
+            check_query(q, m, vmax)
+
+
+def test_local_queries_fill_the_exact_window():
+    """In-process queries above the data maximum but inside m*max(q) < vmax
+    are exact, and the first query outside the window is refused, as over
+    TCP."""
+    rng = np.random.default_rng(160)
+    for n, m, bound in ((4, 2, 102), (9, 3, 20), (6, 1, 5)):
+        data = rng.integers(0, bound + 1, size=(n, m))
+        data[0, 0] = bound
+        engine = LocalEngine(data, seed=n)
+        top = (engine.vmax - 1) // m  # the largest attribute inside the window
+        assert top > bound, (n, m)
+        for q in (np.full(m, top), rng.integers(bound + 1, top + 1, size=m),
+                  rng.integers(0, top + 1, size=m)):
+            rows, _ = engine.query(q)
+            assert same_rows(rows, plaintext_skyline(data, q)), (n, m, q)
+        with pytest.raises(ValueError, match="exact window"):
+            engine.query([top + 1] + [0] * (m - 1))
 
 
 def test_ring_width_is_the_narrowest_safe_width():
@@ -51,16 +78,11 @@ def test_ring_width_is_the_narrowest_safe_width():
             (2, 511), (2, 512), (5, 2**40 + 3), (1, 2**62 - 1), (3, (2**62 - 1) // 3)]
     for m, bound in grid:
         l = ring_width(m, bound)
-        check_domain(1, m, bound, Ring(l))
+        check_domain(m, bound, Ring(l))
         with pytest.raises(ValueError):  # Ring(1) itself raises for B = 0
-            check_domain(1, m, bound, Ring(l - 1))
+            check_domain(m, bound, Ring(l - 1))
     assert [ring_width(m, b) for m, b in ((4, 100), (3, 100), (2, 1000), (1, 0))] == [11, 11, 13, 2]
     assert ring_width(1, 2**62 - 1) == 64
-    # an explicit sentinel sets the width; m*B < vmax is check_domain's job
-    assert ring_width(2, 100, vmax=1 << 20) == 22
-    check_domain(1, 2, 100, Ring(22), vmax=1 << 20)
-    with pytest.raises(ValueError):
-        check_domain(1, 2, 100, Ring(21), vmax=1 << 20)
     for m, bound in ((1, 2**62), (3, 2**61), (1, -1)):
         with pytest.raises(ValueError):
             ring_width(m, bound)
@@ -275,7 +297,7 @@ def test_run_query_random_vs_brute_force():
         bound = int(rng.integers(1, 60))
         database = rng.integers(0, bound + 1, size=(n, m))
         query = rng.integers(0, bound + 1, size=m)
-        engine = LocalEngine(database, l=64, seed=trial, bound=bound)
+        engine = LocalEngine(database, l=64, seed=trial)
         rows, metrics = engine.query(query)
         assert same_rows(rows, brute_force_skyline(database, query)), trial
         assert metrics.secext == msb_invocations(n, m, metrics.k)
@@ -323,7 +345,7 @@ def test_bytes_match_closed_form():
     rng = np.random.default_rng(23)
     for n, m, bound, l in ((12, 2, 50, None), (33, 1, 900, None), (20, 3, 50, 64), (9, 4, 7, 24)):
         data = rng.integers(0, bound + 1, size=(n, m))
-        engine = LocalEngine(data, l=l, seed=n, bound=bound)
+        engine = LocalEngine(data, l=l, seed=n)
         _, metrics = engine.query(rng.integers(0, bound + 1, size=m))
         want = query_bytes(n, m, engine.ring.l, metrics.k)
         assert metrics.bytes_tx == metrics.bytes_rx == want, (n, m, engine.ring.l)
@@ -338,11 +360,11 @@ def test_flight_values_stay_below_the_ring_modulus(monkeypatch):
 
     def recording(fn):
         def wrapped(ctx, bits, values):
-            before = len(ctx.chan.payload_log)
+            before = len(ctx.chan.flights)
             out = fn(ctx, bits, values)
             opened = (bits.shape[0] + 7) // 8
             value_flights.extend((ctx.ring.l, payload[opened:])
-                                 for _, payload in ctx.chan.payload_log[before:])
+                                 for _, payload in ctx.chan.flights[before:])
             return out
         return wrapped
 
@@ -355,7 +377,7 @@ def test_flight_values_stay_below_the_ring_modulus(monkeypatch):
         p1, p2 = share_pair(data, ring, seed=l)
         q1, q2 = share_pair(q[None, :], ring, seed=l + 1)
         value_flights.clear()
-        ctx1, ctx2 = session_pair(l=l, seed=l, keep_payloads=True)
+        ctx1, ctx2 = session_pair(l=l, seed=l, record=True)
         out1, out2 = run_two(ctx1, ctx2, lambda c: run_query(
             c, p1 if c.party == 1 else p2, (q1 if c.party == 1 else q2)[0]))
         got = sorted(map(tuple, reconstruct(ring, out1.rows, out2.rows).tolist()))

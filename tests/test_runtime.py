@@ -189,7 +189,7 @@ def test_transport_equivalence_on_random_instances(tmp_path):
         n, m = int(rng.integers(2, 24)), int(rng.integers(1, 4))
         data = rng.integers(0, 30, size=(n, m))
         query = rng.integers(0, 30, size=m)
-        engine = LocalEngine(data, l=64, seed=trial, bound=30)
+        engine = LocalEngine(data, l=64, seed=trial)
         local_rows, local_metrics = engine.query(query)
 
         sub = tmp_path / f"t{trial}"
@@ -362,6 +362,35 @@ def test_stalled_peer_aborts_the_session_and_frees_the_server(party, capsys):
         server.stop()
 
 
+def test_an_unclaimed_peer_link_is_closed_and_dropped(capsys):
+    """A fake party 1 binds a peer link to a session that no client opens:
+    party 2 closes the link after the handshake timeout and forgets it, and
+    the threads of finished connections are not kept."""
+    l = 16
+    ring = Ring(l)
+    shares, _ = share_matrix(np.array([[3, 1], [1, 3]]), np.random.default_rng(0), ring)
+    rand, _ = deal_streaming(ring, 1, default_vmax(l))
+    server = Server(2, "127.0.0.1:0", f"127.0.0.1:{_free_port()}", shares, rand, l,
+                    latency_ms=0.0, handshake_timeout=0.5)
+    server.start()
+    try:
+        with socket.create_connection(server.peer_addr, timeout=5.0) as link:
+            runtime._write_peer_hello(link, 99, l, 1, FRESH)
+            assert link.recv(1) == b""  # closed by the server, not left open
+        assert "server 2: dropped the peer link of session 99" in _server_lines(
+            capsys, "dropped the peer link", 1)
+        assert server._pending_peers == {}
+        accept = server._threads[0]
+        for _ in range(4):  # clients that leave at once, one after another
+            socket.create_connection(("127.0.0.1", server.port), timeout=5.0).close()
+            _server_lines(capsys, "client left without a query", 1)
+            for t in server._threads[1:]:
+                t.join(timeout=5.0)
+        assert server._threads[0] is accept and len(server._threads) == 2
+    finally:
+        server.stop()
+
+
 @pytest.mark.parametrize("extra", [1, -1])
 def test_peer_flight_of_another_size_aborts_the_session(extra, capsys):
     """A fake party 1 answers the server's first flight with one byte more
@@ -497,7 +526,7 @@ def test_bytes_grow_with_database_size():
     sizes = []
     for n in (8, 32):
         data = np.stack([np.arange(1, n + 1), np.arange(1, n + 1)], axis=1)
-        engine = LocalEngine(data, l=64, seed=1, bound=n + 1)
+        engine = LocalEngine(data, l=64, seed=1)
         _, metrics = engine.query([1, 1])
         assert metrics.k == 1
         sizes.append(metrics.bytes_tx)
