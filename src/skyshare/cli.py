@@ -1,7 +1,7 @@
 """Operator commands: gen, deal, serve, query, verify, bench.
 
 Global flags (before the subcommand): --l, --latency-ms, --seed.  The
-filtering sentinel is not a flag: it is 2^(l-2) of the ring width.
+filtering sentinel is not a flag: it is ring.default_vmax of the ring width.
 Dataset parameters may come from a key = value config file, with
 command-line flags taking precedence.  Every command is deterministic under
 --seed apart from wall-clock fields.

@@ -6,10 +6,8 @@ an XOR sharing and as an arithmetic sharing) used to hop a bit from the
 binary domain into the arithmetic one, and cross words for one-sided ANDs
 (packed likewise: party 1 holds a mask r, party 2 a mask s, and each an
 XOR share of r & s).  Every arithmetic sharing goes through
-sharing.share_matrix.  The filtering sentinel vmax, the public constant
-default_vmax(l) wherever the program deals, is shared once per pool, so
-the online phase treats it like any other shared value; the pool header
-records it because a pool file comes from outside the program.
+sharing.share_matrix.  The filtering sentinel is not dealt: it is the
+public ring.default_vmax(l), which each server holds as a public sharing.
 
 The dealer is trusted in the semi-honest two-server model and is run by the
 owner-side tooling.  Pools are either strict (pre-dealt to an exact budget,
@@ -20,9 +18,8 @@ deterministic).
 
 Pool file format (strict pools, one file per party), walked from KINDS:
 
-    header '<5sBBQ'  magic b"SSKR3", l:u8, party:u8, vmax:u64 (the public sentinel)
+    header '<5sBB'   magic b"SSKR4", l:u8, party:u8
     counts '<Q'      one count per kind
-    vmax sharing     one value, ceil(l/8) bytes little-endian
     kind blocks      per kind, its parts in turn, each `count` elements in the
                      part's codec: ring values ceil(l/8) bytes LE, '<u8', 'u1'
 
@@ -69,8 +66,8 @@ KINDS = (
     Kind("cross_words", "cross", "cross_words", "cross_words", ("<u8", "<u8")),
 )
 
-POOL_MAGIC = b"SSKR3"
-_POOL_HEADER = struct.Struct("<5sBBQ")
+POOL_MAGIC = b"SSKR4"
+_POOL_HEADER = struct.Struct("<5sBB")
 _POOL_COUNTS = struct.Struct("<" + "Q" * len(KINDS))
 
 # the least a streaming refill deals: chunks this small stay in cache while
@@ -203,11 +200,9 @@ class PartyRandomness:
     """One party's correlated-randomness hand for a session: one pool per
     kind, at the kind's attribute (.arith, .bin, .dabits, .cross)."""
 
-    def __init__(self, pools, vmax: int, vmax_share: int):
+    def __init__(self, pools):
         for kind, pool in zip(KINDS, pools, strict=True):
             setattr(self, kind.attr, pool)
-        self.vmax = vmax
-        self.vmax_share = vmax_share
 
     def cursors(self) -> tuple[int, ...]:
         """How far each kind's pool has been consumed, in KINDS order."""
@@ -229,26 +224,26 @@ def _filled(kind: Kind, parts) -> StreamPool:
 
 def deal_strict(ring: Ring, seed, budget: RandomnessBudget, vmax: int
                 ) -> tuple[PartyRandomness, PartyRandomness]:
-    """Pre-deal an exact budget; pools raise on exhaustion."""
+    """Pre-deal an exact budget; pools raise on exhaustion.  The sentinel is
+    public and not dealt: vmax must be default_vmax(ring.l), else ValueError."""
+    if vmax != default_vmax(ring.l):
+        raise ValueError(f"the sentinel at l={ring.l} is {default_vmax(ring.l)}, not {vmax}")
     dealer = Dealer(ring, seed)
     pairs = [getattr(dealer, kind.deal)(getattr(budget, kind.budget)) for kind in KINDS]
-    shares = [int(share[0]) for share in share_matrix([vmax], dealer.rng, ring)]
     return tuple(
-        PartyRandomness([_filled(kind, pair[i]) for kind, pair in zip(KINDS, pairs)],
-                        vmax, shares[i])
+        PartyRandomness([_filled(kind, pair[i]) for kind, pair in zip(KINDS, pairs)])
         for i in (0, 1)
     )
 
 
-def deal_streaming(ring: Ring, seed, vmax: int) -> tuple[PartyRandomness, PartyRandomness]:
+def deal_streaming(ring: Ring, seed) -> tuple[PartyRandomness, PartyRandomness]:
     """Lazily dealt pools that never exhaust; both parties extend in lockstep,
     at least STREAM_CHUNK elements a refill."""
     dealer = Dealer(ring, seed)
     feeders = [_PairedFeeder(getattr(dealer, kind.deal), STREAM_CHUNK) for kind in KINDS]
-    shares = [int(share[0]) for share in share_matrix([vmax], dealer.rng, ring)]
     return tuple(
         PartyRandomness([StreamPool(len(kind.codecs), feeder.refill_for(i))
-                         for kind, feeder in zip(KINDS, feeders)], vmax, shares[i])
+                         for kind, feeder in zip(KINDS, feeders)])
         for i in (0, 1)
     )
 
@@ -259,9 +254,8 @@ def write_pool_file(path: str, party: int, l: int, rand: PartyRandomness,
     counts = [getattr(budget, kind.budget) for kind in KINDS]
     taken = [getattr(rand, kind.attr).take(count) for kind, count in zip(KINDS, counts)]
     with open(path, "wb") as f:
-        f.write(_POOL_HEADER.pack(POOL_MAGIC, l, party, rand.vmax))
+        f.write(_POOL_HEADER.pack(POOL_MAGIC, l, party))
         f.write(_POOL_COUNTS.pack(*counts))
-        f.write(encode_values(np.array([rand.vmax_share], dtype=np.uint64), l))
         for kind, parts in zip(KINDS, taken):
             for codec, part in zip(kind.codecs, parts):
                 f.write(encode_values(part, l) if codec == RING
@@ -286,17 +280,14 @@ def read_pool_file(path: str) -> tuple[PartyRandomness, dict]:
         raw = take(count * np.dtype(codec).itemsize)
         return np.frombuffer(raw, dtype=codec).astype(np.dtype(codec).type)  # a native copy
 
-    magic, l, party, vmax = _POOL_HEADER.unpack(take(_POOL_HEADER.size))
+    magic, l, party = _POOL_HEADER.unpack(take(_POOL_HEADER.size))
     if magic != POOL_MAGIC:
         raise ValueError(f"{path}: bad magic {magic!r}")
     check_file_header(path, l, party)
-    if not 1 <= vmax <= default_vmax(l):
-        raise ValueError(f"{path}: sentinel {vmax} outside [1, 2^(l-2)] at l={l}")
     counts = _POOL_COUNTS.unpack(take(_POOL_COUNTS.size))
-    vmax_share = int(decode_values(take(value_width_bytes(l)), l)[0])
     pools = [_filled(kind, [part(codec, count) for codec in kind.codecs])
              for kind, count in zip(KINDS, counts)]
     if at != len(blob):
         raise ValueError(f"{path}: {len(blob) - at} trailing bytes after the last section")
     meta = {"l": l, "party": party, **{kind.name: count for kind, count in zip(KINDS, counts)}}
-    return PartyRandomness(pools, vmax, vmax_share), meta
+    return PartyRandomness(pools), meta

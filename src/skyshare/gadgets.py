@@ -23,7 +23,7 @@ from .online import (
     and_packed,
     not_bits,
     obliv_select,
-    public_bit_share,
+    public_share,
 )
 from .ppa import LeafTables, carry_plan, pair_levels
 
@@ -87,7 +87,7 @@ def min_with_payload(ctx: PartyContext, keys: np.ndarray, payloads: list[np.ndar
             raise ValueError("payload row count mismatch")
     rows = np.hstack([keys[:, None]] + payloads) if payloads else keys[:, None]
     levels = pair_levels(n)
-    one = public_bit_share(ctx, 1, 1)
+    one = public_share(ctx, np.uint8(1), 1)
     path = np.full((n, max(1, len(levels))), one[0], dtype=np.uint8)
     for j, pairs in enumerate(levels):
         left = rows[0:2 * pairs:2]

@@ -129,8 +129,10 @@ def not_bits(ctx: PartyContext, bits: np.ndarray) -> np.ndarray:
     return bits.copy()
 
 
-def public_bit_share(ctx: PartyContext, bit: int, n: int) -> np.ndarray:
-    return np.full(n, bit if ctx.is_p1 else 0, dtype=np.uint8)
+def public_share(ctx: PartyContext, value: np.generic, n: int) -> np.ndarray:
+    """n shares of a public constant, of value's numpy type: party 1 holds
+    the value, party 2 holds 0.  No randomness, no flight."""
+    return np.full(n, value if ctx.is_p1 else 0, dtype=value.dtype)
 
 
 def bit_mul(ctx: PartyContext, bits: np.ndarray, values: np.ndarray) -> np.ndarray:

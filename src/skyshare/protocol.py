@@ -17,7 +17,7 @@ import numpy as np
 from .correlated import KINDS
 from .gadgets import less_than, min_with_payload
 from .metering import RandomnessBudget, query_cost
-from .online import PartyContext, and_jobs, not_bits, obliv_select, open_bit
+from .online import PartyContext, and_jobs, not_bits, obliv_select, open_bit, public_share
 from .ring import MAX_WIDTH, Ring, default_vmax
 
 
@@ -59,19 +59,19 @@ def check_query(q, m: int, vmax: int) -> np.ndarray:
 
 
 def ring_width(m: int, bound: int) -> int:
-    """Smallest ring width l with m*B < default_vmax(l) = 2^(l-2), so l-2
-    must cover the bit length of m*B.  The width is public to both servers:
-    it reveals ceil(log2(m*B)) unless the caller pins l.
+    """Smallest ring width l in 2..MAX_WIDTH with m*B < default_vmax(l).  The
+    width is public to both servers: it reveals ceil(log2(m*B)) unless the
+    caller pins l.
     """
     if bound < 0:
         raise ValueError("attribute bound must be non-negative")
-    l = max(2, (m * bound).bit_length() + 2)
-    if l > MAX_WIDTH:
-        raise ValueError(
-            f"m*B = {m * bound} needs a {l}-bit ring, above the {MAX_WIDTH}-bit maximum; "
-            f"rescale the data"
-        )
-    return l
+    for l in range(2, MAX_WIDTH + 1):
+        if m * bound < default_vmax(l):
+            return l
+    raise ValueError(
+        f"m*B = {m * bound} needs a ring wider than the {MAX_WIDTH}-bit maximum; "
+        f"rescale the data"
+    )
 
 
 def map_database(ctx: PartyContext, p_shares: np.ndarray, q_shares: np.ndarray) -> np.ndarray:
@@ -139,8 +139,8 @@ def filter_round(ctx: PartyContext, t_shares: np.ndarray, t_star: np.ndarray,
     is_first, is_dominated = _and_columns(ctx, [path, dominance])
     marked = is_first ^ is_dominated
 
-    vmax_col = np.full(n, ctx.rand.vmax_share, dtype=np.uint64)
-    return obliv_select(ctx, marked, vmax_col, sums)
+    sentinel = public_share(ctx, np.uint64(default_vmax(ctx.ring.l)), n)
+    return obliv_select(ctx, marked, sentinel, sums)
 
 
 @dataclass
@@ -149,7 +149,6 @@ class QueryOutcome:
 
     rows: np.ndarray  # (k, m) shares, unreduced: mask the sum of both parties' rows
     k: int
-    secext: int
 
 
 def _meters(ctx: PartyContext) -> RandomnessBudget:
@@ -169,12 +168,12 @@ def run_query(ctx: PartyContext, p_shares: np.ndarray, q_shares: np.ndarray) -> 
     start = _meters(ctx)
     t_shares = map_database(ctx, p_shares, q_shares)
     sums = attribute_sums(t_shares)
-    vmax_share = np.array([ctx.rand.vmax_share], dtype=np.uint64)
+    sentinel = public_share(ctx, np.uint64(default_vmax(ctx.ring.l)), 1)
 
     taken: list[np.ndarray] = []
     while True:
         s_min, t_star, p_star, path = fetch_min(ctx, sums, t_shares, p_shares)
-        below_sentinel = less_than(ctx, s_min, vmax_share)
+        below_sentinel = less_than(ctx, s_min, sentinel)
         stop = open_bit(ctx, int(not_bits(ctx, below_sentinel)[0]))
         if stop:
             # the fetched row is stale once everything is filtered: drop it
@@ -191,4 +190,4 @@ def run_query(ctx: PartyContext, p_shares: np.ndarray, q_shares: np.ndarray) -> 
     drift = [f"{name} {used[name]} != {value}" for name, value in want.items() if used[name] != value]
     if drift:
         raise ProtocolError(f"meter drift for n={n} m={m} k={k}: " + ", ".join(drift))
-    return QueryOutcome(rows=rows, k=k, secext=used["secext"])
+    return QueryOutcome(rows=rows, k=k)

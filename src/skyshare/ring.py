@@ -30,10 +30,6 @@ class Ring:
             raise ValueError(f"ring width must be in [2, {MAX_WIDTH}], got {self.l}")
 
     @property
-    def modulus(self) -> int:
-        return 1 << self.l
-
-    @property
     def mask(self) -> int:
         return (1 << self.l) - 1
 
@@ -54,9 +50,12 @@ class Ring:
 
 
 def default_vmax(l: int) -> int:
-    """Filtering sentinel: strictly above any admissible attribute sum.
+    """The filtering sentinel, strictly above any admissible attribute sum:
+    its one definition.  It is public (both servers know l), so each server
+    holds it as a public sharing and nothing deals, stores or sends it.
 
-    2^(l-2) keeps both compared operands and their difference inside the
-    signed-comparison validity window (-2^(l-1), 2^(l-1)).
+    Every compared operand lies in [0, vmax], so every compared difference
+    lies in [-vmax, vmax]; 2^(l-1) - 1 is the largest vmax that keeps that
+    inside the signed-comparison validity window (-2^(l-1), 2^(l-1)).
     """
-    return 1 << (l - 2)
+    return (1 << (l - 1)) - 1

@@ -39,8 +39,8 @@ from .protocol import check_domain, check_query, ring_width, run_query
 from .ring import Ring, default_vmax
 from .sharing import decode_values, encode_values, read_share_file, share_matrix, value_width_bytes
 
-PROTOCOL_VERSION = 3
-_SERVER_HELLO = struct.Struct("<BBHQ")  # version, ring width, attribute count, vmax
+PROTOCOL_VERSION = 4
+_SERVER_HELLO = struct.Struct("<BBH")  # version, ring width, attribute count
 _QUERY_HEAD = struct.Struct("<BBH")  # version, ring width, attribute count
 _RESULT_HEAD = struct.Struct("<I")   # row count
 # version, ring width, sender's party, its pool cursor per kind
@@ -85,21 +85,20 @@ def run_pair(task1, task2):
     return results[0], results[1]
 
 
-def _encode_server_hello(l: int, m: int, vmax: int) -> bytes:
-    return _SERVER_HELLO.pack(PROTOCOL_VERSION, l, m, vmax)
+def _encode_server_hello(l: int, m: int) -> bytes:
+    return _SERVER_HELLO.pack(PROTOCOL_VERSION, l, m)
 
 
-def _decode_server_hello(payload: bytes) -> tuple[int, int, int]:
-    """Check a server hello; returns (l, m, vmax)."""
+def _decode_server_hello(payload: bytes) -> tuple[int, int]:
+    """Check a server hello, its version first; returns (l, m)."""
+    ver = payload[0] if payload else "nothing"
+    if ver != PROTOCOL_VERSION:  # first: another version's hello has another size
+        raise FrameError(f"version mismatch: server speaks {ver}, we speak {PROTOCOL_VERSION}")
     if len(payload) != _SERVER_HELLO.size:
         raise FrameError("malformed server hello")
-    ver, l, m, vmax = _SERVER_HELLO.unpack(payload)
-    if ver != PROTOCOL_VERSION:
-        raise FrameError(f"version mismatch: server speaks {ver}, we speak {PROTOCOL_VERSION}")
+    _, l, m = _SERVER_HELLO.unpack(payload)
     Ring(l)  # rejects a width outside [2, 64]
-    if not 1 <= vmax <= default_vmax(l):
-        raise FrameError(f"server hello sentinel {vmax} outside [1, 2^(l-2)] at l={l}")
-    return l, m, vmax
+    return l, m
 
 
 def _encode_query_payload(l: int, q_share: np.ndarray) -> bytes:
@@ -192,7 +191,7 @@ class LocalEngine:
         (check_query)."""
         q_arr = check_query(q, self.m, self.vmax)
         dealer_seed, client_seed = self._next_session_seeds()
-        rand1, rand2 = deal_streaming(self.ring, dealer_seed, self.vmax)
+        rand1, rand2 = deal_streaming(self.ring, dealer_seed)
         q1, q2 = share_matrix(q_arr[None, :], np.random.default_rng(client_seed), self.ring)
         session_id = self._sessions
         chan1, chan2 = LocalChannel.pair(session_id, self.latency_s)
@@ -403,7 +402,7 @@ class Server:
         session = -1
         m = self.shares.shape[1]
         try:
-            write_frame(conn, KIND_HELLO, 0, _encode_server_hello(self.ring.l, m, self.rand.vmax))
+            write_frame(conn, KIND_HELLO, 0, _encode_server_hello(self.ring.l, m))
             try:
                 kind, session, payload = read_bounded_frame(
                     conn, _QUERY_HEAD.size + m * value_width_bytes(self.ring.l))
@@ -467,11 +466,11 @@ def tcp_query(servers: list[str], q, l: int | None = None, seed: int = 0, scale:
                 raise FrameError(f"expected a server hello, got kind {kind}")
             hellos.append(_decode_server_hello(payload))
         if hellos[0] != hellos[1]:
-            raise FrameError(f"servers disagree on (l, m, vmax): {hellos[0]} vs {hellos[1]}")
-        ring_l, m, vmax = hellos[0]
+            raise FrameError(f"servers disagree on (l, m): {hellos[0]} vs {hellos[1]}")
+        ring_l, m = hellos[0]
         if l is not None and l != ring_l:
             raise FrameError(f"ring width mismatch: client expects l={l}, servers use l={ring_l}")
-        q_arr = check_query(np.asarray(q, dtype=np.int64) * scale, m, vmax)
+        q_arr = check_query(np.asarray(q, dtype=np.int64) * scale, m, default_vmax(ring_l))
         ring = Ring(ring_l)
         rng = np.random.default_rng(seed)
         session = int(rng.integers(0, 1 << 32))

@@ -29,12 +29,11 @@ def session_pair(l=64, seed=0, budget=None, record=False):
     """Build linked party contexts with streaming (or strict) randomness;
     with record, each channel keeps the flights it receives (_record_flights)."""
     ring = Ring(l)
-    vmax = default_vmax(l)
     dealer_seed = np.random.SeedSequence(seed).spawn(1)[0]
     if budget is None:
-        r1, r2 = deal_streaming(ring, dealer_seed, vmax)
+        r1, r2 = deal_streaming(ring, dealer_seed)
     else:
-        r1, r2 = deal_strict(ring, dealer_seed, budget, vmax)
+        r1, r2 = deal_strict(ring, dealer_seed, budget, default_vmax(l))
     c1, c2 = LocalChannel.pair()
     if record:
         _record_flights(c1)
@@ -59,6 +58,24 @@ def reconstruct(ring, a, b):
 
 def reconstruct_bits(a, b):
     return np.asarray(a, dtype=np.uint8) ^ np.asarray(b, dtype=np.uint8)
+
+
+def peer_addr(server):
+    """The (host, port) a party-2 Server bound for its peer link.  Started
+    with peer port 0, it takes a free port at bind time: no probe-then-bind
+    window in which another socket could take the port."""
+    return server._peer_sock.getsockname()
+
+
+def start_server_pair(make):
+    """Start party 2 with peer port 0, then party 1 dialling the port party 2
+    bound; make(party, peer_endpoint) builds each Server.  Returns
+    [party 1, party 2]."""
+    second = make(2, "127.0.0.1:0")
+    second.start()
+    first = make(1, f"127.0.0.1:{peer_addr(second)[1]}")
+    first.start()
+    return [first, second]
 
 
 @pytest.fixture

@@ -5,11 +5,19 @@ else runs in-process.  Zero-tolerance criteria assert exact equality.
 """
 
 import multiprocessing
+import queue
 import time
 
 import numpy as np
 
-from conftest import reconstruct, reconstruct_bits, run_two, session_pair, share_pair
+from conftest import (
+    reconstruct,
+    reconstruct_bits,
+    run_two,
+    session_pair,
+    share_pair,
+    start_server_pair,
+)
 
 from skyshare.channel import KIND_OPEN_BIT, KIND_ROUND_DATA
 from skyshare.correlated import StreamPool
@@ -93,8 +101,16 @@ def test_criterion_2_accuracy_reproduction():
     for w in workers:
         w.start()
     done, failures = 0, []
+    deadline = time.monotonic() + 3600
     for _ in workers:
-        d, f = out.get(timeout=3600)
+        while True:  # a worker that raises exits non-zero without a result: fail at once
+            try:
+                d, f = out.get(timeout=1.0)
+                break
+            except queue.Empty:
+                crashed = [w.exitcode for w in workers if w.exitcode]
+                assert not crashed, f"accuracy worker exited with code {crashed}"
+                assert time.monotonic() < deadline, "accuracy workers timed out"
         done += d
         failures += f
     for w in workers:
@@ -257,7 +273,7 @@ def test_criterion_7_leakage_audit():
 
 
 def test_criterion_8_transport_equivalence(tmp_path):
-    from test_runtime import _deal_to_dir, _free_port
+    from test_runtime import _deal_to_dir
 
     rng = np.random.default_rng(88)
     for trial in range(20):
@@ -273,15 +289,8 @@ def test_criterion_8_transport_equivalence(tmp_path):
         sub = tmp_path / f"i{trial}"
         sub.mkdir()
         paths = _deal_to_dir(sub, data, seed=trial)
-        peer_port = _free_port()
-        servers = []
-        for party in (2, 1):
-            sp, pp = paths[party]
-            server = Server.from_files(party, "127.0.0.1:0", f"127.0.0.1:{peer_port}",
-                                       sp, pp, latency_ms=1.0, handshake_timeout=5.0)
-            server.start()
-            servers.append(server)
-        servers.reverse()
+        servers = start_server_pair(lambda party, peer: Server.from_files(
+            party, "127.0.0.1:0", peer, *paths[party], latency_ms=1.0, handshake_timeout=5.0))
         try:
             endpoints = [f"127.0.0.1:{servers[0].port}", f"127.0.0.1:{servers[1].port}"]
             tcp_rows = tcp_query(endpoints, query, l=64, seed=trial)

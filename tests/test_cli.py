@@ -1,5 +1,7 @@
 import socket
 
+from conftest import start_server_pair
+
 from skyshare.cli import main
 from skyshare.metering import METRICS_CSV_HEADER, msb_invocations
 from skyshare.runtime import Server
@@ -34,6 +36,8 @@ def test_deal_writes_share_and_pool_files(tmp_path, table_example):
 
 
 def _free_port():
+    """A port nothing listens on, for the unreachable-server test only:
+    another socket may take it after the probe, so servers bind port 0."""
     with socket.socket() as s:
         s.bind(("127.0.0.1", 0))
         return s.getsockname()[1]
@@ -48,16 +52,10 @@ def test_full_pipeline_over_tcp(tmp_path, capsys, table_example):
     assert main(["--seed", "5", "deal", "--data", str(csv), "--out-dir", str(out)]) == 0
     capsys.readouterr()  # drop the deal command's report
 
-    peer = _free_port()
-    servers = []
-    for party in (2, 1):
-        server = Server.from_files(
-            party, "127.0.0.1:0", f"127.0.0.1:{peer}",
-            str(out / f"party{party}.shares"), str(out / f"party{party}.pool"),
-            latency_ms=1.0, handshake_timeout=2.0)
-        server.start()
-        servers.append(server)
-    servers.reverse()
+    servers = start_server_pair(lambda party, peer: Server.from_files(
+        party, "127.0.0.1:0", peer,
+        str(out / f"party{party}.shares"), str(out / f"party{party}.pool"),
+        latency_ms=1.0, handshake_timeout=2.0))
     try:
         endpoints = f"127.0.0.1:{servers[0].port},127.0.0.1:{servers[1].port}"
         code = main(["--seed", "9", "query", "--servers", endpoints,
@@ -97,16 +95,10 @@ def test_verify_against_running_servers(tmp_path, capsys):
     out = tmp_path / "dealt"
     assert main(["--seed", "21", "deal", "--data", str(tmp_path / "db.csv"),
                  "--sessions", "2", "--out-dir", str(out)]) == 0
-    peer = _free_port()
-    servers = []
-    for party in (2, 1):
-        server = Server.from_files(
-            party, "127.0.0.1:0", f"127.0.0.1:{peer}",
-            str(out / f"party{party}.shares"), str(out / f"party{party}.pool"),
-            latency_ms=0.0, handshake_timeout=2.0)
-        server.start()
-        servers.append(server)
-    servers.reverse()
+    servers = start_server_pair(lambda party, peer: Server.from_files(
+        party, "127.0.0.1:0", peer,
+        str(out / f"party{party}.shares"), str(out / f"party{party}.pool"),
+        latency_ms=0.0, handshake_timeout=2.0))
     capsys.readouterr()
     try:
         endpoints = f"127.0.0.1:{servers[0].port},127.0.0.1:{servers[1].port}"

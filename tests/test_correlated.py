@@ -79,7 +79,7 @@ def test_dealt_values_are_uniform_ring_elements():
         (_, a1), (_, a2) = dealer.dabits(count)
         for values in (*first, *second, a1, a2):
             if l < 64:
-                assert int(values.max()) < ring.modulus, l
+                assert int(values.max()) < 1 << l, l
             for bit in (0, l // 2, l - 1):
                 ones = int(((values >> np.uint64(bit)) & np.uint64(1)).sum())
                 assert abs(ones - count / 2) < 5 * np.sqrt(count / 4), (l, bit)
@@ -134,11 +134,9 @@ def test_pool_take_spans_chunks():
 
 def test_streaming_pools_extend_and_match(monkeypatch):
     monkeypatch.setattr(correlated, "STREAM_CHUNK", 16)
-    r1, r2 = deal_streaming(R64, 7, default_vmax(64))
+    r1, r2 = deal_streaming(R64, 7)
     a = reconstruct(R64, r1.arith.take(100)[0], r2.arith.take(100)[0])
     assert a.size == 100
-    assert reconstruct(R64, np.array([r1.vmax_share]), np.array([r2.vmax_share]))[0] \
-        == default_vmax(64)
 
 
 def test_streaming_pools_stay_in_lockstep_across_threads(monkeypatch):
@@ -148,7 +146,7 @@ def test_streaming_pools_stay_in_lockstep_across_threads(monkeypatch):
     so every triple and cross word reconstructs and every daBit agrees."""
     ring = Ring(13)
     monkeypatch.setattr(correlated, "STREAM_CHUNK", 7)
-    sessions = [deal_streaming(ring, seed, default_vmax(13)) for seed in (31, 32)]
+    sessions = [deal_streaming(ring, seed) for seed in (31, 32)]
     sizes = np.random.default_rng(5).integers(0, 20, size=(400, len(KINDS))).tolist()
     taken = {(s, i): [] for s in range(len(sessions)) for i in (0, 1)}
 
@@ -259,8 +257,6 @@ def _check_pool_file_round_trip(tmp_path, l):
                 assert got.dtype == exp.dtype and np.array_equal(got, exp), (l, kind.name)
             with pytest.raises(PoolExhausted):
                 getattr(back, kind.attr).take(1)
-        assert back.vmax_share == want.vmax_share
-        assert back.vmax == default_vmax(l)
         backs.append(read_pool_file(path)[0])
     # the two parties' files still reconstruct to triples
     (u1, v1, w1), (u2, v2, w2) = (back.arith.take(9) for back in backs)
@@ -269,7 +265,7 @@ def _check_pool_file_round_trip(tmp_path, l):
 
 
 @pytest.mark.parametrize("l", [13, 64])
-def test_pool_file_layout_is_sskr3(tmp_path, l):
+def test_pool_file_layout_is_sskr4(tmp_path, l):
     """Known arrays in every part, written and compared with the documented
     layout built from struct; no dealer runs, so no RNG stream is pinned."""
     mask, width = (1 << l) - 1, (l + 7) // 8
@@ -285,9 +281,7 @@ def test_pool_file_layout_is_sskr3(tmp_path, l):
     bits, bit_values = np.array([1, 0, 1], dtype=np.uint8), ring_values(1, 0, mask)
     cross = (np.array([5, 2**63], dtype=np.uint64),
              np.array([0xFEDCBA9876543210, 1], dtype=np.uint64))
-    vmax, vmax_share = 300, 0x2BCD & mask
-    rand, _ = deal_strict(Ring(l), 0, RandomnessBudget(), vmax)
-    rand.vmax_share = vmax_share
+    rand, _ = deal_strict(Ring(l), 0, RandomnessBudget(), default_vmax(l))
     for attr, parts in (("arith", arith), ("bin", words), ("dabits", (bits, bit_values)),
                         ("cross", cross)):
         setattr(rand, attr, StreamPool(len(parts)))
@@ -295,8 +289,8 @@ def test_pool_file_layout_is_sskr3(tmp_path, l):
     budget = RandomnessBudget(arith_triples=2, bin_words=1, dabits=3, cross_words=2)
     path = tmp_path / "p.pool"
     write_pool_file(str(path), 2, l, rand, budget)
-    expected = (struct.pack("<5sBBQ", b"SSKR3", l, 2, vmax) + struct.pack("<QQQQ", 2, 1, 3, 2)
-                + le([vmax_share]) + b"".join(le(part) for part in arith)
+    expected = (struct.pack("<5sBB", b"SSKR4", l, 2) + struct.pack("<QQQQ", 2, 1, 3, 2)
+                + b"".join(le(part) for part in arith)
                 + b"".join(struct.pack("<Q", int(word[0])) for word in words)
                 + bytes(bits.tolist()) + le(bit_values)
                 + b"".join(struct.pack("<QQ", *(int(w) for w in part)) for part in cross))
@@ -310,9 +304,13 @@ def test_pool_file_layout_is_sskr3(tmp_path, l):
 
 def test_pool_file_refuses_the_sskr2_layout(tmp_path):
     path, blob = _pool_blob(tmp_path)
-    path.write_bytes(b"SSKR2" + blob[5:])
-    with pytest.raises(ValueError, match="bad magic"):
-        read_pool_file(str(path))
+    # an SSKR3 file, which carried the sentinel and its sharing, as dealt then
+    sskr3 = (struct.pack("<5sBBQ", b"SSKR3", 16, 1, 1 << 14) + blob[7:7 + 8 * len(KINDS)]
+             + bytes(2) + blob[7 + 8 * len(KINDS):])
+    for old in (b"SSKR2" + blob[5:], sskr3):
+        path.write_bytes(old)
+        with pytest.raises(ValueError, match="bad magic"):
+            read_pool_file(str(path))
 
 
 def test_pool_file_rejects_truncation(tmp_path):
@@ -329,9 +327,9 @@ def test_pool_file_rejects_truncation(tmp_path):
             read_pool_file(path)
 
 
-def _pool_blob(tmp_path, l=16, vmax=None):
+def _pool_blob(tmp_path, l=16):
     budget = RandomnessBudget(secext=0, arith_triples=3, bin_words=1, dabits=2)
-    r1, _ = deal_strict(Ring(l), 6, budget, default_vmax(l) if vmax is None else vmax)
+    r1, _ = deal_strict(Ring(l), 6, budget, default_vmax(l))
     path = tmp_path / "p.pool"
     write_pool_file(str(path), 1, l, r1, budget)
     return path, path.read_bytes()
@@ -345,18 +343,17 @@ def test_pool_file_rejects_bad_width(tmp_path, l):
         read_pool_file(str(path))
 
 
-def test_pool_file_rejects_trailing_byte_and_bad_sentinel(tmp_path):
+def test_pool_file_rejects_a_trailing_byte(tmp_path):
     path, blob = _pool_blob(tmp_path)
     path.write_bytes(blob + b"\x00")
     with pytest.raises(ValueError, match="trailing"):
         read_pool_file(str(path))
-    for vmax in (0, default_vmax(16) + 1):
-        path, _ = _pool_blob(tmp_path, vmax=vmax)
-        with pytest.raises(ValueError, match="sentinel"):
-            read_pool_file(str(path))
 
 
-def test_pool_file_records_the_dealt_sentinel(tmp_path):
-    path, _ = _pool_blob(tmp_path, l=11, vmax=300)
-    back, meta = read_pool_file(str(path))
-    assert meta["l"] == 11 and back.vmax == 300
+def test_deal_strict_refuses_another_sentinel():
+    budget = RandomnessBudget(arith_triples=1)
+    for l in (4, 11, 64):
+        assert len(deal_strict(Ring(l), 6, budget, default_vmax(l))) == 2
+        for vmax in (0, 300, 1 << (l - 2), default_vmax(l) + 1):
+            with pytest.raises(ValueError, match="sentinel"):
+                deal_strict(Ring(l), 6, budget, vmax)

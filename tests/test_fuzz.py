@@ -18,7 +18,7 @@ from skyshare.channel import decode_frame
 from skyshare.correlated import deal_strict, read_pool_file, write_pool_file
 from skyshare.metering import RandomnessBudget
 from skyshare.ring import Ring, default_vmax
-from skyshare.runtime import _decode_query_payload, _decode_server_hello
+from skyshare.runtime import PROTOCOL_VERSION, _decode_query_payload, _decode_server_hello
 from skyshare.sharing import read_share_file, write_share_file
 
 FUZZ = settings(max_examples=300, deadline=None)
@@ -88,15 +88,16 @@ def test_query_payload_fuzz(payload, l):
 
 @FUZZ
 @given(st.one_of(st.binary(max_size=24),
-                 st.tuples(st.integers(0, 255), st.integers(0, 255), st.integers(0, 2**16 - 1),
-                           st.integers(0, 2**64 - 1))
-                 .map(lambda t: struct.pack("<BBHQ", *t))))
+                 st.tuples(st.just(PROTOCOL_VERSION) | st.integers(0, 255), st.integers(0, 255),
+                           st.integers(0, 2**16 - 1))
+                 .map(lambda t: struct.pack("<BBH", *t))))
 def test_server_hello_fuzz(payload):
     try:
-        l, m, vmax = _decode_server_hello(payload)
+        l, m = _decode_server_hello(payload)
     except ValueError:
         return
-    assert 2 <= l <= 64 and 1 <= vmax <= default_vmax(l)
+    assert payload[0] == PROTOCOL_VERSION and len(payload) == 4
+    assert 2 <= l <= 64 and (l, m) == struct.unpack("<BBH", payload)[1:]
 
 
 @pytest.mark.parametrize("reader, valid", [(read_pool_file, _valid_pool()),

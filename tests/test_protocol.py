@@ -41,8 +41,9 @@ def _shared_instance(database, query, seed=50):
 
 def test_check_domain_guards():
     assert check_domain(2, 100, R64) == default_vmax(64)
+    assert check_domain(2, 2**62 - 1, R64) == default_vmax(64)  # 2 * B = vmax - 1
     with pytest.raises(ValueError):
-        check_domain(2, 2**61, R64)
+        check_domain(2, 2**62, R64)
 
 
 def test_check_query_admits_exactly_the_window():
@@ -59,7 +60,7 @@ def test_local_queries_fill_the_exact_window():
     are exact, and the first query outside the window is refused, as over
     TCP."""
     rng = np.random.default_rng(160)
-    for n, m, bound in ((4, 2, 102), (9, 3, 20), (6, 1, 5)):
+    for n, m, bound in ((4, 2, 102), (9, 3, 24), (6, 1, 5)):
         data = rng.integers(0, bound + 1, size=(n, m))
         data[0, 0] = bound
         engine = LocalEngine(data, seed=n)
@@ -73,17 +74,40 @@ def test_local_queries_fill_the_exact_window():
             engine.query([top + 1] + [0] * (m - 1))
 
 
+def test_the_edge_of_the_window_is_exact():
+    """At l = 4..8, a database with a row at the largest bound the sentinel
+    admits, and queries up to the window's edge: every result equals the
+    cleartext skyline.  A sentinel any larger lets compared differences
+    leave the signed window, and this sweep then returns wrong rows."""
+    rng = np.random.default_rng(6)
+    wrong, total = [], 0
+    for l in range(4, 9):
+        for m in (1, 2, 3):
+            top = (default_vmax(l) - 1) // m  # the largest B with m*B < vmax
+            data = rng.integers(0, top + 1, size=(6, m))
+            data[0] = top
+            engine = LocalEngine(data, l=l, seed=l)
+            edges = [np.full(m, top), np.zeros(m, np.int64)]
+            for q in edges + list(rng.integers(0, top + 1, size=(6, m))):
+                rows, _ = engine.query(q)
+                total += 1
+                if not same_rows(rows, plaintext_skyline(data, q)):
+                    wrong.append((l, m, q.tolist()))
+    assert not wrong, f"{len(wrong)} of {total} queries wrong, first {wrong[:3]}"
+
+
 def test_ring_width_is_the_narrowest_safe_width():
     grid = [(1, 0), (6, 0), (1, 1), (4, 100), (3, 100), (2, 1000), (6, 150),
-            (2, 511), (2, 512), (5, 2**40 + 3), (1, 2**62 - 1), (3, (2**62 - 1) // 3)]
+            (2, 511), (2, 512), (3, 340), (3, 341), (5, 2**40 + 3), (1, 2**62 - 1),
+            (3, (2**62 - 1) // 3), (1, 2**63 - 2)]
     for m, bound in grid:
         l = ring_width(m, bound)
         check_domain(m, bound, Ring(l))
         with pytest.raises(ValueError):  # Ring(1) itself raises for B = 0
             check_domain(m, bound, Ring(l - 1))
-    assert [ring_width(m, b) for m, b in ((4, 100), (3, 100), (2, 1000), (1, 0))] == [11, 11, 13, 2]
-    assert ring_width(1, 2**62 - 1) == 64
-    for m, bound in ((1, 2**62), (3, 2**61), (1, -1)):
+    assert [ring_width(m, b) for m, b in ((4, 100), (3, 100), (2, 1000), (1, 0))] == [10, 10, 12, 2]
+    assert ring_width(1, 2**63 - 2) == 64
+    for m, bound in ((1, 2**63 - 1), (3, 2**62), (1, -1)):
         with pytest.raises(ValueError):
             ring_width(m, bound)
 

@@ -65,5 +65,6 @@ def test_width_bounds_and_vmax():
         Ring(1)
     with pytest.raises(ValueError):
         Ring(65)
-    assert default_vmax(64) == 1 << 62
-    assert default_vmax(8) == 64
+    assert default_vmax(64) == (1 << 63) - 1
+    assert default_vmax(8) == 127
+    assert default_vmax(2) == 1

@@ -1,9 +1,12 @@
 import socket
+import struct
 import threading
 import time
 
 import numpy as np
 import pytest
+
+from conftest import peer_addr, start_server_pair
 
 from skyshare import runtime
 from skyshare.channel import (
@@ -132,12 +135,6 @@ def test_parse_endpoint():
         parse_endpoint("no-port")
 
 
-def _free_port():
-    with socket.socket() as s:
-        s.bind(("127.0.0.1", 0))
-        return s.getsockname()[1]
-
-
 def _deal_to_dir(tmp_path, data, l=64, seed=0, k_max=None):
     ring = Ring(l)
     n, m = data.shape
@@ -158,17 +155,8 @@ def _deal_to_dir(tmp_path, data, l=64, seed=0, k_max=None):
 
 def _start_servers(tmp_path, data, latency_ms=0.0, seed=0, l=64):
     paths = _deal_to_dir(tmp_path, data, l=l, seed=seed)
-    peer_port = _free_port()
-    servers = []
-    for party in (2, 1):  # party 2 first so its peer listener is up
-        sp, pp = paths[party]
-        server = Server.from_files(
-            party, "127.0.0.1:0", f"127.0.0.1:{peer_port}", sp, pp,
-            latency_ms=latency_ms, handshake_timeout=2.0)
-        server.start()
-        servers.append(server)
-    servers.reverse()  # [party1, party2]
-    return servers
+    return start_server_pair(lambda party, peer: Server.from_files(
+        party, "127.0.0.1:0", peer, *paths[party], latency_ms=latency_ms, handshake_timeout=2.0))
 
 
 def test_tcp_query_matches_oracle_and_local_metrics(tmp_path, table_example):
@@ -263,7 +251,7 @@ def _server_lines(capsys, text: str, count: int, timeout: float = 5.0) -> str:
 def test_client_refuses_out_of_window_query(tmp_path, table_example, monkeypatch, capsys):
     database, query, _, skyline = table_example
     bound = int(np.max(database))
-    l = ring_width(2, bound)  # 10: vmax = 256 against m*B = 204
+    l = ring_width(2, bound)  # 9: vmax = 255 against m*B = 204
     servers = _start_servers(tmp_path, np.asarray(database), l=l)
     sent = []
     write = runtime.write_frame
@@ -302,7 +290,8 @@ def test_server_refuses_a_frame_longer_than_it_can_hold(tmp_path, table_example,
     }
     try:
         endpoints = [f"127.0.0.1:{servers[0].port}", f"127.0.0.1:{servers[1].port}"]
-        for kind, addr in (("query", parse_endpoint(endpoints[0])), ("hello", servers[1].peer_addr)):
+        for kind, addr in (("query", parse_endpoint(endpoints[0])),
+                           ("hello", peer_addr(servers[1]))):
             with socket.create_connection(addr) as sock:
                 sock.settimeout(5.0)
                 if kind == "query":
@@ -326,9 +315,9 @@ def test_stalled_peer_aborts_the_session_and_frees_the_server(party, capsys):
     l = 16
     ring = Ring(l)
     shares, _ = share_matrix(np.array([[3, 1], [1, 3], [2, 2]]), np.random.default_rng(0), ring)
-    rand, _ = deal_streaming(ring, 1, default_vmax(l))
+    rand, _ = deal_streaming(ring, 1)
     dialled = socket.create_server(("127.0.0.1", 0))  # where server 1 dials its peer
-    peer_port = dialled.getsockname()[1] if party == 1 else _free_port()
+    peer_port = dialled.getsockname()[1] if party == 1 else 0
     server = Server(party, "127.0.0.1:0", f"127.0.0.1:{peer_port}", shares, rand, l,
                     latency_ms=0.0, handshake_timeout=0.5)
     server.start()
@@ -340,7 +329,7 @@ def test_stalled_peer_aborts_the_session_and_frees_the_server(party, capsys):
             held.append(client)
             read_frame(client)  # the server hello
             if party == 2:  # the fake party 1 binds its link to the session first
-                link = socket.create_connection(server.peer_addr, timeout=5.0)
+                link = socket.create_connection(peer_addr(server), timeout=5.0)
                 runtime._write_peer_hello(link, session, l, 1, FRESH)
             write_frame(client, KIND_QUERY, session,
                         runtime._encode_query_payload(l, np.zeros(2, np.uint64)))
@@ -369,12 +358,12 @@ def test_an_unclaimed_peer_link_is_closed_and_dropped(capsys):
     l = 16
     ring = Ring(l)
     shares, _ = share_matrix(np.array([[3, 1], [1, 3]]), np.random.default_rng(0), ring)
-    rand, _ = deal_streaming(ring, 1, default_vmax(l))
-    server = Server(2, "127.0.0.1:0", f"127.0.0.1:{_free_port()}", shares, rand, l,
+    rand, _ = deal_streaming(ring, 1)
+    server = Server(2, "127.0.0.1:0", "127.0.0.1:0", shares, rand, l,
                     latency_ms=0.0, handshake_timeout=0.5)
     server.start()
     try:
-        with socket.create_connection(server.peer_addr, timeout=5.0) as link:
+        with socket.create_connection(peer_addr(server), timeout=5.0) as link:
             runtime._write_peer_hello(link, 99, l, 1, FRESH)
             assert link.recv(1) == b""  # closed by the server, not left open
         assert "server 2: dropped the peer link of session 99" in _server_lines(
@@ -399,8 +388,8 @@ def test_peer_flight_of_another_size_aborts_the_session(extra, capsys):
     l, session = 16, 21
     ring = Ring(l)
     shares, _ = share_matrix(np.array([[3, 1], [1, 3], [2, 2]]), np.random.default_rng(0), ring)
-    rand, _ = deal_streaming(ring, 1, default_vmax(l))
-    server = Server(2, "127.0.0.1:0", f"127.0.0.1:{_free_port()}", shares, rand, l,
+    rand, _ = deal_streaming(ring, 1)
+    server = Server(2, "127.0.0.1:0", "127.0.0.1:0", shares, rand, l,
                     latency_ms=0.0, handshake_timeout=5.0)
     server.start()
     held = []
@@ -408,7 +397,7 @@ def test_peer_flight_of_another_size_aborts_the_session(extra, capsys):
         client = socket.create_connection(("127.0.0.1", server.port), timeout=5.0)
         held.append(client)
         read_frame(client)  # the server hello
-        link = socket.create_connection(server.peer_addr, timeout=5.0)
+        link = socket.create_connection(peer_addr(server), timeout=5.0)
         held.append(link)
         runtime._write_peer_hello(link, session, l, 1, FRESH)
         write_frame(client, KIND_QUERY, session,
@@ -439,7 +428,7 @@ def test_an_aborted_session_leaves_the_next_query_exact(tmp_path, table_example,
         client = socket.create_connection(("127.0.0.1", servers[1].port), timeout=5.0)
         held.append(client)
         read_frame(client)  # the server hello
-        link = socket.create_connection(servers[1].peer_addr, timeout=5.0)
+        link = socket.create_connection(peer_addr(servers[1]), timeout=5.0)
         held.append(link)
         runtime._write_peer_hello(link, session, l, 1, FRESH)
         write_frame(client, KIND_QUERY, session,
@@ -471,7 +460,7 @@ def test_a_burn_past_the_pool_end_aborts_cleanly(capsys):
     shares, _ = share_matrix(np.array([[3, 1], [1, 3]]), np.random.default_rng(0), ring)
     budget = budget_for_query(2, 2, l, 2)
     rand, _ = deal_strict(ring, 1, budget, default_vmax(l))
-    server = Server(2, "127.0.0.1:0", f"127.0.0.1:{_free_port()}", shares, rand, l,
+    server = Server(2, "127.0.0.1:0", "127.0.0.1:0", shares, rand, l,
                     latency_ms=0.0, handshake_timeout=5.0)
     server.start()
     held = []
@@ -479,7 +468,7 @@ def test_a_burn_past_the_pool_end_aborts_cleanly(capsys):
         client = socket.create_connection(("127.0.0.1", server.port), timeout=5.0)
         held.append(client)
         read_frame(client)  # the server hello
-        link = socket.create_connection(server.peer_addr, timeout=5.0)
+        link = socket.create_connection(peer_addr(server), timeout=5.0)
         held.append(link)
         beyond = tuple(getattr(budget, kind.budget) + 1 for kind in KINDS)
         runtime._write_peer_hello(link, session, l, 1, beyond)
@@ -519,6 +508,17 @@ def test_client_caps_the_server_hello():
     finally:
         for sock in accepted + [fake]:
             sock.close()
+
+
+def test_client_refuses_a_v3_server_hello_by_version():
+    """A v3 hello, which also carried the sentinel as a u64, is refused by its
+    version byte, whole or cut to a v4 hello's size, not misread."""
+    v3 = struct.pack("<BBHQ", 3, 11, 2, 1 << 9)
+    for hello in (v3, v3[:runtime._SERVER_HELLO.size]):
+        with pytest.raises(FrameError, match="version mismatch: server speaks 3"):
+            runtime._decode_server_hello(hello)
+    v4 = struct.pack("<BBH", runtime.PROTOCOL_VERSION, 11, 2)
+    assert runtime._decode_server_hello(v4) == (11, 2)
 
 
 def test_bytes_grow_with_database_size():
