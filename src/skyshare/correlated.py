@@ -1,13 +1,16 @@
 """Offline dealer for the correlated randomness the online phase consumes.
 
-Kinds: arithmetic multiplication triples (u, v, w = u*v), binary AND triples
-(packed 64 lanes per word, w = u & v), daBits (a random bit held both as
-an XOR sharing and as an arithmetic sharing) used to hop a bit from the
-binary domain into the arithmetic one, and cross words for one-sided ANDs
-(packed likewise: party 1 holds a mask r, party 2 a mask s, and each an
-XOR share of r & s).  Every arithmetic sharing goes through
-sharing.share_matrix.  The filtering sentinel is not dealt: it is the
-public ring.default_vmax(l), which each server holds as a public sharing.
+Kinds: arithmetic multiplication triples (u, v, w = u*v), AND gate units
+(ppa's gate family, packed 64 lanes per word: XOR shares of 7 input masks
+and of the 22 monomials of degree >= 2 that the 4-segment combine's
+products need; every multi-input AND gate reads a sub-family of one unit
+per word), daBits (a random bit held both as an XOR sharing and as an
+arithmetic sharing) used to hop a bit from the binary domain into the
+arithmetic one, and cross words for one-sided ANDs (packed likewise:
+party 1 holds a mask r, party 2 a mask s, and each an XOR share of
+r & s).  Every arithmetic sharing goes through sharing.share_matrix.  The
+filtering sentinel is not dealt: it is the public ring.default_vmax(l),
+which each server holds as a public sharing.
 
 The dealer is trusted in the semi-honest two-server model and is run by the
 owner-side tooling.  Pools are either strict (pre-dealt to an exact budget,
@@ -18,14 +21,17 @@ deterministic).
 
 Pool file format (strict pools, one file per party), walked from KINDS:
 
-    header '<5sBB'   magic b"SSKR4", l:u8, party:u8
+    header '<5sBB'   magic b"SSKR5", l:u8, party:u8
     counts '<Q'      one count per kind
     kind blocks      per kind, its parts in turn, each `count` elements in the
-                     part's codec: ring values ceil(l/8) bytes LE, '<u8', 'u1'
+                     part's codec: ring values ceil(l/8) bytes LE, '<u8',
+                     'u1', or a unit of UNIT_WORDS '<u8' words
 
 Kinds and parts go in KINDS order, which is consumption order, and nothing
 follows the last block.  The magic names this layout: change it whenever
-KINDS changes.
+KINDS changes.  read_pool_file keeps every part but the ring values as a
+read-only view of the file's bytes; the online code only reads what it
+takes.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .metering import RandomnessBudget
+from .ppa import FAMILY_INPUTS, MONOMIALS, UNIT_WORDS, unit_column
 from .ring import Ring, default_vmax
 from .sharing import (
     check_file_header,
@@ -48,6 +55,11 @@ from .sharing import (
 )
 
 RING = "ring"  # the codec of a part of ring values: encode_values/decode_values
+
+# each monomial as the unit columns of two factors: the monomial (or mask)
+# of its inputs but the lowest, which MONOMIALS lists first, and that mask
+_MONOMIAL_STEPS = tuple((unit_column(term & (term - 1)), unit_column(term & -term))
+                        for term in MONOMIALS)
 
 
 class Kind(NamedTuple):
@@ -61,12 +73,12 @@ class Kind(NamedTuple):
 # dealing order, which is also the pool file's order
 KINDS = (
     Kind("arith", "arith", "arith_triples", "arith_triples", (RING, RING, RING)),
-    Kind("bin_words", "bin", "bin_words", "bin_triple_words", ("<u8", "<u8", "<u8")),
+    Kind("bin_words", "bin", "bin_words", "bin_triple_words", (f"({UNIT_WORDS},)<u8",)),
     Kind("dabits", "dabits", "dabits", "dabits", ("u1", RING)),
     Kind("cross_words", "cross", "cross_words", "cross_words", ("<u8", "<u8")),
 )
 
-POOL_MAGIC = b"SSKR4"
+POOL_MAGIC = b"SSKR5"
 _POOL_HEADER = struct.Struct("<5sBB")
 _POOL_COUNTS = struct.Struct("<" + "Q" * len(KINDS))
 
@@ -153,9 +165,17 @@ class Dealer:
         return (u1, v1, w1), (u2, v2, w2)
 
     def bin_triple_words(self, nwords: int) -> tuple[tuple, tuple]:
-        u, v, u1, v1, w1 = (self.rng.integers(0, 1 << 64, size=nwords, dtype=np.uint64)
-                            for _ in range(5))
-        return (u1, v1, w1), (u ^ u1, v ^ v1, (u & v) ^ w1)
+        """nwords gate units, (nwords, UNIT_WORDS) per party: the masks, then
+        their monomials, each XOR-shared.  Built in place, column by column,
+        so dealing holds little beyond the two parties' shares."""
+        first = self.rng.integers(0, 1 << 64, size=(nwords, UNIT_WORDS), dtype=np.uint64)
+        unit = np.empty_like(first)
+        unit[:, :FAMILY_INPUTS] = self.rng.integers(0, 1 << 64, size=(nwords, FAMILY_INPUTS),
+                                                    dtype=np.uint64)
+        for column, (rest, low) in enumerate(_MONOMIAL_STEPS, FAMILY_INPUTS):
+            np.bitwise_and(unit[:, rest], unit[:, low], out=unit[:, column])
+        unit ^= first
+        return (first,), (unit,)
 
     def cross_words(self, nwords: int) -> tuple[tuple, tuple]:
         r, s, w1 = (self.rng.integers(0, 1 << 64, size=nwords, dtype=np.uint64)
@@ -259,7 +279,7 @@ def write_pool_file(path: str, party: int, l: int, rand: PartyRandomness,
         for kind, parts in zip(KINDS, taken):
             for codec, part in zip(kind.codecs, parts):
                 f.write(encode_values(part, l) if codec == RING
-                        else part.astype(codec).tobytes())
+                        else np.ascontiguousarray(part, dtype=np.dtype(codec).base).data)
 
 
 def read_pool_file(path: str) -> tuple[PartyRandomness, dict]:
@@ -277,8 +297,7 @@ def read_pool_file(path: str) -> tuple[PartyRandomness, dict]:
     def part(codec: str, count: int) -> np.ndarray:
         if codec == RING:
             return decode_values(take(count * value_width_bytes(l)), l)
-        raw = take(count * np.dtype(codec).itemsize)
-        return np.frombuffer(raw, dtype=codec).astype(np.dtype(codec).type)  # a native copy
+        return np.frombuffer(take(count * np.dtype(codec).itemsize), dtype=codec)  # read-only
 
     magic, l, party = _POOL_HEADER.unpack(take(_POOL_HEADER.size))
     if magic != POOL_MAGIC:

@@ -6,10 +6,11 @@ the bits of one addend of d1 + d2 and party 2 those of the other, and the
 carry into the top bit is a comparison between two private bit strings
 (ppa's plan).  The leaf blocks take one flight of one-sided ANDs, each
 party evaluating its side of every block's factored G and P on its own bit
-columns; the combine tree takes one Beaver AND flight per level.  The
-output bit equals (a < b) under the signed reading whenever a, b and a - b
-stay inside (-2^(l-1), 2^(l-1)), which the protocol layer guarantees via
-its domain-bound checks; the raw msb identity holds on the full ring.
+columns; the combine tree takes one flight of multi-input AND gates per
+level, groups of up to 4 segments each.  The output bit equals (a < b)
+under the signed reading whenever a, b and a - b stay inside
+(-2^(l-1), 2^(l-1)), which the protocol layer guarantees via its
+domain-bound checks; the raw msb identity holds on the full ring.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ import numpy as np
 from .bitpack import bits_of_values, unpack_bits
 from .online import (
     PartyContext,
+    and_multi,
     and_one_sided,
-    and_packed,
     not_bits,
     obliv_select,
     public_share,
@@ -28,18 +29,26 @@ from .online import (
 from .ppa import LeafTables, carry_plan, pair_levels
 
 
-def _leaf_blocks(ctx: PartyContext, leaf: LeafTables, lanes: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Shares of every leaf block's G, and of the P of every block above the
-    lowest, from one flight of one-sided ANDs."""
-    factors = leaf.factors[ctx.party - 1]
-    vals = lanes[factors[0]]  # (rows, words): this party's monomial per row
-    for rows in factors[1:]:
-        vals &= lanes[rows]
-    vals[leaf.sent] = and_one_sided(ctx, vals[leaf.sent])
-    out = np.bitwise_xor.reduceat(vals, leaf.starts, axis=0)
-    blocks = (len(leaf.starts) + 1) // 2
-    return out[:blocks], out[blocks:]
+def _per_output(vals: np.ndarray, part: tuple) -> np.ndarray:
+    """XOR the rows of each block output; an output without rows here is 0."""
+    _, starts, has = part
+    summed = np.bitwise_xor.reduceat(vals, starts, axis=0)
+    if has is None:
+        return summed
+    full = np.zeros((has.size, vals.shape[1]), dtype=np.uint64)
+    full[has] = summed
+    return full
+
+
+def _leaf_blocks(ctx: PartyContext, leaf: LeafTables, lanes: np.ndarray) -> np.ndarray:
+    """Shares of every leaf block's G, then of the P of every block above the
+    lowest, from one flight of one-sided ANDs.  The sent monomials are
+    gathered straight into the flight; the local ones are summed apart."""
+    local, cross = leaf.local[ctx.party - 1], leaf.cross[ctx.party - 1]
+    out = _per_output(and_one_sided(ctx, np.bitwise_and.reduce(lanes[cross[0]], axis=0)), cross)
+    if local[1].size:
+        out ^= _per_output(np.bitwise_and.reduce(lanes[local[0]], axis=0), local)
+    return out
 
 
 def less_than(ctx: PartyContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -49,18 +58,17 @@ def less_than(ctx: PartyContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     l = ctx.ring.l
     n = a.size
     lanes = bits_of_values((a - b).ravel(), l)  # (l, words); reads the low l bits only
+    words = lanes.shape[1]
     plan = carry_plan(l)
-    # g[i] is segment i's G, p[i] segment i+1's P: the lowest never needs one
-    g, p = _leaf_blocks(ctx, plan.leaf, lanes)
-    for pairs in plan.level_pairs:
-        hi_p = p[0:2 * pairs:2]
-        # one flight: every hi P AND its lo G, and AND its lo P above the lowest
-        z = and_packed(ctx, np.concatenate((hi_p, hi_p[1:])),
-                       np.concatenate((g[0:2 * pairs:2], p[1:2 * pairs - 1:2])))
-        g = np.concatenate((z[:pairs] ^ g[1:2 * pairs:2], g[2 * pairs:]))
-        p = np.concatenate((z[pairs:], p[2 * pairs - 1:]))
-
-    out = lanes[l - 1] ^ g[0]
+    # rows: each segment's G, then the P of each segment above the lowest
+    gp = _leaf_blocks(ctx, plan.leaf, lanes)
+    for level in plan.levels:
+        outs = and_multi(ctx, [(job.gate, gp[job.rows].reshape(len(job.gate.inputs), -1))
+                               for job in level.jobs])
+        rows = np.concatenate([gp] + [z.reshape(-1, words) for z in outs])
+        gp = rows[level.take]
+        gp[level.local[0]] ^= rows[level.local[1]]  # each combine's top G
+    out = lanes[l - 1] ^ gp[0]
     ctx.meters.secext += n
     return unpack_bits(out, n).reshape(a.shape)
 

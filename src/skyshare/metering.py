@@ -15,7 +15,8 @@ checks each session's meters against query_cost field for field, and the
 *_rounds and query_bytes readers below are views of the same walks, so
 every structural choice (batched comparison levels, level-locked flag
 trees, the one-flight daBit select) is encoded here and nowhere else.  A
-comparison's rounds and AND counts come from ppa's carry plan.
+comparison's rounds, bits sent and gate units come from ppa's carry plan,
+and a flag tree's from ppa.and_tree: nothing here restates a plan.
 
 Functions that still take a `mode` accept only MODE_DABIT, the one
 bit-by-value multiplication the protocol has.
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 from itertools import zip_longest
 
 from .bitpack import words_for
-from .ppa import carry_plan, ceil_log2, pair_levels
+from .ppa import and_tree, carry_plan, ceil_log2, pair_levels
 from .sharing import value_width_bytes
 
 MODE_DABIT = "dabit"
@@ -75,14 +76,15 @@ class RandomnessBudget:
 def msb_cost(batch: int, l: int) -> RandomnessBudget:
     """One batched comparison of `batch` pairs, rows packed 64 lanes a word:
     the carry plan's rounds, a cross word (8 bytes, its masked operand) per
-    one-sided AND row of the leaf blocks and an AND-triple word (16 bytes,
-    its e and f) per combine row."""
+    one-sided AND row of the leaf blocks, a word (8 bytes) per combine gate
+    input opened and a gate unit per combine gate."""
     plan = carry_plan(l)
     words = words_for(batch)
     cross = plan.cross_rows * words
-    ands = plan.combine_rows * words
-    return RandomnessBudget(rounds=plan.and_rounds, bytes=8 * cross + 16 * ands,
-                            secext=batch, bin_words=ands, cross_words=cross)
+    return RandomnessBudget(rounds=plan.and_rounds,
+                            bytes=8 * (cross + plan.combine_bits * words),
+                            secext=batch, bin_words=plan.combine_gates * words,
+                            cross_words=cross)
 
 
 def select_cost(batch: int, width: int, l: int) -> RandomnessBudget:
@@ -121,13 +123,17 @@ def path_columns(n: int) -> int:
 def filt_cost(n: int, m: int, l: int, mode: str) -> RandomnessBudget:
     # one fused comparison batch, then the AND tree over the fetch's path
     # bits running level-locked with the one over the m+1 dominance columns
-    # (one flight per level, each tree's pairs packed as one job of
-    # n*pairs bits), then one overwrite
+    # (one flight per level; each tree's groups of one gate packed as one
+    # job of n*groups bits, opened once per input, one unit per word), then
+    # one overwrite
     check_mode(mode)
     total = msb_cost(n * (m + 1), l)
-    for level in zip_longest(pair_levels(path_columns(n)), pair_levels(m + 1), fillvalue=0):
-        words = sum(words_for(n * pairs) for pairs in level)
-        total = total + RandomnessBudget(rounds=1, bytes=16 * words, bin_words=words)
+    for level in zip_longest(and_tree(path_columns(n)), and_tree(m + 1)):
+        jobs = [job for tree_level in level if tree_level for job in tree_level.jobs]
+        units = [words_for(n * job.rows.shape[1]) for job in jobs]
+        total = total + RandomnessBudget(
+            rounds=1, bin_words=sum(units),
+            bytes=8 * sum(len(job.gate.inputs) * words for job, words in zip(jobs, units)))
     return total + select_cost(n, 1, l)
 
 

@@ -1,13 +1,13 @@
-"""Online two-party primitives: Beaver ANDs, one-sided ANDs, the one-flight
-select.
+"""Online two-party primitives: multi-input ANDs, one-sided ANDs, the
+one-flight select.
 
 Every function here is SPMD: both parties run the same code on their own
 shares, exchanging one flight per round through the session channel, and
 the two flights of a round are always the same size.  All openings are of
-uniformly masked values (Beaver e/f, one-sided AND operands under a fresh
-dealer mask, daBit-masked bits); the single deliberate value opening in
-the whole protocol is open_bit(), used once per query loop for the stop
-flag.
+uniformly masked values (AND gate inputs and one-sided AND operands under
+fresh dealer masks, Beaver e/f, daBit-masked bits); the single deliberate
+value opening in the whole protocol is open_bit(), used once per query
+loop for the stop flag.
 
 Arithmetic shares stay unreduced in uint64 between flights: Z_{2^64} maps
 onto Z_{2^l}, so only the bits that leave (encode_values) or are read as
@@ -20,9 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bitpack import pack_bits, unpack_bits, words_for
+from .bitpack import pack_bits, unpack_bits
 from .channel import KIND_OPEN_BIT, ChannelBase
 from .correlated import PartyRandomness
+from .ppa import Gate, and_gate
 from .ring import Ring
 from .sharing import decode_values, encode_values
 
@@ -57,30 +58,6 @@ def open_bit(ctx: PartyContext, bit_share: int) -> int:
     return (bit_share ^ got[0]) & 1
 
 
-def and_packed(ctx: PartyContext, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Beaver AND over packed bit words (64 independent lanes per word)."""
-    if x.shape != y.shape:
-        raise ValueError("operand shape mismatch")
-    n = x.size
-    u, v, w = ctx.rand.bin.take(n)
-    ef = np.empty((2, n), dtype=np.uint64)
-    np.bitwise_xor(x.reshape(n), u, out=ef[0])
-    np.bitwise_xor(y.reshape(n), v, out=ef[1])
-    peer = np.frombuffer(ctx.chan.exchange(ef.tobytes()), dtype="<u8")
-    ef ^= peer.reshape(2, n)  # the opened e = x ^ u and f = y ^ v
-    e = ef[0]
-    f = ef[1]
-    z = f & u
-    if ctx.is_p1:  # e&v ^ e&f, the public term folded in at party 1
-        f ^= v
-        e &= f
-    else:
-        e &= v
-    z ^= e
-    z ^= w
-    return z.reshape(x.shape)
-
-
 def and_one_sided(ctx: PartyContext, mine: np.ndarray) -> np.ndarray:
     """XOR shares of x AND y over packed words, where party 1 holds x in the
     clear and party 2 holds y, each passing its own operand as mine.
@@ -88,7 +65,7 @@ def and_one_sided(ctx: PartyContext, mine: np.ndarray) -> np.ndarray:
     The dealer gives party 1 a mask r, party 2 a mask s, and XOR shares
     w1 ^ w2 = r & s.  Party 1 sends x ^ r and party 2 sends y ^ s, each
     uniform under its fresh mask; then x & (y ^ s) ^ w1 and (x ^ r) & s ^ w2
-    XOR to x & y.  One word sent per 64 products, against two for and_packed.
+    XOR to x & y.  One word sent per 64 products.
     """
     n = mine.size
     mask, w = ctx.rand.cross.take(n)
@@ -99,27 +76,54 @@ def and_one_sided(ctx: PartyContext, mine: np.ndarray) -> np.ndarray:
     return z.reshape(mine.shape)
 
 
-def and_jobs(ctx: PartyContext, jobs: list[tuple[np.ndarray, np.ndarray]]) -> list[np.ndarray]:
-    """AND several independent uint8 bit-array pairs in a single flight.
+def and_multi(ctx: PartyContext, jobs: list[tuple[Gate, np.ndarray]]) -> list[np.ndarray]:
+    """Multi-input AND gates over packed words, every job in one flight.
 
-    Each job is packed to whole words on its own, so triple-word consumption
-    is a per-job quantity the budget model can mirror.
+    A job is a gate and its inputs stacked as (len(gate.inputs), words),
+    each row 64 lanes a word; it returns XOR shares of the gate's outputs
+    as (len(gate.outputs), words).  Each gate word takes one dealt unit:
+    masks a_i and shares of their monomials.  A party sends e_i = x_i ^ a_i
+    for the gate's inputs only, each uniform under its fresh mask, and
+    after the flight evaluates every product as XOR over T of e^(S-T) a^T,
+    linear in its shares (ppa.Gate).  Taken unit slices are only read.
     """
-    xs, ys, sizes = [], [], []
-    for x, y in jobs:
-        if x.shape != y.shape:
-            raise ValueError("job shape mismatch")
-        sizes.append(x.size)
-        xs.append(pack_bits(x.ravel()))
-        ys.append(pack_bits(y.ravel()))
-    z = and_packed(ctx, np.concatenate(xs), np.concatenate(ys))
+    (units,) = ctx.rand.bin.take(sum(x.shape[1] for _, x in jobs))
+    masks, sent = [], []
+    at = 0
+    for gate, x in jobs:
+        if x.shape[0] != len(gate.inputs):
+            raise ValueError("gate input count mismatch")
+        a = units[at:at + x.shape[1], gate.cols].T  # (cols, words): masks, then monomials
+        at += x.shape[1]
+        masks.append(a)
+        sent.append(x ^ a[:x.shape[0]])
+    flight = np.concatenate([e.ravel() for e in sent]) if len(sent) > 1 else sent[0].ravel()
+    peer = np.frombuffer(ctx.chan.exchange(flight.tobytes()), dtype="<u8")
     out = []
     at = 0
-    for (x, _), nbits in zip(jobs, sizes):
-        nw = words_for(nbits)
-        out.append(unpack_bits(z[at:at + nw], nbits).reshape(x.shape))
-        at += nw
+    for (gate, _), a, e in zip(jobs, masks, sent):
+        e ^= peer[at:at + e.size].reshape(e.shape)  # the opened e_i
+        at += e.size
+        factors, starts = gate.tables[ctx.party - 1]
+        vals = np.bitwise_and.reduce(np.concatenate((e, a))[factors], axis=0)
+        out.append(np.bitwise_xor.reduceat(vals, starts, axis=0))
     return out
+
+
+def and_jobs(ctx: PartyContext, jobs: list[tuple[np.ndarray, ...]]) -> list[np.ndarray]:
+    """AND each job's 2..4 same-shape uint8 bit arrays (or the rows of one
+    array), every job in a single flight of and_multi.
+
+    Each job is packed to whole words on its own, so unit consumption is a
+    per-job quantity the budget model can mirror.
+    """
+    gated = []
+    for job in jobs:
+        if any(x.shape != job[0].shape for x in job):
+            raise ValueError("job shape mismatch")
+        gated.append((and_gate(len(job)), pack_bits(np.asarray(job).reshape(len(job), -1))))
+    return [unpack_bits(z[0], job[0].size).reshape(job[0].shape)
+            for job, z in zip(jobs, and_multi(ctx, gated))]
 
 
 def not_bits(ctx: PartyContext, bits: np.ndarray) -> np.ndarray:

@@ -1,5 +1,5 @@
 """Carry circuit plan for shared-MSB extraction: one flight of leaf blocks,
-then a log-depth combine tree.
+then a radix-4 combine tree of multi-input AND gates.
 
 To compare two shared values we need only the carry into the top bit of
 d1 + d2, where d_i is party i's share of the difference: party 1 holds the
@@ -20,29 +20,37 @@ G needs 1, 3 and 7 products at widths 1, 2 and 3, P needs 0, 2 and 6,
 and the lowest block needs no P.  Every block's products go out in one
 flight.
 
-Combine tree.  The segments are then reduced pairwise, adjacent segments
-paired left to right per level, odd tail carried:
+Combine tree.  Each level cuts the segments, lowest first, into groups of
+at most 4 and combines each group in one gate; for segments 3..0 of a group
 
-    (g, p) of [lo..hi] = (g_hi XOR (p_hi AND g_lo), p_hi AND p_lo)
+    G = G3 ^ P3 G2 ^ P3 P2 G1 ^ P3 P2 P1 G0,    P = P3 P2 P1 P0
 
-with one Beaver AND flight per level.  The lowest segment never needs its
-P, so a level of `pairs` combines issues 2*pairs - 1 AND rows, and the
-root combine only G.
+(a group of j < 4 segments uses segments 3..4-j).  The lowest group never
+needs its P, and a group of one is carried.  Every gate of a level is one
+multi-input AND (online.and_multi): it opens each input once, so a group of
+j segments sends 2(j-1) bits per lane, and one more for its P.  The gates
+are sub-families of one dealt unit, the 4-segment prefix family: masks
+for its 7 inputs and XOR shares of the 22 monomials of degree >= 2 its
+products need (UNIT_WORDS words per 64 lanes).  A 2-, 3- or 4-input AND reads the unit the same way,
+so every gate word takes exactly one unit.
 
-Block count: the fewest blocks give the shallowest tree; among the counts
-that keep that depth, the plan takes the one that sends the fewest bits
-per lane (one per one-sided AND, two per Beaver AND).  total_and_rows
-counts both kinds of AND per compared lane.
+Plan choice: the fewest levels first, then the fewest bits sent per lane
+(one per one-sided AND, one per opened gate input), then the fewest gates.
+That picks both the block count and each level's grouping; the filter's
+flag trees are AND trees grouped the same way (and_tree).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache, reduce
+from operator import or_
 from typing import NamedTuple
 
 import numpy as np
 
 MAX_BLOCK = 3
+RADIX = 4  # the widest gate: segments per combine, inputs per AND
 
 
 def ceil_log2(n: int) -> int:
@@ -128,6 +136,227 @@ def _outputs(blocks: tuple[int, ...]) -> list[tuple[int, Output]]:
             + [(j, block_outputs(w)[1]) for j, w in enumerate(blocks) if j])
 
 
+# --- the gate family ---------------------------------------------------------
+#
+# A family input is a bit index: P3, P2, P1, P0 are inputs 0..3 and G2, G1,
+# G0 inputs 4..6.  A product term is a bit mask over the inputs.
+
+
+def _p(segment: int) -> int:
+    return 1 << (3 - segment)
+
+
+def _g(segment: int) -> int:
+    return 1 << (6 - segment)
+
+
+def _prefix(segments: range) -> int:
+    """The product of the P's of the given segments, as a term."""
+    term = 0
+    for t in segments:
+        term |= _p(t)
+    return term
+
+
+def _submasks(mask: int):
+    sub = mask
+    while sub:
+        yield sub
+        sub = (sub - 1) & mask
+
+
+# the 4-segment combine's products: P3 G2, P3 P2 G1, P3 P2 P1 G0, P3 P2 P1 P0
+_FAMILY_TERMS = tuple(_prefix(range(s + 1, 4)) | _g(s) for s in (2, 1, 0)) + (_prefix(range(4)),)
+FAMILY_INPUTS = 7
+MONOMIALS = tuple(sorted({sub for term in _FAMILY_TERMS for sub in _submasks(term)
+                          if sub.bit_count() >= 2}))
+UNIT_WORDS = FAMILY_INPUTS + len(MONOMIALS)  # per lane word: the masks, then the monomials
+
+
+def unit_column(term: int) -> int:
+    """The unit column holding the mask product of `term`: an input's mask
+    for one input, else its monomial."""
+    if term.bit_count() == 1:
+        return term.bit_length() - 1
+    return FAMILY_INPUTS + MONOMIALS.index(term)
+
+
+def _bits(mask: int) -> list[int]:
+    return [i for i in range(FAMILY_INPUTS) if mask >> i & 1]
+
+
+@dataclass(frozen=True, eq=False)
+class Gate:
+    """One multi-input AND gate: its outputs are XORs of product terms over
+    the family inputs it opens.
+
+    Each party evaluates prod_{i in S} x_i = XOR over T in S of
+    e^(S-T) a^T from the opened e_i = x_i ^ a_i and its shares of the mask
+    products a^T (T empty: the public e^S, at party 1 only).  tables[party
+    - 1] lists those pairs as rows of up to 4 factors into the stacked
+    [e of each input; unit columns cols], an output's rows at its start.
+    """
+
+    outputs: tuple  # per output, its product terms
+    inputs: tuple = field(init=False)  # family inputs opened, in flight order
+    cols: np.ndarray = field(init=False, repr=False)  # unit columns read: masks, then monomials
+    tables: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        terms = [term for out in self.outputs for term in out]
+        inputs = tuple(_bits(reduce(or_, terms)))
+        monomials = sorted({sub for term in terms for sub in _submasks(term)
+                            if sub.bit_count() >= 2})
+        cols = [unit_column(1 << i) for i in inputs] + [unit_column(m) for m in monomials]
+        e_row = {i: r for r, i in enumerate(inputs)}
+        a_row = {col: len(inputs) + r for r, col in enumerate(cols)}
+        tables = []
+        for party in (1, 2):
+            rows, starts = [], []
+            for out in self.outputs:
+                starts.append(len(rows))
+                for term in out:
+                    for t in (0, *_submasks(term)):
+                        if not t and party == 2:
+                            continue  # the public product is party 1's
+                        row = [e_row[i] for i in _bits(term & ~t)]
+                        if t:
+                            row.append(a_row[unit_column(t)])
+                        rows.append(row)
+            span = max(map(len, rows))
+            factors = np.array([(row * span)[:span] for row in rows], dtype=np.intp).T
+            tables.append((factors, np.array(starts, dtype=np.intp)))
+        object.__setattr__(self, "inputs", inputs)
+        object.__setattr__(self, "cols", np.array(cols, dtype=np.intp))
+        object.__setattr__(self, "tables", tuple(tables))
+
+
+@cache
+def and_gate(arity: int) -> Gate:
+    """x_1 AND ... AND x_arity, the inputs read as P3, P2, ... in turn."""
+    if not 2 <= arity <= RADIX:
+        raise ValueError(f"an AND gate takes 2..{RADIX} inputs")
+    return Gate(((_prefix(range(4 - arity, 4)),),))
+
+
+@cache
+def combine_gate(segments: int, with_p: bool) -> Gate:
+    """The combine of `segments` adjacent segments, read as segments 3, 2,
+    ... from the top: G less its local top term G3, then P if with_p."""
+    if not 2 <= segments <= RADIX:
+        raise ValueError(f"a combine takes 2..{RADIX} segments")
+    low = RADIX - segments
+    g = tuple(_prefix(range(s + 1, 4)) | _g(s) for s in range(2, low - 1, -1))
+    return Gate((g, (_prefix(range(low, 4)),)) if with_p else (g,))
+
+
+# --- tree levels -------------------------------------------------------------
+
+
+def _level_sizes(count: int, groups: int) -> tuple[int, ...]:
+    """count rows cut into `groups` groups of at most RADIX, lowest first,
+    with as many groups of one (carried, at the top) as that allows."""
+    singles = min(groups - 1, (RADIX * groups - count) // (RADIX - 1))
+    q, r = divmod(count - singles, groups - singles)
+    return (q + 1,) * r + (q,) * (groups - singles - r) + (1,) * singles
+
+
+def _level_bits(sizes: tuple[int, ...], combine: bool) -> int:
+    """Bits one level sends per lane: an AND opens its inputs, a combine of
+    j segments 2(j-1) and one more for a P, which the lowest group skips."""
+    if not combine:
+        return sum(j for j in sizes if j > 1)
+    return sum(2 * j - 1 for j in sizes if j > 1) - (sizes[0] > 1)
+
+
+def tree_sizes(count: int, combine: bool) -> tuple[tuple[int, ...], ...]:
+    """Group sizes per level reducing `count` rows to one: the fewest levels,
+    then the fewest bits sent, then the fewest gates."""
+    return _best_tree(count, combine)[1]
+
+
+@cache
+def _best_tree(count: int, combine: bool) -> tuple[tuple[int, int, int], tuple]:
+    if count < 1:
+        raise ValueError("a tree needs at least one row")
+    if count == 1:
+        return (0, 0, 0), ()
+    best = None
+    for groups in range(-(-count // RADIX), count):
+        sizes = _level_sizes(count, groups)
+        (depth, bits, gates), rest = _best_tree(groups, combine)
+        key = (depth + 1, bits + _level_bits(sizes, combine),
+               gates + sum(j > 1 for j in sizes))
+        if best is None or key < best[0]:
+            best = (key, (sizes,) + rest)
+    return best
+
+
+class Job(NamedTuple):
+    """The groups of one level that share a gate: rows[i, c] is the row
+    holding input gate.inputs[i] of group c."""
+
+    gate: Gate
+    rows: np.ndarray
+
+
+class Level(NamedTuple):
+    """One level's gates, and how its next rows come from [current rows;
+    job 0's outputs; job 1's ...], a job's outputs output by output, group
+    by group: row r of the next level is take[r], XORed with the current
+    row local[1][i] where local[0][i] == r (a combine's top G)."""
+
+    jobs: tuple
+    take: np.ndarray
+    local: np.ndarray
+
+
+def _level(sizes: tuple[int, ...], combine: bool) -> Level:
+    """Compile one level.  AND tree rows are the columns in order; combine
+    rows are the G of each segment, then the P of each segment above the
+    lowest: G(i) = i and P(i) = segments - 1 + i."""
+    count, groups = sum(sizes), len(sizes)
+    starts = np.cumsum((0,) + sizes[:-1]).tolist()
+
+    def source(c: int, inp: int) -> int:
+        lo, j = starts[c], sizes[c]
+        if not combine:
+            return lo + inp
+        seg = lo + (3 - inp if inp < 4 else 6 - inp) - (RADIX - j)  # P(3 - i) or G(6 - i)
+        return seg if inp >= 4 else count - 1 + seg
+
+    members: dict[Gate, list[int]] = {}
+    for c, j in enumerate(sizes):
+        if j > 1:
+            gate = combine_gate(j, c > 0) if combine else and_gate(j)
+            members.setdefault(gate, []).append(c)
+    at = 2 * count - 1 if combine else count
+    jobs, take, local = [], {}, []
+    for gate, cs in members.items():
+        jobs.append(Job(gate, np.array([[source(c, i) for c in cs] for i in gate.inputs],
+                                       dtype=np.intp)))
+        for slot, c in enumerate(cs):
+            take[c] = at + slot
+            if combine:
+                local.append((c, starts[c] + sizes[c] - 1))  # the group's top G
+                if c:
+                    take[groups - 1 + c] = at + len(cs) + slot
+        at += len(gate.outputs) * len(cs)
+    for c, j in enumerate(sizes):
+        if j == 1:  # carried
+            take[c] = starts[c]
+            if combine and c:
+                take[groups - 1 + c] = count - 1 + starts[c]
+    return Level(tuple(jobs), np.array([take[r] for r in range(len(take))], dtype=np.intp),
+                 np.array(local, dtype=np.intp).reshape(-1, 2).T)
+
+
+@cache
+def and_tree(count: int) -> tuple[Level, ...]:
+    """The levels ANDing `count` rows down to one, groups of at most RADIX."""
+    return tuple(_level(sizes, False) for sizes in tree_sizes(count, False))
+
+
 # --- the whole comparison ----------------------------------------------------
 
 
@@ -141,45 +370,47 @@ def _cross_rows(blocks: tuple[int, ...]) -> int:
     return sum(len(out.cross) for _, out in _outputs(blocks))
 
 
-def _combine_rows(segments: int) -> int:
-    return sum(2 * pairs - 1 for pairs in pair_levels(segments))
-
-
 def _choose_blocks(leaves: int) -> tuple[int, ...]:
+    def key(blocks):
+        (depth, bits, gates), _ = _best_tree(len(blocks), True)
+        return depth, _cross_rows(blocks) + bits, gates
+
     fewest = -(-leaves // MAX_BLOCK)
-    counts = range(fewest, min(leaves, 1 << ceil_log2(fewest)) + 1)
-    return min((_split(leaves, count) for count in counts),
-               key=lambda blocks: _cross_rows(blocks) + 2 * _combine_rows(len(blocks)))
+    return min((_split(leaves, count) for count in range(fewest, leaves + 1)), key=key)
 
 
 @dataclass(frozen=True)
 class LeafTables:
     """The leaf flight as flat tables: a few gathers evaluate every block.
 
-    Row r holds one monomial per party: the AND of bit-lane rows
-    factors[party - 1][:, r] (a monomial of fewer positions repeats one).
-    Rows run output by output in _outputs order, each output's first row at
-    starts; sent marks the cross rows, whose products are the one-sided ANDs.
+    Each output (in _outputs order) is the XOR of its local rows and of its
+    cross rows' one-sided AND products.  A row holds one monomial per party:
+    the AND of bit-lane rows factors[:, r] (a monomial of fewer positions
+    repeats one).  Per party, local and cross each hold (factors, the start
+    row of each output that has such rows, a mask of those outputs or None
+    when all do).
     """
 
-    factors: tuple      # per party: (widest block, rows) bit-lane rows
-    sent: np.ndarray    # (rows,) bool
-    starts: np.ndarray  # (2 * blocks - 1,)
+    local: tuple
+    cross: tuple
 
 
-def _leaf_tables(blocks: tuple[int, ...]) -> LeafTables:
+def _leaf_part(blocks: tuple[int, ...], party: int, cross: bool) -> tuple:
     span = max(blocks)
     first = np.cumsum((0,) + blocks[:-1])
-    outputs = _outputs(blocks)
-    factors, sent, starts = [], [], []
-    for j, out in outputs:
-        starts.append(len(sent))
-        for row in out.local + out.cross:
-            lanes = [[first[j] + i for i in range(span) if mask >> i & 1] for mask in row]
-            factors.append([(rows * span)[:span] for rows in lanes])
-        sent += [False] * len(out.local) + [True] * len(out.cross)
-    table = np.array(factors, dtype=np.intp).transpose(1, 2, 0)  # (party, span, rows)
-    return LeafTables((table[0], table[1]), np.array(sent), np.array(starts))
+    factors, starts, outs = [], [], []
+    for o, (j, out) in enumerate(_outputs(blocks)):
+        rows = out.cross if cross else out.local
+        if rows:
+            starts.append(len(factors))
+            outs.append(o)
+        for row in rows:
+            lanes = [first[j] + i for i in range(span) if row[party] >> i & 1]
+            factors.append((lanes * span)[:span])
+    has = np.zeros(2 * len(blocks) - 1, dtype=bool)
+    has[outs] = True
+    return (np.array(factors, dtype=np.intp).reshape(-1, span).T,
+            np.array(starts, dtype=np.intp), None if has.all() else has)
 
 
 @dataclass(frozen=True)
@@ -188,20 +419,25 @@ class CarryPlan:
     # leaf block widths, lowest positions first
     blocks: tuple = field(init=False)
     leaf: LeafTables = field(init=False, repr=False)
-    # number of adjacent-segment combines at each reduction level
-    level_pairs: tuple = field(init=False)
+    # group sizes per combine level, lowest group first
+    tree: tuple = field(init=False)
+    levels: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.width < 2:
             raise ValueError("carry plan needs width >= 2")
         blocks = _choose_blocks(self.width - 1)
+        leaf = LeafTables(*(tuple(_leaf_part(blocks, party, cross) for party in (0, 1))
+                            for cross in (False, True)))
+        tree = tree_sizes(len(blocks), True)
         object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "leaf", _leaf_tables(blocks))
-        object.__setattr__(self, "level_pairs", pair_levels(len(blocks)))
+        object.__setattr__(self, "leaf", leaf)
+        object.__setattr__(self, "tree", tree)
+        object.__setattr__(self, "levels", tuple(_level(sizes, True) for sizes in tree))
 
     @property
     def combine_levels(self) -> int:
-        return len(self.level_pairs)
+        return len(self.levels)
 
     @property
     def and_rounds(self) -> int:
@@ -214,14 +450,19 @@ class CarryPlan:
         return _cross_rows(self.blocks)
 
     @property
-    def combine_rows(self) -> int:
-        """Beaver ANDs per compared lane: AND-triple words per 64 lanes."""
-        return _combine_rows(len(self.blocks))
+    def combine_bits(self) -> int:
+        """Gate inputs opened per compared lane: words sent per 64 lanes."""
+        return _best_tree(len(self.blocks), True)[0][1]
+
+    @property
+    def combine_gates(self) -> int:
+        """Combine gates per compared lane: gate units per 64 lanes."""
+        return _best_tree(len(self.blocks), True)[0][2]
 
     @property
     def total_and_rows(self) -> int:
-        """AND rows per compared lane, the leaf blocks' one-sided ANDs included."""
-        return self.cross_rows + self.combine_rows
+        """AND gates per compared lane, the leaf blocks' one-sided ANDs included."""
+        return self.cross_rows + self.combine_gates
 
 
 _PLANS: dict[int, CarryPlan] = {}

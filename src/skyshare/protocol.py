@@ -18,6 +18,7 @@ from .correlated import KINDS
 from .gadgets import less_than, min_with_payload
 from .metering import RandomnessBudget, query_cost
 from .online import PartyContext, and_jobs, not_bits, obliv_select, open_bit, public_share
+from .ppa import and_tree
 from .ring import MAX_WIDTH, Ring, default_vmax
 
 
@@ -105,17 +106,18 @@ def fetch_min(ctx: PartyContext, sums: np.ndarray, t_shares: np.ndarray,
 
 def _and_columns(ctx: PartyContext, mats: list[np.ndarray]) -> list[np.ndarray]:
     """AND the columns of each bit matrix down to one, all trees level-locked:
-    one and_jobs flight per level, adjacent columns paired, odd tail carried."""
-    mats = list(mats)
-    while True:
-        live = [i for i, x in enumerate(mats) if x.shape[1] > 1]
-        if not live:
-            return [x[:, 0] for x in mats]
-        pairs = [mats[i].shape[1] // 2 for i in live]
-        done = and_jobs(ctx, [(mats[i][:, 0:2 * p:2], mats[i][:, 1:2 * p:2])
-                              for i, p in zip(live, pairs)])
-        for i, p, z in zip(live, pairs, done):
-            mats[i] = np.hstack([z, mats[i][:, 2 * p:]])
+    one and_jobs flight per level, columns grouped up to 4 a gate
+    (ppa.and_tree), one job per tree and gate."""
+    trees = [and_tree(x.shape[1]) for x in mats]
+    cols = [x.T for x in mats]
+    for depth in range(max(map(len, trees))):
+        levels = [(i, tree[depth]) for i, tree in enumerate(trees) if depth < len(tree)]
+        jobs = [(i, job) for i, level in levels for job in level.jobs]
+        done = and_jobs(ctx, [cols[i][job.rows] for i, job in jobs])
+        for i, level in levels:
+            ands = [z for (owner, _), z in zip(jobs, done) if owner == i]
+            cols[i] = np.concatenate([cols[i]] + ands)[level.take]
+    return [x[0] for x in cols]
 
 
 def filter_round(ctx: PartyContext, t_shares: np.ndarray, t_star: np.ndarray,

@@ -45,6 +45,8 @@ _QUERY_HEAD = struct.Struct("<BBH")  # version, ring width, attribute count
 _RESULT_HEAD = struct.Struct("<I")   # row count
 # version, ring width, sender's party, its pool cursor per kind
 _PEER_HELLO = struct.Struct("<BBB" + "Q" * len(KINDS))
+# Server.completed keeps the metrics of this many most recent sessions
+COMPLETED_KEPT = 1024
 
 
 def parse_endpoint(text: str) -> tuple[str, int]:
@@ -374,13 +376,18 @@ class Server:
         Both servers burn to the larger cursor of each kind, so a session
         that aborted after either side consumed randomness leaves the next
         one aligned.  A burn past the end of a pool aborts with PoolExhausted.
+        A completed session's metrics go to self.completed, which keeps the
+        COMPLETED_KEPT most recent.
         """
         try:
             self.rand.burn_to(peer_cursors)
         except PoolExhausted:
             peer_conn.close()
             raise
-        return self._run_session(peer_conn, session, q_share)
+        outcome, metrics = self._run_session(peer_conn, session, q_share)
+        self.completed.append(metrics)
+        del self.completed[:-COMPLETED_KEPT]
+        return outcome
 
     def _run_session(self, peer_conn: socket.socket, session: int, q_share: np.ndarray):
         chan = TcpChannel(peer_conn, session, self.latency_s)
@@ -420,14 +427,13 @@ class Server:
             if self.party == 1:
                 with self._exec_lock:
                     peer_conn, peer_cursors = self._dial_peer(session)
-                    outcome, metrics = self._run_aligned(peer_conn, session, q_share, peer_cursors)
+                    outcome = self._run_aligned(peer_conn, session, q_share, peer_cursors)
             else:
                 peer_conn, peer_cursors = self._wait_peer(session)
                 with self._exec_lock:
                     _write_peer_hello(peer_conn, session, self.ring.l, self.party,
                                       self.rand.cursors())
-                    outcome, metrics = self._run_aligned(peer_conn, session, q_share, peer_cursors)
-            self.completed.append(metrics)
+                    outcome = self._run_aligned(peer_conn, session, q_share, peer_cursors)
             write_frame(conn, KIND_RESULT, session, _encode_result(outcome.rows, self.ring.l))
         except (FrameError, OSError, ValueError, RuntimeError) as exc:
             print(f"server {self.party}: session {session} aborted: {exc}", flush=True)

@@ -20,6 +20,7 @@ from skyshare.correlated import (
 )
 from skyshare.metering import RandomnessBudget, budget_for_query, msb_invocations
 from skyshare.plaintext import plaintext_skyline
+from skyshare.ppa import FAMILY_INPUTS, MONOMIALS, UNIT_WORDS
 from skyshare.ring import Ring, default_vmax
 
 R64 = Ring(64)
@@ -47,11 +48,25 @@ def test_dealt_arith_triples_exhaustive_small_ring():
     assert (w == R4.reduce(u * v)).all()
 
 
+def _unit_holds_its_monomials(unit):
+    """Each monomial column is the AND of the mask columns it multiplies."""
+    for c, term in enumerate(MONOMIALS):
+        want = np.bitwise_and.reduce(unit[:, [i for i in range(FAMILY_INPUTS) if term >> i & 1]],
+                                     axis=1)
+        assert (unit[:, FAMILY_INPUTS + c] == want).all(), term
+
+
 def test_dealt_binary_triples_are_and_triples():
+    """bin units: (words, 29) per party, XOR to 7 masks and the 22 monomials
+    of degree >= 2 over them; each party's shares alone are uniform."""
     for l in WIDTHS:
         dealer = Dealer(Ring(l), 2)
-        (u1, v1, w1), (u2, v2, w2) = dealer.bin_triple_words(200)
-        assert ((u1 ^ u2) & (v1 ^ v2) == (w1 ^ w2)).all(), l
+        (first,), (second,) = dealer.bin_triple_words(200)
+        assert first.shape == second.shape == (200, UNIT_WORDS) == (200, 29)
+        _unit_holds_its_monomials(first ^ second)
+        for share in (first, second):
+            ones = float(np.unpackbits(share.view(np.uint8)).mean())
+            assert abs(ones - 0.5) < 0.01, l
         (r, w1), (s, w2) = dealer.cross_words(200)  # party 1's mask, party 2's
         assert (r & s == w1 ^ w2).all(), l
 
@@ -172,8 +187,7 @@ def test_streaming_pools_stay_in_lockstep_across_threads(monkeypatch):
         for one, two in zip(taken[s, 0], taken[s, 1]):
             u, v, w = (reconstruct(ring, x, y) for x, y in zip(one["arith"], two["arith"]))
             assert (w == ring.reduce(u * v)).all()
-            bu, bv, bw = (x ^ y for x, y in zip(one["bin_words"], two["bin_words"]))
-            assert (bu & bv == bw).all()
+            _unit_holds_its_monomials(one["bin_words"][0] ^ two["bin_words"][0])
             (b1, a1), (b2, a2) = one["dabits"], two["dabits"]
             assert (reconstruct(ring, a1, a2) == (b1 ^ b2)).all()
             (r, w1), (mask, w2) = one["cross_words"], two["cross_words"]
@@ -229,6 +243,59 @@ def test_a_pool_one_cross_word_short_fails_without_rows():
     assert returned == []
 
 
+def test_a_pool_dealt_for_two_queries_serves_them_in_either_order():
+    """Strict pools dealt for budget(k = a) + budget(k = b) serve the k = b
+    query and then the k = a query, each exact, and end empty: every gate
+    word takes one unit whatever its shape, so no query's share of a kind
+    depends on the order."""
+    from skyshare.online import PartyContext
+    from skyshare.protocol import run_query
+    from skyshare.runtime import LocalChannel
+    from skyshare.sharing import share_matrix
+
+    rng = np.random.default_rng(14)
+    ring = Ring(10)
+    data = rng.integers(0, 40, size=(12, 3))
+    queries = {}
+    while len(queries) < 2:
+        q = rng.integers(0, 40, size=3)
+        queries.setdefault(len(plaintext_skyline(data, q)), q)
+    (ka, qa), (kb, qb) = sorted(queries.items())
+    budget = budget_for_query(12, 3, 10, ka) + budget_for_query(12, 3, 10, kb)
+    rands = deal_strict(ring, 15, budget, default_vmax(10))
+    p1, p2 = share_matrix(data, rng, ring)
+    for k, q in ((kb, qb), (ka, qa)):
+        q1, q2 = share_matrix(q[None, :], rng, ring)
+        chans = LocalChannel.pair()
+        ctxs = [PartyContext(party, ring, chan, rand)
+                for party, chan, rand in zip((1, 2), chans, rands)]
+        out1, out2 = run_two(*ctxs, lambda c: run_query(
+            c, p1 if c.party == 1 else p2, (q1 if c.party == 1 else q2)[0]))
+        assert out1.k == out2.k == k
+        rows = [tuple(int(x) for x in row) for row in ring.reduce(out1.rows + out2.rows)]
+        assert rows == plaintext_skyline(data, q)
+    for rand in rands:
+        assert rand.cursors() == tuple(getattr(budget, kind.budget) for kind in KINDS)
+        for kind in KINDS:
+            with pytest.raises(PoolExhausted):
+                getattr(rand, kind.attr).take(1)
+
+
+def test_pool_file_parts_are_read_only_views(tmp_path):
+    """Every part but the ring values comes back as a read-only view of the
+    file's bytes: a stray write raises instead of corrupting the pool."""
+    path, _ = _pool_blob(tmp_path)
+    back, meta = read_pool_file(str(path))
+    for kind in KINDS:
+        parts = getattr(back, kind.attr).take(meta[kind.name])
+        for codec, part in zip(kind.codecs, parts):
+            if codec == correlated.RING:
+                continue
+            assert not part.flags.writeable and part.base is not None, kind.name
+            with pytest.raises(ValueError, match="read-only"):
+                part[...] = 0
+
+
 def test_pool_file_round_trip(tmp_path):
     for l in (13, 64):
         _check_pool_file_round_trip(tmp_path, l)
@@ -265,7 +332,7 @@ def _check_pool_file_round_trip(tmp_path, l):
 
 
 @pytest.mark.parametrize("l", [13, 64])
-def test_pool_file_layout_is_sskr4(tmp_path, l):
+def test_pool_file_layout_is_sskr5(tmp_path, l):
     """Known arrays in every part, written and compared with the documented
     layout built from struct; no dealer runs, so no RNG stream is pinned."""
     mask, width = (1 << l) - 1, (l + 7) // 8
@@ -277,28 +344,29 @@ def test_pool_file_layout_is_sskr4(tmp_path, l):
         return b"".join(int(x).to_bytes(width, "little") for x in values)
 
     arith = (ring_values(1, 2), ring_values(3, mask), ring_values(0x1234, 0x5A5A5A5A))
-    words = tuple(np.array([w], dtype=np.uint64) for w in (0x0123456789ABCDEF, 2**64 - 1, 7))
+    units = (np.array([[0x0123456789ABCDEF, 2**64 - 1, 7] + list(range(26))],
+                      dtype=np.uint64),)  # one unit of 29 words
     bits, bit_values = np.array([1, 0, 1], dtype=np.uint8), ring_values(1, 0, mask)
     cross = (np.array([5, 2**63], dtype=np.uint64),
              np.array([0xFEDCBA9876543210, 1], dtype=np.uint64))
     rand, _ = deal_strict(Ring(l), 0, RandomnessBudget(), default_vmax(l))
-    for attr, parts in (("arith", arith), ("bin", words), ("dabits", (bits, bit_values)),
+    for attr, parts in (("arith", arith), ("bin", units), ("dabits", (bits, bit_values)),
                         ("cross", cross)):
         setattr(rand, attr, StreamPool(len(parts)))
         getattr(rand, attr).push(parts)
     budget = RandomnessBudget(arith_triples=2, bin_words=1, dabits=3, cross_words=2)
     path = tmp_path / "p.pool"
     write_pool_file(str(path), 2, l, rand, budget)
-    expected = (struct.pack("<5sBB", b"SSKR4", l, 2) + struct.pack("<QQQQ", 2, 1, 3, 2)
+    expected = (struct.pack("<5sBB", b"SSKR5", l, 2) + struct.pack("<QQQQ", 2, 1, 3, 2)
                 + b"".join(le(part) for part in arith)
-                + b"".join(struct.pack("<Q", int(word[0])) for word in words)
+                + struct.pack("<29Q", *(int(w) for w in units[0][0]))
                 + bytes(bits.tolist()) + le(bit_values)
                 + b"".join(struct.pack("<QQ", *(int(w) for w in part)) for part in cross))
     assert path.read_bytes() == expected
     back, meta = read_pool_file(str(path))
     assert meta == {"l": l, "party": 2, "arith": 2, "bin_words": 1, "dabits": 3, "cross_words": 2}
     for got, want in zip(back.arith.take(2) + back.bin.take(1) + back.dabits.take(3)
-                         + back.cross.take(2), arith + words + (bits, bit_values) + cross):
+                         + back.cross.take(2), arith + units + (bits, bit_values) + cross):
         assert np.array_equal(got, want)
 
 
@@ -307,7 +375,8 @@ def test_pool_file_refuses_the_sskr2_layout(tmp_path):
     # an SSKR3 file, which carried the sentinel and its sharing, as dealt then
     sskr3 = (struct.pack("<5sBBQ", b"SSKR3", 16, 1, 1 << 14) + blob[7:7 + 8 * len(KINDS)]
              + bytes(2) + blob[7 + 8 * len(KINDS):])
-    for old in (b"SSKR2" + blob[5:], sskr3):
+    # an SSKR4 file, whose AND triples were three words each
+    for old in (b"SSKR2" + blob[5:], sskr3, b"SSKR4" + blob[5:]):
         path.write_bytes(old)
         with pytest.raises(ValueError, match="bad magic"):
             read_pool_file(str(path))
@@ -328,7 +397,7 @@ def test_pool_file_rejects_truncation(tmp_path):
 
 
 def _pool_blob(tmp_path, l=16):
-    budget = RandomnessBudget(secext=0, arith_triples=3, bin_words=1, dabits=2)
+    budget = RandomnessBudget(secext=0, arith_triples=3, bin_words=1, dabits=2, cross_words=2)
     r1, _ = deal_strict(Ring(l), 6, budget, default_vmax(l))
     path = tmp_path / "p.pool"
     write_pool_file(str(path), 1, l, r1, budget)

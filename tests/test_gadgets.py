@@ -7,8 +7,26 @@ from skyshare.bitpack import bits_of_values, pack_bits, unpack_bits
 from skyshare.correlated import StreamPool
 from skyshare.gadgets import less_than, min_with_payload
 from skyshare.metering import query_rounds, select_cost
-from skyshare.online import and_jobs, and_one_sided, bit_mul, not_bits, obliv_select, open_bit
-from skyshare.ppa import CarryPlan, block_outputs, carry_plan, ceil_log2
+from skyshare.online import (
+    and_jobs,
+    and_multi,
+    and_one_sided,
+    bit_mul,
+    not_bits,
+    obliv_select,
+    open_bit,
+)
+from skyshare.ppa import (
+    FAMILY_INPUTS,
+    MONOMIALS,
+    UNIT_WORDS,
+    CarryPlan,
+    and_gate,
+    block_outputs,
+    carry_plan,
+    ceil_log2,
+    combine_gate,
+)
 from skyshare.ring import Ring
 
 R8 = Ring(8)
@@ -70,42 +88,150 @@ def test_block_factoring_matches_ripple_carry_exhaustively():
                     assert got == want, (w, a, b)
 
 
+def _compositions(count):
+    """Every cut of count rows into consecutive groups of 1..4, lowest first."""
+    if count == 0:
+        yield ()
+        return
+    for j in range(1, min(4, count) + 1):
+        for rest in _compositions(count - j):
+            yield (j,) + rest
+
+
+def _combine_bits(sizes):
+    """Bits a combine level sends per lane: 2(j-1) per group of j > 1, and
+    one more for its P above the lowest group."""
+    return sum(2 * (j - 1) + (c > 0) for c, j in enumerate(sizes) if j > 1)
+
+
+def _brute_tree(count):
+    """(levels, bits) of the best combine tree over every grouping."""
+    if count == 1:
+        return 0, 0
+    return min((depth + 1, bits + _combine_bits(sizes))
+               for sizes in _compositions(count) if len(sizes) < count
+               for depth, bits in [_brute_tree(len(sizes))])
+
+
 def test_carry_plan_shape():
-    # l = 8, 11, 13, 64: blocks (3,2,2), (3,3,2,2), (3,3,3,3), (3, 2 x 30);
-    # a block's one-sided ANDs are 7 / 7+6 / 3+2, and a combine level of
-    # `pairs` combines issues 2*pairs - 1 Beaver ANDs
-    for l, blocks, cross, combine in ((8, (3, 2, 2), 17, 2), (11, (3, 3, 2, 2), 30, 4),
-                                      (13, (3, 3, 3, 3), 46, 4), (64, (3,) + (2,) * 30, 157, 55)):
+    # l = 8, 11, 13: 3 or 4 blocks and one radix-4 root combine, G only,
+    # opening P3 P2 P1 and G2 G1 G0; l = 64: 61 blocks, levels of 16, 4, 1
+    # groups, all but the top one of 4 segments
+    for l, blocks, tree, cross, bits, gates in (
+            (8, (2, 2, 2, 1), ((4,),), 14, 6, 1), (11, (3, 3, 2, 2), ((4,),), 30, 6, 1),
+            (13, (3, 3, 3, 3), ((4,),), 46, 6, 1),
+            (64, (2, 2) + (1,) * 59, ((4,) * 15 + (1,), (4,) * 4, (4,)), 67, 137, 20)):
         plan = carry_plan(l)
-        assert plan.blocks == blocks
-        assert plan.combine_levels == ceil_log2(len(blocks))
-        assert plan.and_rounds == 1 + ceil_log2(len(blocks))
-        assert (plan.cross_rows, plan.combine_rows) == (cross, combine)
-        assert plan.total_and_rows == cross + combine
-    # at every width: G-only lowest block, G and P above it, and the tree's
-    # S - 1 combines less the P the root (one per level) skips
+        assert (plan.blocks, plan.tree) == (blocks, tree), l
+        assert plan.combine_levels == len(tree) and plan.and_rounds == 1 + len(tree)
+        assert (plan.cross_rows, plan.combine_bits, plan.combine_gates) == (cross, bits, gates)
+        assert plan.total_and_rows == cross + gates
+    # at every width: G-only lowest block, G and P above it; the tree reduces
+    # the blocks to one in as few levels as groups of 4 allow, sending as
+    # few bits as any grouping of those levels; and the block count is the
+    # one with the fewest levels, then the fewest bits
     for l in range(2, 65):
         plan = carry_plan(l)
         segments = len(plan.blocks)
         assert sum(plan.blocks) == l - 1 and max(plan.blocks) <= 3, l
         assert list(plan.blocks) == sorted(plan.blocks, reverse=True), l
-        assert plan.and_rounds == 1 + ceil_log2(segments) == 1 + ceil_log2(-(-(l - 1) // 3)), l
+        fewest = -(-(l - 1) // 3)
+        assert plan.and_rounds == 1 + _ceil_log4(fewest) == 1 + _ceil_log4(segments), l
         assert plan.cross_rows == ({1: 1, 2: 3, 3: 7}[plan.blocks[0]]
                                    + sum({1: 1, 2: 5, 3: 13}[w] for w in plan.blocks[1:])), l
-        assert plan.combine_rows == 2 * (segments - 1) - ceil_log2(segments), l
+        count = segments
+        for sizes in plan.tree:
+            assert sum(sizes) == count and max(sizes) <= 4, l
+            count = len(sizes)
+        assert count == 1
+        assert plan.combine_bits == sum(map(_combine_bits, plan.tree)), l
+        assert plan.combine_gates == sum(j > 1 for sizes in plan.tree for j in sizes), l
+        if segments <= 10:
+            assert (len(plan.tree), plan.combine_bits) == _brute_tree(segments), l
     assert CarryPlan(2).total_and_rows == 1
     with pytest.raises(ValueError):
         CarryPlan(1)
 
 
+def _ceil_log4(n):
+    return (ceil_log2(n) + 1) // 2
+
+
 def test_msb_rounds_never_exceed_the_leaf_and_tree():
+    # never above the radix-2 tree's 1 + ceil(log2(blocks)), fewest blocks
     for l in range(2, 65):
-        assert carry_plan(l).and_rounds <= 1 + ceil_log2(l - 1), l
-    assert [carry_plan(l).and_rounds for l in (11, 12, 13)] == [3, 3, 3]
-    # whole queries at the benchmark shapes and typical k: 264, 1,650 and 524 before
-    assert query_rounds(16, 3, 11, 6) == 180
-    assert query_rounds(128, 4, 11, 28) == 1128
-    assert query_rounds(4096, 2, 13, 5) == 356
+        assert carry_plan(l).and_rounds <= 1 + ceil_log2(-(-(l - 1) // 3)), l
+    assert [carry_plan(l).and_rounds for l in range(8, 14)] == [2] * 6
+    assert carry_plan(64).and_rounds == 4
+    # whole queries at the benchmark shapes and typical k: 180, 1,128 and 356 before
+    assert query_rounds(16, 3, 11, 6) == query_rounds(16, 3, 10, 6) == 132
+    assert query_rounds(128, 4, 11, 28) == query_rounds(128, 4, 10, 28) == 839
+    assert query_rounds(4096, 2, 13, 5) == query_rounds(4096, 2, 12, 5) == 262
+
+
+def _gate_shapes():
+    return ([and_gate(k) for k in (2, 3, 4)]
+            + [combine_gate(j, with_p) for j in (2, 3, 4) for with_p in (False, True)])
+
+
+def _eval_terms(gate, assignment):
+    """Each output of the gate in the clear: XOR of its product terms, a
+    family input i taking bit i of assignment."""
+    return [sum(int(term & assignment == term) for term in out) & 1 for out in gate.outputs]
+
+
+def test_and_multi_truth_tables_and_masked_flights():
+    """Every gate shape the plans use, over every assignment of its inputs,
+    each lane with a fresh random share split, all shapes in one flight: the
+    shares XOR to the gate's outputs, one unit per word is taken, and each
+    party sends exactly its input shares XOR its mask shares, for the
+    gate's inputs only."""
+    rng = np.random.default_rng(71)
+    gates = _gate_shapes()
+    ctx1, ctx2 = session_pair(l=8, seed=72, record=True)
+    jobs, want = {1: [], 2: []}, []
+    for gate in gates:
+        k = len(gate.inputs)
+        reps = 4 * 64 // (1 << k)  # 4 words of lanes, every assignment repeated
+        lanes = np.tile(np.arange(1 << k), reps)  # lane value: bit r for input r
+        bits = np.array([(lanes >> r) & 1 for r in range(k)], dtype=np.uint8)
+        split = rng.integers(0, 2, size=bits.shape, dtype=np.uint8)
+        jobs[1].append((gate, pack_bits(split)))
+        jobs[2].append((gate, pack_bits(bits ^ split)))
+        family = sum(bits[r].astype(np.int64) << i for r, i in enumerate(gate.inputs))
+        want.append(np.array([_eval_terms(gate, int(a)) for a in family], dtype=np.uint8).T)
+    units = [ctx.rand.bin for ctx in (ctx1, ctx2)]
+    peeked = [pool.take(4 * len(gates))[0].copy() for pool in units]
+    ctx1.rand.bin, ctx2.rand.bin = (StreamPool(1) for _ in range(2))
+    for ctx, unit in zip((ctx1, ctx2), peeked):
+        ctx.rand.bin.push((unit,))
+    z1, z2 = run_two(ctx1, ctx2, lambda c: and_multi(c, jobs[c.party]))
+    for gate, a, b, w in zip(gates, z1, z2, want):
+        assert (unpack_bits(a ^ b, 256) == w).all(), gate.outputs
+    assert ctx1.chan.rounds == 1 and ctx1.rand.bin.consumed == 4 * len(gates)
+    for ctx, other, party in ((ctx1, ctx2, 1), (ctx2, ctx1, 2)):
+        sent = np.frombuffer(other.chan.flights[0][1], dtype="<u8")  # what party sent
+        at = 0
+        for g, (gate, x) in enumerate(jobs[party]):
+            masks = peeked[party - 1][4 * g:4 * g + 4, gate.cols[:len(gate.inputs)]].T
+            size = x.size
+            assert (sent[at:at + size].reshape(x.shape) == x ^ masks).all()
+            at += size
+        assert at == sent.size == sum(len(gate.inputs) for gate in gates) * 4
+
+
+def test_gate_shapes_are_sub_families_of_one_unit():
+    """The unit holds the masks of P3 P2 P1 P0 G2 G1 G0 and the 22 monomials
+    the 4-segment combine with P needs; every shape reads inside it, and the
+    root combine reads 6 masks and 15 monomials."""
+    assert (FAMILY_INPUTS, len(MONOMIALS), UNIT_WORDS) == (7, 22, 29)
+    full = combine_gate(4, True)
+    assert full.inputs == tuple(range(7)) and sorted(full.cols) == list(range(29))
+    root = combine_gate(4, False)
+    assert len(root.inputs) == 6 and len(root.cols) == 6 + 15
+    for gate in _gate_shapes():
+        assert set(gate.cols) <= set(full.cols)
+        assert list(gate.cols[:len(gate.inputs)]) == list(gate.inputs)
 
 
 def test_and_one_sided_every_input_pair_and_masked_flights():
@@ -176,18 +302,25 @@ def test_less_than_round_count():
 
 
 def test_and_jobs_full_truth_table():
+    """Jobs of 2, 3 and 4 inputs in one flight, every input assignment under
+    random share splits; then idempotence, x AND x = x."""
     rng = np.random.default_rng(8)
-    reps = 64
-    x = np.tile(np.array([0, 0, 1, 1], dtype=np.uint8), reps)
-    y = np.tile(np.array([0, 1, 0, 1], dtype=np.uint8), reps)
-    x1 = rng.integers(0, 2, size=x.size, dtype=np.uint8)
-    y1 = rng.integers(0, 2, size=y.size, dtype=np.uint8)
     ctx1, ctx2 = session_pair(l=8, seed=7)
-    z1, z2 = run_two(ctx1, ctx2, lambda c: and_jobs(
-        c, [(x1 if c.party == 1 else x ^ x1, y1 if c.party == 1 else y ^ y1)])[0])
-    assert (reconstruct_bits(z1, z2) == (x & y)).all()
+    jobs, want = {1: [], 2: []}, []
+    for k in (2, 3, 4):
+        lanes = np.tile(np.arange(1 << k), 64)
+        bits = [((lanes >> r) & 1).astype(np.uint8).reshape(-1, 4) for r in range(k)]
+        split = [rng.integers(0, 2, size=x.shape, dtype=np.uint8) for x in bits]
+        jobs[1].append(tuple(split))
+        jobs[2].append(tuple(x ^ y for x, y in zip(bits, split)))
+        want.append(np.bitwise_and.reduce(bits))
+    z1, z2 = run_two(ctx1, ctx2, lambda c: and_jobs(c, jobs[c.party]))
+    for a, b, w in zip(z1, z2, want):
+        assert a.shape == w.shape and (reconstruct_bits(a, b) == w).all()
+    assert ctx1.chan.rounds == 1
 
-    # idempotence: x AND x = x
+    x = np.tile(np.array([0, 0, 1, 1], dtype=np.uint8), 64)
+    x1 = rng.integers(0, 2, size=x.size, dtype=np.uint8)
     ctx1, ctx2 = session_pair(l=8, seed=9)
     z1, z2 = run_two(ctx1, ctx2, lambda c: and_jobs(
         c, [(x1 if c.party == 1 else x ^ x1, x1 if c.party == 1 else x ^ x1)])[0])

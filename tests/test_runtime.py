@@ -171,6 +171,46 @@ def test_tcp_query_matches_oracle_and_local_metrics(tmp_path, table_example):
             s.stop()
 
 
+def test_a_tcp_query_from_read_pools_is_exact(tmp_path, table_example):
+    """Servers whose pools are the read-only views read_pool_file returns
+    answer a query at a narrow width exactly, with the closed-form rounds."""
+    database, query, _, skyline = table_example
+    servers = _start_servers(tmp_path, np.asarray(database), l=10)
+    try:
+        for server in servers:
+            (units,) = server.rand.bin.take(0)
+            assert not units.flags.writeable
+        endpoints = [f"127.0.0.1:{s.port}" for s in servers]
+        assert tcp_query(endpoints, query, l=10, seed=4) == skyline
+        for server in servers:
+            (metrics,) = server.completed
+            assert metrics.rounds == query_rounds(4, 2, 10, len(skyline))
+    finally:
+        for s in servers:
+            s.stop()
+
+
+def test_server_keeps_only_the_most_recent_sessions(tmp_path, table_example, monkeypatch):
+    monkeypatch.setattr(runtime, "COMPLETED_KEPT", 2)
+    database, query, _, skyline = table_example
+    paths = _deal_to_dir(tmp_path, np.asarray(database), k_max=16)  # pools for three queries
+    servers = start_server_pair(lambda party, peer: Server.from_files(
+        party, "127.0.0.1:0", peer, *paths[party], latency_ms=0.0, handshake_timeout=2.0))
+    try:
+        endpoints = [f"127.0.0.1:{s.port}" for s in servers]
+        kept = []
+        for seed in range(3):
+            assert tcp_query(endpoints, query, l=64, seed=seed) == skyline
+            kept.append([list(s.completed) for s in servers])
+        assert [[len(done) for done in seen] for seen in kept] == [[1, 1], [2, 2], [2, 2]]
+        for before, after in zip(kept[1], kept[2]):
+            assert after[0] is before[1]  # the oldest went, the rest moved up
+            assert type(after[1]).__name__ == "SessionMetrics" and after[1].k == len(skyline)
+    finally:
+        for s in servers:
+            s.stop()
+
+
 def test_transport_equivalence_on_random_instances(tmp_path):
     rng = np.random.default_rng(50)
     for trial in range(3):
