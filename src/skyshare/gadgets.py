@@ -20,35 +20,19 @@ import numpy as np
 from .bitpack import bits_of_values, unpack_bits
 from .online import (
     PartyContext,
-    and_multi,
     and_one_sided,
+    and_trees,
     not_bits,
     obliv_select,
     public_share,
 )
-from .ppa import LeafTables, carry_plan, pair_levels
+from .ppa import Table, carry_plan, pair_levels
 
 
-def _per_output(vals: np.ndarray, part: tuple) -> np.ndarray:
-    """XOR the rows of each block output; an output without rows here is 0."""
-    _, starts, has = part
-    summed = np.bitwise_xor.reduceat(vals, starts, axis=0)
-    if has is None:
-        return summed
-    full = np.zeros((has.size, vals.shape[1]), dtype=np.uint64)
-    full[has] = summed
-    return full
-
-
-def _leaf_blocks(ctx: PartyContext, leaf: LeafTables, lanes: np.ndarray) -> np.ndarray:
+def _leaf_blocks(ctx: PartyContext, lanes: np.ndarray, local: Table, cross: Table) -> np.ndarray:
     """Shares of every leaf block's G, then of the P of every block above the
-    lowest, from one flight of one-sided ANDs.  The sent monomials are
-    gathered straight into the flight; the local ones are summed apart."""
-    local, cross = leaf.local[ctx.party - 1], leaf.cross[ctx.party - 1]
-    out = _per_output(and_one_sided(ctx, np.bitwise_and.reduce(lanes[cross[0]], axis=0)), cross)
-    if local[1].size:
-        out ^= _per_output(np.bitwise_and.reduce(lanes[local[0]], axis=0), local)
-    return out
+    lowest, from one flight of one-sided ANDs of the cross products."""
+    return cross.xors(and_one_sided(ctx, cross.ands(lanes))) ^ local(lanes)
 
 
 def less_than(ctx: PartyContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -58,17 +42,11 @@ def less_than(ctx: PartyContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     l = ctx.ring.l
     n = a.size
     lanes = bits_of_values((a - b).ravel(), l)  # (l, words); reads the low l bits only
-    words = lanes.shape[1]
     plan = carry_plan(l)
     # rows: each segment's G, then the P of each segment above the lowest
-    gp = _leaf_blocks(ctx, plan.leaf, lanes)
-    for level in plan.levels:
-        outs = and_multi(ctx, [(job.gate, gp[job.rows].reshape(len(job.gate.inputs), -1))
-                               for job in level.jobs])
-        rows = np.concatenate([gp] + [z.reshape(-1, words) for z in outs])
-        gp = rows[level.take]
-        gp[level.local[0]] ^= rows[level.local[1]]  # each combine's top G
-    out = lanes[l - 1] ^ gp[0]
+    gp = _leaf_blocks(ctx, lanes, *plan.leaf[ctx.party - 1])
+    (carry,) = and_trees(ctx, [(gp, plan.levels)])
+    out = lanes[l - 1] ^ carry
     ctx.meters.secext += n
     return unpack_bits(out, n).reshape(a.shape)
 

@@ -16,7 +16,8 @@ checks each session's meters against query_cost field for field, and the
 every structural choice (batched comparison levels, level-locked flag
 trees, the one-flight daBit select) is encoded here and nowhere else.  A
 comparison's rounds, bits sent and gate units come from ppa's carry plan,
-and a flag tree's from ppa.and_tree: nothing here restates a plan.
+and a flag tree's from ppa.tree_cost, the reader the carry plan uses for
+its combine tree: nothing here restates a plan.
 
 Functions that still take a `mode` accept only MODE_DABIT, the one
 bit-by-value multiplication the protocol has.
@@ -26,10 +27,9 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import zip_longest
 
 from .bitpack import words_for
-from .ppa import and_tree, carry_plan, ceil_log2, pair_levels
+from .ppa import carry_plan, ceil_log2, pair_levels, tree_cost
 from .sharing import value_width_bytes
 
 MODE_DABIT = "dabit"
@@ -122,19 +122,17 @@ def path_columns(n: int) -> int:
 
 def filt_cost(n: int, m: int, l: int, mode: str) -> RandomnessBudget:
     # one fused comparison batch, then the AND tree over the fetch's path
-    # bits running level-locked with the one over the m+1 dominance columns
-    # (one flight per level; each tree's groups of one gate packed as one
-    # job of n*groups bits, opened once per input, one unit per word), then
-    # one overwrite
+    # bits running level-locked with the one over the m+1 dominance columns,
+    # one flight per level of the deeper tree; each column's n bits pack on
+    # their own into W words, so a tree costs W words sent per gate input
+    # opened and W units per gate, read as msb_cost reads the carry tree;
+    # then one overwrite
     check_mode(mode)
-    total = msb_cost(n * (m + 1), l)
-    for level in zip_longest(and_tree(path_columns(n)), and_tree(m + 1)):
-        jobs = [job for tree_level in level if tree_level for job in tree_level.jobs]
-        units = [words_for(n * job.rows.shape[1]) for job in jobs]
-        total = total + RandomnessBudget(
-            rounds=1, bin_words=sum(units),
-            bytes=8 * sum(len(job.gate.inputs) * words for job, words in zip(jobs, units)))
-    return total + select_cost(n, 1, l)
+    words = words_for(n)
+    levels, bits, gates = zip(tree_cost(path_columns(n), False), tree_cost(m + 1, False))
+    flags = RandomnessBudget(rounds=max(levels), bytes=8 * words * sum(bits),
+                             bin_words=words * sum(gates))
+    return msb_cost(n * (m + 1), l) + flags + select_cost(n, 1, l)
 
 
 def query_cost(n: int, m: int, l: int, k: int, mode: str = MODE_DABIT) -> RandomnessBudget:

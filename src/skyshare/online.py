@@ -1,5 +1,5 @@
-"""Online two-party primitives: multi-input ANDs, one-sided ANDs, the
-one-flight select.
+"""Online two-party primitives: multi-input ANDs and the level-locked AND
+trees over them, one-sided ANDs, the one-flight select.
 
 Every function here is SPMD: both parties run the same code on their own
 shares, exchanging one flight per round through the session channel, and
@@ -20,10 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bitpack import pack_bits, unpack_bits
 from .channel import KIND_OPEN_BIT, ChannelBase
 from .correlated import PartyRandomness
-from .ppa import Gate, and_gate
+from .ppa import Gate, Level
 from .ring import Ring
 from .sharing import decode_values, encode_values
 
@@ -104,26 +103,27 @@ def and_multi(ctx: PartyContext, jobs: list[tuple[Gate, np.ndarray]]) -> list[np
     for (gate, _), a, e in zip(jobs, masks, sent):
         e ^= peer[at:at + e.size].reshape(e.shape)  # the opened e_i
         at += e.size
-        factors, starts = gate.tables[ctx.party - 1]
-        vals = np.bitwise_and.reduce(np.concatenate((e, a))[factors], axis=0)
-        out.append(np.bitwise_xor.reduceat(vals, starts, axis=0))
+        out.append(gate.tables[ctx.party - 1](np.concatenate((e, a))))
     return out
 
 
-def and_jobs(ctx: PartyContext, jobs: list[tuple[np.ndarray, ...]]) -> list[np.ndarray]:
-    """AND each job's 2..4 same-shape uint8 bit arrays (or the rows of one
-    array), every job in a single flight of and_multi.
-
-    Each job is packed to whole words on its own, so unit consumption is a
-    per-job quantity the budget model can mirror.
-    """
-    gated = []
-    for job in jobs:
-        if any(x.shape != job[0].shape for x in job):
-            raise ValueError("job shape mismatch")
-        gated.append((and_gate(len(job)), pack_bits(np.asarray(job).reshape(len(job), -1))))
-    return [unpack_bits(z[0], job[0].size).reshape(job[0].shape)
-            for job, z in zip(jobs, and_multi(ctx, gated))]
+def and_trees(ctx: PartyContext, trees: list[tuple[np.ndarray, tuple[Level, ...]]]
+              ) -> list[np.ndarray]:
+    """Run AND trees level-locked over packed rows, (rows, words) each: at
+    every depth the gates of every tree that still has a level go out in one
+    and_multi flight, and each level's take and local XORs (ppa.Level) form
+    the tree's next rows.  Returns each tree's first row."""
+    rows = [x for x, _ in trees]
+    for depth in range(max(len(levels) for _, levels in trees)):
+        live = [(i, levels[depth]) for i, (_, levels) in enumerate(trees) if depth < len(levels)]
+        outs = iter(and_multi(ctx, [(job.gate, rows[i][job.rows].reshape(len(job.gate.inputs), -1))
+                                    for i, level in live for job in level.jobs]))
+        for i, level in live:
+            words = rows[i].shape[1]
+            stacked = np.concatenate([rows[i]] + [next(outs).reshape(-1, words) for _ in level.jobs])
+            rows[i] = stacked[level.take]
+            rows[i][level.local[0]] ^= stacked[level.local[1]]  # a combine's top G
+    return [x[0] for x in rows]
 
 
 def not_bits(ctx: PartyContext, bits: np.ndarray) -> np.ndarray:

@@ -37,7 +37,8 @@ so every gate word takes exactly one unit.
 Plan choice: the fewest levels first, then the fewest bits sent per lane
 (one per one-sided AND, one per opened gate input), then the fewest gates.
 That picks both the block count and each level's grouping; the filter's
-flag trees are AND trees grouped the same way (and_tree).
+flag trees are AND trees grouped the same way (and_tree), and one level
+runner (online.and_trees) runs both kinds of tree over packed rows.
 """
 
 from __future__ import annotations
@@ -66,6 +67,50 @@ def pair_levels(count: int) -> tuple[int, ...]:
         pairs.append(count // 2)
         count = count // 2 + count % 2
     return tuple(pairs)
+
+
+# --- XOR-of-ANDs tables ------------------------------------------------------
+
+
+class Table(NamedTuple):
+    """Outputs that are each the XOR of ANDs of source rows.
+
+    Column r of factors lists the source rows product r ANDs (a product of
+    fewer rows repeats one); starts holds the first product of each output
+    that has products, and has marks those outputs, or is None when all do.
+    Evaluation is an AND step, then an XOR per output.
+    """
+
+    factors: np.ndarray
+    starts: np.ndarray
+    has: np.ndarray | None
+
+    def ands(self, src: np.ndarray) -> np.ndarray:
+        return np.bitwise_and.reduce(src[self.factors], axis=0)
+
+    def xors(self, products: np.ndarray) -> np.ndarray:
+        """XOR each output's products; an output without products is 0."""
+        summed = np.bitwise_xor.reduceat(products, self.starts, axis=0)
+        if self.has is None:
+            return summed
+        full = np.zeros((self.has.size, products.shape[1]), dtype=products.dtype)
+        full[self.has] = summed
+        return full
+
+    def __call__(self, src: np.ndarray) -> np.ndarray:
+        return self.xors(self.ands(src))
+
+
+def xor_of_ands(outputs: list[list[list[int]]]) -> Table:
+    """The table of outputs given as lists of products, a product as a list
+    of source rows."""
+    products = [product for out in outputs for product in out]
+    span = max(map(len, products), default=1)
+    sizes = [len(out) for out in outputs]
+    has = np.array(sizes) > 0
+    factors = np.array([(product * span)[:span] for product in products], dtype=np.intp)
+    return Table(factors.reshape(-1, span).T, np.cumsum([0] + sizes[:-1], dtype=np.intp)[has],
+                 None if has.all() else has)
 
 
 # --- one leaf block ----------------------------------------------------------
@@ -118,15 +163,10 @@ def _output(poly: set) -> Output:
     return Output(tuple(zip(mine, theirs)), cross)
 
 
-_BLOCKS: dict[int, tuple[Output, Output]] = {}
-
-
+@cache
 def block_outputs(width: int) -> tuple[Output, Output]:
-    """G and P of a block of `width` positions, factored; cached per width."""
-    outs = _BLOCKS.get(width)
-    if outs is None:
-        outs = _BLOCKS[width] = tuple(_output(poly) for poly in _ripple(width))
-    return outs
+    """G and P of a block of `width` positions, factored."""
+    return tuple(_output(poly) for poly in _ripple(width))
 
 
 def _outputs(blocks: tuple[int, ...]) -> list[tuple[int, Output]]:
@@ -193,8 +233,8 @@ class Gate:
     Each party evaluates prod_{i in S} x_i = XOR over T in S of
     e^(S-T) a^T from the opened e_i = x_i ^ a_i and its shares of the mask
     products a^T (T empty: the public e^S, at party 1 only).  tables[party
-    - 1] lists those pairs as rows of up to 4 factors into the stacked
-    [e of each input; unit columns cols], an output's rows at its start.
+    - 1] holds those pairs as products of rows of the stacked [e of each
+    input; unit columns cols].
     """
 
     outputs: tuple  # per output, its product terms
@@ -210,25 +250,17 @@ class Gate:
         cols = [unit_column(1 << i) for i in inputs] + [unit_column(m) for m in monomials]
         e_row = {i: r for r, i in enumerate(inputs)}
         a_row = {col: len(inputs) + r for r, col in enumerate(cols)}
-        tables = []
-        for party in (1, 2):
-            rows, starts = [], []
-            for out in self.outputs:
-                starts.append(len(rows))
-                for term in out:
-                    for t in (0, *_submasks(term)):
-                        if not t and party == 2:
-                            continue  # the public product is party 1's
-                        row = [e_row[i] for i in _bits(term & ~t)]
-                        if t:
-                            row.append(a_row[unit_column(t)])
-                        rows.append(row)
-            span = max(map(len, rows))
-            factors = np.array([(row * span)[:span] for row in rows], dtype=np.intp).T
-            tables.append((factors, np.array(starts, dtype=np.intp)))
+
+        def product(term: int, t: int) -> list[int]:
+            return [e_row[i] for i in _bits(term & ~t)] + ([a_row[unit_column(t)]] if t else [])
+
+        # the public product (t = 0) is party 1's
+        tables = tuple(xor_of_ands([[product(term, t) for term in out
+                                     for t in (0, *_submasks(term)) if t or party == 1]
+                                    for out in self.outputs]) for party in (1, 2))
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "cols", np.array(cols, dtype=np.intp))
-        object.__setattr__(self, "tables", tuple(tables))
+        object.__setattr__(self, "tables", tables)
 
 
 @cache
@@ -273,6 +305,12 @@ def tree_sizes(count: int, combine: bool) -> tuple[tuple[int, ...], ...]:
     """Group sizes per level reducing `count` rows to one: the fewest levels,
     then the fewest bits sent, then the fewest gates."""
     return _best_tree(count, combine)[1]
+
+
+def tree_cost(count: int, combine: bool) -> tuple[int, int, int]:
+    """(levels, bits sent per lane, gates per lane) of the tree reducing
+    `count` rows to one: a gate word takes one unit."""
+    return _best_tree(count, combine)[0]
 
 
 @cache
@@ -372,45 +410,20 @@ def _cross_rows(blocks: tuple[int, ...]) -> int:
 
 def _choose_blocks(leaves: int) -> tuple[int, ...]:
     def key(blocks):
-        (depth, bits, gates), _ = _best_tree(len(blocks), True)
+        depth, bits, gates = tree_cost(len(blocks), True)
         return depth, _cross_rows(blocks) + bits, gates
 
     fewest = -(-leaves // MAX_BLOCK)
     return min((_split(leaves, count) for count in range(fewest, leaves + 1)), key=key)
 
 
-@dataclass(frozen=True)
-class LeafTables:
-    """The leaf flight as flat tables: a few gathers evaluate every block.
-
-    Each output (in _outputs order) is the XOR of its local rows and of its
-    cross rows' one-sided AND products.  A row holds one monomial per party:
-    the AND of bit-lane rows factors[:, r] (a monomial of fewer positions
-    repeats one).  Per party, local and cross each hold (factors, the start
-    row of each output that has such rows, a mask of those outputs or None
-    when all do).
-    """
-
-    local: tuple
-    cross: tuple
-
-
-def _leaf_part(blocks: tuple[int, ...], party: int, cross: bool) -> tuple:
-    span = max(blocks)
-    first = np.cumsum((0,) + blocks[:-1])
-    factors, starts, outs = [], [], []
-    for o, (j, out) in enumerate(_outputs(blocks)):
-        rows = out.cross if cross else out.local
-        if rows:
-            starts.append(len(factors))
-            outs.append(o)
-        for row in rows:
-            lanes = [first[j] + i for i in range(span) if row[party] >> i & 1]
-            factors.append((lanes * span)[:span])
-    has = np.zeros(2 * len(blocks) - 1, dtype=bool)
-    has[outs] = True
-    return (np.array(factors, dtype=np.intp).reshape(-1, span).T,
-            np.array(starts, dtype=np.intp), None if has.all() else has)
+def _leaf_table(blocks: tuple[int, ...], party: int, cross: bool) -> Table:
+    """One party's local or cross monomials of every leaf output (_outputs
+    order) as products of its bit lanes."""
+    first = np.cumsum((0,) + blocks[:-1]).tolist()
+    return xor_of_ands([[[first[j] + i for i in range(blocks[j]) if pair[party] >> i & 1]
+                         for pair in (out.cross if cross else out.local)]
+                        for j, out in _outputs(blocks)])
 
 
 @dataclass(frozen=True)
@@ -418,7 +431,9 @@ class CarryPlan:
     width: int
     # leaf block widths, lowest positions first
     blocks: tuple = field(init=False)
-    leaf: LeafTables = field(init=False, repr=False)
+    # per party, the leaf flight's (local, cross) tables: an output's share
+    # is its local XOR-of-ANDs, XOR the one-sided ANDs of its cross products
+    leaf: tuple = field(init=False, repr=False)
     # group sizes per combine level, lowest group first
     tree: tuple = field(init=False)
     levels: tuple = field(init=False, repr=False)
@@ -427,8 +442,8 @@ class CarryPlan:
         if self.width < 2:
             raise ValueError("carry plan needs width >= 2")
         blocks = _choose_blocks(self.width - 1)
-        leaf = LeafTables(*(tuple(_leaf_part(blocks, party, cross) for party in (0, 1))
-                            for cross in (False, True)))
+        leaf = tuple(tuple(_leaf_table(blocks, party, cross) for cross in (False, True))
+                     for party in (0, 1))
         tree = tree_sizes(len(blocks), True)
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "leaf", leaf)
@@ -452,12 +467,12 @@ class CarryPlan:
     @property
     def combine_bits(self) -> int:
         """Gate inputs opened per compared lane: words sent per 64 lanes."""
-        return _best_tree(len(self.blocks), True)[0][1]
+        return tree_cost(len(self.blocks), True)[1]
 
     @property
     def combine_gates(self) -> int:
         """Combine gates per compared lane: gate units per 64 lanes."""
-        return _best_tree(len(self.blocks), True)[0][2]
+        return tree_cost(len(self.blocks), True)[2]
 
     @property
     def total_and_rows(self) -> int:
@@ -465,11 +480,6 @@ class CarryPlan:
         return self.cross_rows + self.combine_gates
 
 
-_PLANS: dict[int, CarryPlan] = {}
-
-
+@cache
 def carry_plan(width: int) -> CarryPlan:
-    plan = _PLANS.get(width)
-    if plan is None:
-        plan = _PLANS[width] = CarryPlan(width)
-    return plan
+    return CarryPlan(width)

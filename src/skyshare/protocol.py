@@ -10,14 +10,16 @@ are revealed.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
+from .bitpack import pack_bits, unpack_bits
 from .correlated import KINDS
 from .gadgets import less_than, min_with_payload
 from .metering import RandomnessBudget, query_cost
-from .online import PartyContext, and_jobs, not_bits, obliv_select, open_bit, public_share
+from .online import PartyContext, and_trees, not_bits, obliv_select, open_bit, public_share
 from .ppa import and_tree
 from .ring import MAX_WIDTH, Ring, default_vmax
 
@@ -42,21 +44,26 @@ def check_domain(m: int, bound: int, ring: Ring) -> int:
 
 
 def check_query(q, m: int, vmax: int) -> np.ndarray:
-    """Client-side guard, before any share of q exists: m attributes, none
-    negative, and m*max(q) < vmax.  The owner keeps m*B < vmax and
-    |p - q| <= max(p, q), so every distance sum then stays below the
-    sentinel and the result is exact.  Returns q as an int64 array."""
-    q_arr = np.asarray(q, dtype=np.int64)
+    """Client-side guard, before any share of q exists: m integer attributes,
+    none negative, and m*max(q) < vmax, checked in Python ints so no value
+    wraps or truncates.  The owner keeps m*B < vmax and |p - q| <= max(p, q),
+    so every distance sum then stays below the sentinel and the result is
+    exact.  Returns q as an int64 array."""
+    q_arr = np.asarray(q)
     if q_arr.shape != (m,):
         raise ValueError(f"query has {q_arr.size} attributes, the database has {m}")
-    if (q_arr < 0).any():
+    try:
+        values = [operator.index(v) for v in q_arr.tolist()]
+    except TypeError:
+        raise ValueError("query attributes must be integers") from None
+    if min(values, default=0) < 0:
         raise ValueError("query attributes must be non-negative")
-    top = m * int(q_arr.max(initial=0))
+    top = m * max(values, default=0)
     if not top < vmax:
         raise ValueError(
             f"query outside the exact window: m*max(q) = {top} must be < vmax = {vmax}"
         )
-    return q_arr
+    return np.array(values, dtype=np.int64)
 
 
 def ring_width(m: int, bound: int) -> int:
@@ -104,22 +111,6 @@ def fetch_min(ctx: PartyContext, sums: np.ndarray, t_shares: np.ndarray,
     return key, t_row, p_row, path
 
 
-def _and_columns(ctx: PartyContext, mats: list[np.ndarray]) -> list[np.ndarray]:
-    """AND the columns of each bit matrix down to one, all trees level-locked:
-    one and_jobs flight per level, columns grouped up to 4 a gate
-    (ppa.and_tree), one job per tree and gate."""
-    trees = [and_tree(x.shape[1]) for x in mats]
-    cols = [x.T for x in mats]
-    for depth in range(max(map(len, trees))):
-        levels = [(i, tree[depth]) for i, tree in enumerate(trees) if depth < len(tree)]
-        jobs = [(i, job) for i, level in levels for job in level.jobs]
-        done = and_jobs(ctx, [cols[i][job.rows] for i, job in jobs])
-        for i, level in levels:
-            ands = [z for (owner, _), z in zip(jobs, done) if owner == i]
-            cols[i] = np.concatenate([cols[i]] + ands)[level.take]
-    return [x[0] for x in cols]
-
-
 def filter_round(ctx: PartyContext, t_shares: np.ndarray, t_star: np.ndarray,
                  s_min: np.ndarray, sums: np.ndarray, path: np.ndarray) -> np.ndarray:
     """Overwrite the fetched row's sum and the sums of every row it dominates
@@ -138,8 +129,10 @@ def filter_round(ctx: PartyContext, t_shares: np.ndarray, t_star: np.ndarray,
     # dominated: t_star[j] <= t_i[j] on every j and s_min < sums[i], so never
     # a row tied with the minimum, the fetched row included
     dominance = np.hstack([not_bits(ctx, bits[n:]).reshape(n, m), bits[:n, None]])
-    is_first, is_dominated = _and_columns(ctx, [path, dominance])
-    marked = is_first ^ is_dominated
+    # each flag column's n bits packed on their own; both AND trees level-locked
+    is_first, is_dominated = and_trees(ctx, [(pack_bits(x.T), and_tree(x.shape[1]))
+                                             for x in (path, dominance)])
+    marked = unpack_bits(is_first ^ is_dominated, n)
 
     sentinel = public_share(ctx, np.uint64(default_vmax(ctx.ring.l)), n)
     return obliv_select(ctx, marked, sentinel, sums)

@@ -476,7 +476,8 @@ def tcp_query(servers: list[str], q, l: int | None = None, seed: int = 0, scale:
         ring_l, m = hellos[0]
         if l is not None and l != ring_l:
             raise FrameError(f"ring width mismatch: client expects l={l}, servers use l={ring_l}")
-        q_arr = check_query(np.asarray(q, dtype=np.int64) * scale, m, default_vmax(ring_l))
+        # scaled as Python ints, so a large attribute cannot wrap into the window
+        q_arr = check_query(np.asarray(q, dtype=object) * scale, m, default_vmax(ring_l))
         ring = Ring(ring_l)
         rng = np.random.default_rng(seed)
         session = int(rng.integers(0, 1 << 32))

@@ -3,14 +3,14 @@ import pytest
 
 from conftest import reconstruct, reconstruct_bits, run_two, session_pair, share_pair
 
-from skyshare.bitpack import bits_of_values, pack_bits, unpack_bits
+from skyshare.bitpack import bits_of_values, pack_bits, unpack_bits, words_for
 from skyshare.correlated import StreamPool
 from skyshare.gadgets import less_than, min_with_payload
 from skyshare.metering import query_rounds, select_cost
 from skyshare.online import (
-    and_jobs,
     and_multi,
     and_one_sided,
+    and_trees,
     bit_mul,
     not_bits,
     obliv_select,
@@ -22,10 +22,12 @@ from skyshare.ppa import (
     UNIT_WORDS,
     CarryPlan,
     and_gate,
+    and_tree,
     block_outputs,
     carry_plan,
     ceil_log2,
     combine_gate,
+    tree_cost,
 )
 from skyshare.ring import Ring
 
@@ -301,30 +303,42 @@ def test_less_than_round_count():
     assert ctx1.meters.secext == 10
 
 
-def test_and_jobs_full_truth_table():
-    """Jobs of 2, 3 and 4 inputs in one flight, every input assignment under
-    random share splits; then idempotence, x AND x = x."""
+def test_and_trees_run_level_locked_over_packed_rows():
+    """AND trees of 1..10 columns over every assignment of their bits, and
+    one carry combine tree over random G and P rows, all under random share
+    splits in one runner: each tree's first row is its AND (the carry
+    tree's, its prefix G), the rounds are the deepest tree's, and each tree
+    takes a unit per gate per packed word of its rows."""
     rng = np.random.default_rng(8)
+    trees, want, units = [], [], 0
+    for count in range(1, 11):
+        lanes = np.arange(1 << count)
+        bits = ((lanes >> np.arange(count)[:, None]) & 1).astype(np.uint8)
+        trees.append((bits, and_tree(count)))
+        want.append(np.bitwise_and.reduce(bits, axis=0))
+        units += words_for(lanes.size) * tree_cost(count, False)[2]
+    plan = carry_plan(64)
+    segments = len(plan.blocks)
+    gp = rng.integers(0, 2, size=(2 * segments - 1, 300), dtype=np.uint8)  # G's, then P's
+    g = gp[0]
+    for i in range(1, segments):
+        g = gp[i] ^ (gp[segments - 1 + i] & g)
+    trees.append((gp, plan.levels))
+    want.append(g)
+    units += words_for(300) * plan.combine_gates
+    shares = {1: [], 2: []}
+    for bits, levels in trees:
+        split = rng.integers(0, 2, size=bits.shape, dtype=np.uint8)
+        shares[1].append((pack_bits(split), levels))
+        shares[2].append((pack_bits(bits ^ split), levels))
     ctx1, ctx2 = session_pair(l=8, seed=7)
-    jobs, want = {1: [], 2: []}, []
-    for k in (2, 3, 4):
-        lanes = np.tile(np.arange(1 << k), 64)
-        bits = [((lanes >> r) & 1).astype(np.uint8).reshape(-1, 4) for r in range(k)]
-        split = [rng.integers(0, 2, size=x.shape, dtype=np.uint8) for x in bits]
-        jobs[1].append(tuple(split))
-        jobs[2].append(tuple(x ^ y for x, y in zip(bits, split)))
-        want.append(np.bitwise_and.reduce(bits))
-    z1, z2 = run_two(ctx1, ctx2, lambda c: and_jobs(c, jobs[c.party]))
+    z1, z2 = run_two(ctx1, ctx2, lambda c: and_trees(c, shares[c.party]))
     for a, b, w in zip(z1, z2, want):
-        assert a.shape == w.shape and (reconstruct_bits(a, b) == w).all()
-    assert ctx1.chan.rounds == 1
-
-    x = np.tile(np.array([0, 0, 1, 1], dtype=np.uint8), 64)
-    x1 = rng.integers(0, 2, size=x.size, dtype=np.uint8)
-    ctx1, ctx2 = session_pair(l=8, seed=9)
-    z1, z2 = run_two(ctx1, ctx2, lambda c: and_jobs(
-        c, [(x1 if c.party == 1 else x ^ x1, x1 if c.party == 1 else x ^ x1)])[0])
-    assert (reconstruct_bits(z1, z2) == x).all()
+        assert (unpack_bits(a ^ b, w.size) == w).all()
+    depths = sorted({len(levels) for _, levels in trees})
+    assert depths[0] == 0 and len(depths) > 2
+    assert ctx1.chan.rounds == depths[-1] == plan.combine_levels
+    assert ctx1.rand.bin.consumed == ctx2.rand.bin.consumed == units
 
 
 def test_bit_mul_annihilator_identity_and_products():

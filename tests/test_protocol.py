@@ -50,7 +50,8 @@ def test_check_query_admits_exactly_the_window():
     m, vmax = 3, 64  # 3 * 21 < 64 <= 3 * 22
     assert check_query([21, 0, 21], m, vmax).tolist() == [21, 0, 21]
     for q, reason in (([22, 0, 0], "exact window"), ([0, -1, 0], "non-negative"),
-                      ([1, 2], "attributes")):
+                      ([1, 2], "attributes"), ([2**64, 4, 0], "exact window"),
+                      ([2**70, 1, 0], "exact window"), ([1.7, 1, 0], "integers")):
         with pytest.raises(ValueError, match=reason):
             check_query(q, m, vmax)
 
@@ -365,9 +366,12 @@ def test_run_query_rejects_empty_database():
 
 
 def test_bytes_match_closed_form():
-    # query_bytes against the meters; l=64 takes 8-byte values
+    # query_bytes against the meters; l=64 takes 8-byte values.  At (130, 7)
+    # both flag trees have a level of two 4-input gates and n is not a
+    # multiple of 64, so each packed flag column pads its own last word
     rng = np.random.default_rng(23)
-    for n, m, bound, l in ((12, 2, 50, None), (33, 1, 900, None), (20, 3, 50, 64), (9, 4, 7, 24)):
+    for n, m, bound, l in ((12, 2, 50, None), (33, 1, 900, None), (20, 3, 50, 64), (9, 4, 7, 24),
+                           (130, 7, 30, None)):
         data = rng.integers(0, bound + 1, size=(n, m))
         engine = LocalEngine(data, l=l, seed=n)
         _, metrics = engine.query(rng.integers(0, bound + 1, size=m))

@@ -305,11 +305,18 @@ def test_client_refuses_out_of_window_query(tmp_path, table_example, monkeypatch
             tcp_query(endpoints, [1, 2, 3], seed=1)
         with pytest.raises(FrameError, match=f"client expects l=64, servers use l={l}"):
             tcp_query(endpoints, query, 64, seed=1)
+        # scaled in int64, 2**62 * 4 would wrap to 0 and ask another query
+        with pytest.raises(ValueError, match="exact window"):
+            tcp_query(endpoints, [2**62, 1], seed=1, scale=4)
+        with pytest.raises(ValueError, match="exact window"):
+            tcp_query(endpoints, [2**70, 1], seed=1)
+        with pytest.raises(ValueError, match="integers"):
+            tcp_query(endpoints, [1.7, 1], seed=1)
         assert KIND_QUERY not in sent  # no query share and no peer hello left a socket
-        # each server logs the three refusals as clients that left, not as faults
-        out = _server_lines(capsys, "client left without a query", 6)
+        # each server logs the six refusals as clients that left, not as faults
+        out = _server_lines(capsys, "client left without a query", 12)
         for party in (1, 2):
-            assert out.count(f"server {party}: client left without a query") == 3
+            assert out.count(f"server {party}: client left without a query") == 6
         assert "aborted" not in out
         # the pools cover one session: had a refused query run, this one would starve
         assert tcp_query(endpoints, query, seed=2) == skyline
