@@ -4,7 +4,8 @@ Global flags (before the subcommand): --l, --latency-ms, --seed.  The
 filtering sentinel is not a flag: it is ring.default_vmax of the ring width.
 Dataset parameters may come from a key = value config file, with
 command-line flags taking precedence.  Every command is deterministic under
---seed apart from wall-clock fields.
+--seed apart from wall-clock fields and the TCP client's query sharing,
+which draws fresh entropy per query; its printed rows stay deterministic.
 """
 
 from __future__ import annotations
@@ -101,7 +102,7 @@ def cmd_serve(args) -> int:
 
 def cmd_query(args) -> int:
     q = [int(x) for x in args.q.split(",")]
-    rows = tcp_query(args.servers.split(","), q, args.l, seed=args.seed, scale=args.scale or 1)
+    rows = tcp_query(args.servers.split(","), q, args.l, scale=args.scale or 1)
     for row in rows:
         print(",".join(str(x) for x in row))
     print(f"{len(rows)} skyline rows", file=sys.stderr)
@@ -117,7 +118,7 @@ def cmd_verify(args) -> int:
     rng = np.random.default_rng(np.random.SeedSequence(args.seed).spawn(1)[0])
     queries = rng.integers(0, bound + 1, size=(args.queries, data.shape[1]))
     if args.servers:
-        run = lambda q: tcp_query(args.servers.split(","), q, args.l, seed=args.seed)
+        run = lambda q: tcp_query(args.servers.split(","), q, args.l)
     else:
         engine = LocalEngine(data, l=args.l, seed=args.seed, latency_ms=args.latency_ms)
         run = lambda q: engine.query(q)[0]
@@ -173,7 +174,10 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--latency-ms", type=float, default=None,
                      help="injected one-way channel latency "
                           "(default: 1 for serve, 0 elsewhere)")
-    top.add_argument("--seed", type=int, default=0, help="root seed for all randomness")
+    top.add_argument("--seed", type=int, default=0,
+                     help="root seed for all randomness but the TCP client's; deal "
+                          "deals identical pools and share masks at one seed, so "
+                          "re-deal under a new one")
     sub = top.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a synthetic dataset CSV")

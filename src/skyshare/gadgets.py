@@ -26,7 +26,7 @@ from .online import (
     obliv_select,
     public_share,
 )
-from .ppa import Table, carry_plan, pair_levels
+from .ppa import Table, carry_plan, pair_levels, path_columns
 
 
 def _leaf_blocks(ctx: PartyContext, lanes: np.ndarray, local: Table, cross: Table) -> np.ndarray:
@@ -74,7 +74,7 @@ def min_with_payload(ctx: PartyContext, keys: np.ndarray, payloads: list[np.ndar
     rows = np.hstack([keys[:, None]] + payloads) if payloads else keys[:, None]
     levels = pair_levels(n)
     one = public_share(ctx, np.uint8(1), 1)
-    path = np.full((n, max(1, len(levels))), one[0], dtype=np.uint8)
+    path = np.full((n, path_columns(n)), one[0], dtype=np.uint8)
     for j, pairs in enumerate(levels):
         left = rows[0:2 * pairs:2]
         right = rows[1:2 * pairs:2]

@@ -15,9 +15,9 @@ checks each session's meters against query_cost field for field, and the
 *_rounds and query_bytes readers below are views of the same walks, so
 every structural choice (batched comparison levels, level-locked flag
 trees, the one-flight daBit select) is encoded here and nowhere else.  A
-comparison's rounds, bits sent and gate units come from ppa's carry plan,
-and a flag tree's from ppa.tree_cost, the reader the carry plan uses for
-its combine tree: nothing here restates a plan.
+comparison's leaf flight comes from ppa's carry plan, and every AND tree's
+levels, bits sent and gate units are read off the compiled levels that
+online.and_level runs (ppa.tree_cost): nothing here restates a plan.
 
 Functions that still take a `mode` accept only MODE_DABIT, the one
 bit-by-value multiplication the protocol has.
@@ -29,7 +29,7 @@ import operator
 from dataclasses import dataclass
 
 from .bitpack import words_for
-from .ppa import carry_plan, ceil_log2, pair_levels, tree_cost
+from .ppa import and_tree, carry_plan, pair_levels, path_columns, tree_cost
 from .sharing import value_width_bytes
 
 MODE_DABIT = "dabit"
@@ -73,18 +73,24 @@ class RandomnessBudget:
         return RandomnessBudget(*(value * times for value in vars(self).values()))
 
 
+def trees_cost(trees: list[tuple], words: int) -> RandomnessBudget:
+    """Compiled AND trees run level-locked over rows of `words` packed words
+    (online.and_trees): a flight per level of the deepest tree, a word (8
+    bytes) sent per gate input opened and a gate unit per gate, per word."""
+    levels, bits, units = zip(*map(tree_cost, trees))
+    return RandomnessBudget(rounds=max(levels), bytes=8 * words * sum(bits),
+                            bin_words=words * sum(units))
+
+
 def msb_cost(batch: int, l: int) -> RandomnessBudget:
     """One batched comparison of `batch` pairs, rows packed 64 lanes a word:
-    the carry plan's rounds, a cross word (8 bytes, its masked operand) per
-    one-sided AND row of the leaf blocks, a word (8 bytes) per combine gate
-    input opened and a gate unit per combine gate."""
+    one flight with a cross word (8 bytes, its masked operand) per one-sided
+    AND row of the leaf blocks, then the carry plan's combine tree."""
     plan = carry_plan(l)
     words = words_for(batch)
     cross = plan.cross_rows * words
-    return RandomnessBudget(rounds=plan.and_rounds,
-                            bytes=8 * (cross + plan.combine_bits * words),
-                            secext=batch, bin_words=plan.combine_gates * words,
-                            cross_words=cross)
+    return (RandomnessBudget(rounds=1, bytes=8 * cross, secext=batch, cross_words=cross)
+            + trees_cost([plan.levels], words))
 
 
 def select_cost(batch: int, width: int, l: int) -> RandomnessBudget:
@@ -114,24 +120,12 @@ def stop_cost(l: int) -> RandomnessBudget:
     return msb_cost(1, l) + RandomnessBudget(rounds=1, bytes=1)
 
 
-def path_columns(n: int) -> int:
-    """Columns of the fetch's path-bit matrix: one per tournament level, and
-    one public 1 at n = 1."""
-    return max(1, ceil_log2(n))
-
-
 def filt_cost(n: int, m: int, l: int, mode: str) -> RandomnessBudget:
     # one fused comparison batch, then the AND tree over the fetch's path
     # bits running level-locked with the one over the m+1 dominance columns,
-    # one flight per level of the deeper tree; each column's n bits pack on
-    # their own into W words, so a tree costs W words sent per gate input
-    # opened and W units per gate, read as msb_cost reads the carry tree;
-    # then one overwrite
+    # each column's n bits packed on their own; then one overwrite
     check_mode(mode)
-    words = words_for(n)
-    levels, bits, gates = zip(tree_cost(path_columns(n), False), tree_cost(m + 1, False))
-    flags = RandomnessBudget(rounds=max(levels), bytes=8 * words * sum(bits),
-                             bin_words=words * sum(gates))
+    flags = trees_cost([and_tree(path_columns(n)), and_tree(m + 1)], words_for(n))
     return msb_cost(n * (m + 1), l) + flags + select_cost(n, 1, l)
 
 
@@ -197,6 +191,12 @@ class SessionMetrics:
     bytes_rx: int
     secext: int
     wall_ms: float
+
+    @classmethod
+    def of_party(cls, session: int, ctx, shape: tuple, k: int, wall_ms: float) -> "SessionMetrics":
+        """A session's metrics off one party's channel and meters."""
+        return cls(session, *shape, k, ctx.chan.rounds, ctx.chan.bytes_tx, ctx.chan.bytes_rx,
+                   ctx.meters.secext, wall_ms)
 
     def csv_row(self) -> str:
         return (

@@ -1,5 +1,5 @@
-"""Online two-party primitives: multi-input ANDs and the level-locked AND
-trees over them, one-sided ANDs, the one-flight select.
+"""Online two-party primitives: compiled AND tree levels and the
+level-locked trees over them, one-sided ANDs, the one-flight select.
 
 Every function here is SPMD: both parties run the same code on their own
 shares, exchanging one flight per round through the session channel, and
@@ -22,7 +22,7 @@ import numpy as np
 
 from .channel import KIND_OPEN_BIT, ChannelBase
 from .correlated import PartyRandomness
-from .ppa import Gate, Level
+from .ppa import Level
 from .ring import Ring
 from .sharing import decode_values, encode_values
 
@@ -75,54 +75,47 @@ def and_one_sided(ctx: PartyContext, mine: np.ndarray) -> np.ndarray:
     return z.reshape(mine.shape)
 
 
-def and_multi(ctx: PartyContext, jobs: list[tuple[Gate, np.ndarray]]) -> list[np.ndarray]:
-    """Multi-input AND gates over packed words, every job in one flight.
+def and_level(ctx: PartyContext, levels: list[tuple[np.ndarray, Level]]) -> list[np.ndarray]:
+    """One compiled tree level (ppa.Level) for each (rows, level), rows
+    packed as (rows, words): one unit take and one flight for every gate of
+    every level, then one table per level.  Returns each level's next rows.
 
-    A job is a gate and its inputs stacked as (len(gate.inputs), words),
-    each row 64 lanes a word; it returns XOR shares of the gate's outputs
-    as (len(gate.outputs), words).  Each gate word takes one dealt unit:
-    masks a_i and shares of their monomials.  A party sends e_i = x_i ^ a_i
-    for the gate's inputs only, each uniform under its fresh mask, and
-    after the flight evaluates every product as XOR over T of e^(S-T) a^T,
-    linear in its shares (ppa.Gate).  Taken unit slices are only read.
+    Each gate word takes one dealt unit: masks a_i and shares of their
+    monomials.  A party sends e_i = x_i ^ a_i for the rows its levels open,
+    each uniform under its fresh mask; after the flight every product is
+    linear in the opened e and its unit shares.  Taken units are only read.
     """
-    (units,) = ctx.rand.bin.take(sum(x.shape[1] for _, x in jobs))
-    masks, sent = [], []
+    (units,) = ctx.rand.bin.take(sum(level.groups * x.shape[1] for x, level in levels))
+    shares, sent = [], []
     at = 0
-    for gate, x in jobs:
-        if x.shape[0] != len(gate.inputs):
-            raise ValueError("gate input count mismatch")
-        a = units[at:at + x.shape[1], gate.cols].T  # (cols, words): masks, then monomials
-        at += x.shape[1]
-        masks.append(a)
-        sent.append(x ^ a[:x.shape[0]])
+    for x, level in levels:
+        words = x.shape[1]
+        take = level.groups * words
+        a = units[at:at + take].reshape(level.groups, words, -1)[level.reads[0], :, level.reads[1]]
+        at += take
+        shares.append(a)
+        sent.append(x[level.opened] ^ a[:level.opened.size])
     flight = np.concatenate([e.ravel() for e in sent]) if len(sent) > 1 else sent[0].ravel()
     peer = np.frombuffer(ctx.chan.exchange(flight.tobytes()), dtype="<u8")
     out = []
     at = 0
-    for (gate, _), a, e in zip(jobs, masks, sent):
+    for (x, level), a, e in zip(levels, shares, sent):
         e ^= peer[at:at + e.size].reshape(e.shape)  # the opened e_i
         at += e.size
-        out.append(gate.tables[ctx.party - 1](np.concatenate((e, a))))
+        out.append(level.tables[ctx.party - 1](np.concatenate((e, a, x))))
     return out
 
 
 def and_trees(ctx: PartyContext, trees: list[tuple[np.ndarray, tuple[Level, ...]]]
               ) -> list[np.ndarray]:
     """Run AND trees level-locked over packed rows, (rows, words) each: at
-    every depth the gates of every tree that still has a level go out in one
-    and_multi flight, and each level's take and local XORs (ppa.Level) form
-    the tree's next rows.  Returns each tree's first row."""
+    every depth the levels of every tree that still has one run as one
+    and_level.  Returns each tree's first row."""
     rows = [x for x, _ in trees]
     for depth in range(max(len(levels) for _, levels in trees)):
-        live = [(i, levels[depth]) for i, (_, levels) in enumerate(trees) if depth < len(levels)]
-        outs = iter(and_multi(ctx, [(job.gate, rows[i][job.rows].reshape(len(job.gate.inputs), -1))
-                                    for i, level in live for job in level.jobs]))
-        for i, level in live:
-            words = rows[i].shape[1]
-            stacked = np.concatenate([rows[i]] + [next(outs).reshape(-1, words) for _ in level.jobs])
-            rows[i] = stacked[level.take]
-            rows[i][level.local[0]] ^= stacked[level.local[1]]  # a combine's top G
+        live = [i for i, (_, levels) in enumerate(trees) if depth < len(levels)]
+        for i, nxt in zip(live, and_level(ctx, [(rows[i], trees[i][1][depth]) for i in live])):
+            rows[i] = nxt
     return [x[0] for x in rows]
 
 

@@ -26,19 +26,22 @@ at most 4 and combines each group in one gate; for segments 3..0 of a group
     G = G3 ^ P3 G2 ^ P3 P2 G1 ^ P3 P2 P1 G0,    P = P3 P2 P1 P0
 
 (a group of j < 4 segments uses segments 3..4-j).  The lowest group never
-needs its P, and a group of one is carried.  Every gate of a level is one
-multi-input AND (online.and_multi): it opens each input once, so a group of
-j segments sends 2(j-1) bits per lane, and one more for its P.  The gates
-are sub-families of one dealt unit, the 4-segment prefix family: masks
-for its 7 inputs and XOR shares of the 22 monomials of degree >= 2 its
-products need (UNIT_WORDS words per 64 lanes).  A 2-, 3- or 4-input AND reads the unit the same way,
-so every gate word takes exactly one unit.
+needs its P, and a group of one is carried.  Every gate is a multi-input
+AND: it opens each input once, so a group of j segments sends 2(j-1) bits
+per lane, and one more for its P.  The gates are sub-families of one dealt
+unit, the 4-segment prefix family: masks for its 7 inputs and XOR shares
+of the 22 monomials of degree >= 2 its products need (UNIT_WORDS words per
+64 lanes).  A 2-, 3- or 4-input AND reads the unit the same way, so every
+gate word takes exactly one unit.
 
 Plan choice: the fewest levels first, then the fewest bits sent per lane
 (one per one-sided AND, one per opened gate input), then the fewest gates.
 That picks both the block count and each level's grouping; the filter's
-flag trees are AND trees grouped the same way (and_tree), and one level
-runner (online.and_trees) runs both kinds of tree over packed rows.
+flag trees are AND trees grouped the same way (and_tree).  Each level is
+compiled once into a Level: the rows it opens, the unit words it reads and
+one table per party from those to the next rows.  online.and_level runs a
+level in one flight, and tree_cost reads a tree's levels, bits sent and
+gate units off its compiled levels.
 """
 
 from __future__ import annotations
@@ -205,11 +208,15 @@ def _submasks(mask: int):
         sub = (sub - 1) & mask
 
 
+def _monomials(terms) -> list[int]:
+    """The mask products of degree >= 2 that products of the terms need."""
+    return sorted({sub for term in terms for sub in _submasks(term) if sub.bit_count() >= 2})
+
+
 # the 4-segment combine's products: P3 G2, P3 P2 G1, P3 P2 P1 G0, P3 P2 P1 P0
 _FAMILY_TERMS = tuple(_prefix(range(s + 1, 4)) | _g(s) for s in (2, 1, 0)) + (_prefix(range(4)),)
 FAMILY_INPUTS = 7
-MONOMIALS = tuple(sorted({sub for term in _FAMILY_TERMS for sub in _submasks(term)
-                          if sub.bit_count() >= 2}))
+MONOMIALS = tuple(_monomials(_FAMILY_TERMS))
 UNIT_WORDS = FAMILY_INPUTS + len(MONOMIALS)  # per lane word: the masks, then the monomials
 
 
@@ -225,42 +232,19 @@ def _bits(mask: int) -> list[int]:
     return [i for i in range(FAMILY_INPUTS) if mask >> i & 1]
 
 
-@dataclass(frozen=True, eq=False)
-class Gate:
+class Gate(NamedTuple):
     """One multi-input AND gate: its outputs are XORs of product terms over
-    the family inputs it opens.
-
-    Each party evaluates prod_{i in S} x_i = XOR over T in S of
-    e^(S-T) a^T from the opened e_i = x_i ^ a_i and its shares of the mask
-    products a^T (T empty: the public e^S, at party 1 only).  tables[party
-    - 1] holds those pairs as products of rows of the stacked [e of each
-    input; unit columns cols].
-    """
+    the family inputs.  It opens `inputs` and reads their masks and the
+    `monomials` of the unit."""
 
     outputs: tuple  # per output, its product terms
-    inputs: tuple = field(init=False)  # family inputs opened, in flight order
-    cols: np.ndarray = field(init=False, repr=False)  # unit columns read: masks, then monomials
-    tables: tuple = field(init=False, repr=False)
+    inputs: tuple  # family inputs opened, in flight order
+    monomials: tuple  # mask products of degree >= 2 read, as terms
 
-    def __post_init__(self):
-        terms = [term for out in self.outputs for term in out]
-        inputs = tuple(_bits(reduce(or_, terms)))
-        monomials = sorted({sub for term in terms for sub in _submasks(term)
-                            if sub.bit_count() >= 2})
-        cols = [unit_column(1 << i) for i in inputs] + [unit_column(m) for m in monomials]
-        e_row = {i: r for r, i in enumerate(inputs)}
-        a_row = {col: len(inputs) + r for r, col in enumerate(cols)}
 
-        def product(term: int, t: int) -> list[int]:
-            return [e_row[i] for i in _bits(term & ~t)] + ([a_row[unit_column(t)]] if t else [])
-
-        # the public product (t = 0) is party 1's
-        tables = tuple(xor_of_ands([[product(term, t) for term in out
-                                     for t in (0, *_submasks(term)) if t or party == 1]
-                                    for out in self.outputs]) for party in (1, 2))
-        object.__setattr__(self, "inputs", inputs)
-        object.__setattr__(self, "cols", np.array(cols, dtype=np.intp))
-        object.__setattr__(self, "tables", tables)
+def _gate(outputs: tuple) -> Gate:
+    terms = [term for out in outputs for term in out]
+    return Gate(outputs, tuple(_bits(reduce(or_, terms))), tuple(_monomials(terms)))
 
 
 @cache
@@ -268,7 +252,7 @@ def and_gate(arity: int) -> Gate:
     """x_1 AND ... AND x_arity, the inputs read as P3, P2, ... in turn."""
     if not 2 <= arity <= RADIX:
         raise ValueError(f"an AND gate takes 2..{RADIX} inputs")
-    return Gate(((_prefix(range(4 - arity, 4)),),))
+    return _gate(((_prefix(range(4 - arity, 4)),),))
 
 
 @cache
@@ -279,7 +263,7 @@ def combine_gate(segments: int, with_p: bool) -> Gate:
         raise ValueError(f"a combine takes 2..{RADIX} segments")
     low = RADIX - segments
     g = tuple(_prefix(range(s + 1, 4)) | _g(s) for s in range(2, low - 1, -1))
-    return Gate((g, (_prefix(range(low, 4)),)) if with_p else (g,))
+    return _gate((g, (_prefix(range(low, 4)),)) if with_p else (g,))
 
 
 # --- tree levels -------------------------------------------------------------
@@ -293,28 +277,18 @@ def _level_sizes(count: int, groups: int) -> tuple[int, ...]:
     return (q + 1,) * r + (q,) * (groups - singles - r) + (1,) * singles
 
 
-def _level_bits(sizes: tuple[int, ...], combine: bool) -> int:
-    """Bits one level sends per lane: an AND opens its inputs, a combine of
-    j segments 2(j-1) and one more for a P, which the lowest group skips."""
-    if not combine:
-        return sum(j for j in sizes if j > 1)
-    return sum(2 * j - 1 for j in sizes if j > 1) - (sizes[0] > 1)
-
-
-def tree_sizes(count: int, combine: bool) -> tuple[tuple[int, ...], ...]:
-    """Group sizes per level reducing `count` rows to one: the fewest levels,
-    then the fewest bits sent, then the fewest gates."""
-    return _best_tree(count, combine)[1]
-
-
-def tree_cost(count: int, combine: bool) -> tuple[int, int, int]:
-    """(levels, bits sent per lane, gates per lane) of the tree reducing
-    `count` rows to one: a gate word takes one unit."""
-    return _best_tree(count, combine)[0]
+def _gates(sizes: tuple[int, ...], combine: bool) -> dict[int, Gate]:
+    """The gate of each group of more than one row, by group: the lowest
+    combine needs no P."""
+    return {c: combine_gate(j, c > 0) if combine else and_gate(j)
+            for c, j in enumerate(sizes) if j > 1}
 
 
 @cache
 def _best_tree(count: int, combine: bool) -> tuple[tuple[int, int, int], tuple]:
+    """((levels, bits sent per lane, gates per lane), group sizes per level)
+    of the tree reducing `count` rows to one: the fewest levels, then the
+    fewest bits, then the fewest gates."""
     if count < 1:
         raise ValueError("a tree needs at least one row")
     if count == 1:
@@ -322,38 +296,38 @@ def _best_tree(count: int, combine: bool) -> tuple[tuple[int, int, int], tuple]:
     best = None
     for groups in range(-(-count // RADIX), count):
         sizes = _level_sizes(count, groups)
-        (depth, bits, gates), rest = _best_tree(groups, combine)
-        key = (depth + 1, bits + _level_bits(sizes, combine),
-               gates + sum(j > 1 for j in sizes))
+        gates = _gates(sizes, combine).values()
+        (depth, bits, units), rest = _best_tree(groups, combine)
+        key = (depth + 1, bits + sum(len(gate.inputs) for gate in gates), units + len(gates))
         if best is None or key < best[0]:
             best = (key, (sizes,) + rest)
     return best
 
 
-class Job(NamedTuple):
-    """The groups of one level that share a gate: rows[i, c] is the row
-    holding input gate.inputs[i] of group c."""
-
-    gate: Gate
-    rows: np.ndarray
-
-
 class Level(NamedTuple):
-    """One level's gates, and how its next rows come from [current rows;
-    job 0's outputs; job 1's ...], a job's outputs output by output, group
-    by group: row r of the next level is take[r], XORed with the current
-    row local[1][i] where local[0][i] == r (a combine's top G)."""
+    """One compiled tree level.  Each of its `groups` gates takes a unit per
+    packed word; it opens the current rows `opened`, group by group, and
+    reads column reads[1][r] of group reads[0][r]'s unit for each r, the
+    opened rows' masks first.  tables[party - 1] maps the stacked [opened
+    e; unit reads; current rows] to the next rows: gate products, a
+    combine's top G XORed in, carried rows."""
 
-    jobs: tuple
-    take: np.ndarray
-    local: np.ndarray
+    groups: int
+    opened: np.ndarray
+    reads: np.ndarray
+    tables: tuple
 
 
 def _level(sizes: tuple[int, ...], combine: bool) -> Level:
     """Compile one level.  AND tree rows are the columns in order; combine
     rows are the G of each segment, then the P of each segment above the
-    lowest: G(i) = i and P(i) = segments - 1 + i."""
-    count, groups = sum(sizes), len(sizes)
+    lowest: G(i) = i and P(i) = segments - 1 + i, and the next rows are
+    laid out the same way, a group a segment.
+
+    A gate's product of the inputs S is XOR over T in S of e^(S-T) a^T,
+    from the opened e_i = x_i ^ a_i and the party's shares of the mask
+    products a^T; the public e^S (T empty) is party 1's."""
+    count = sum(sizes)
     starts = np.cumsum((0,) + sizes[:-1]).tolist()
 
     def source(c: int, inp: int) -> int:
@@ -363,36 +337,50 @@ def _level(sizes: tuple[int, ...], combine: bool) -> Level:
         seg = lo + (3 - inp if inp < 4 else 6 - inp) - (RADIX - j)  # P(3 - i) or G(6 - i)
         return seg if inp >= 4 else count - 1 + seg
 
-    members: dict[Gate, list[int]] = {}
-    for c, j in enumerate(sizes):
-        if j > 1:
-            gate = combine_gate(j, c > 0) if combine else and_gate(j)
-            members.setdefault(gate, []).append(c)
-    at = 2 * count - 1 if combine else count
-    jobs, take, local = [], {}, []
-    for gate, cs in members.items():
-        jobs.append(Job(gate, np.array([[source(c, i) for c in cs] for i in gate.inputs],
-                                       dtype=np.intp)))
-        for slot, c in enumerate(cs):
-            take[c] = at + slot
-            if combine:
-                local.append((c, starts[c] + sizes[c] - 1))  # the group's top G
-                if c:
-                    take[groups - 1 + c] = at + len(cs) + slot
-        at += len(gate.outputs) * len(cs)
-    for c, j in enumerate(sizes):
-        if j == 1:  # carried
-            take[c] = starts[c]
-            if combine and c:
-                take[groups - 1 + c] = count - 1 + starts[c]
-    return Level(tuple(jobs), np.array([take[r] for r in range(len(take))], dtype=np.intp),
-                 np.array(local, dtype=np.intp).reshape(-1, 2).T)
+    gates = _gates(sizes, combine)
+    flight = [(c, i) for c, gate in gates.items() for i in gate.inputs]
+    reads = ([(c, unit_column(1 << i)) for c, i in flight]
+             + [(c, unit_column(t)) for c, gate in gates.items() for t in gate.monomials])
+    e_row = {key: r for r, key in enumerate(flight)}
+    a_row = {key: len(flight) + r for r, key in enumerate(reads)}
+    here = len(flight) + len(reads)  # current row x is source row here + x
+
+    def out(c: int, k: int, party: int) -> list[list[int]]:
+        return [[e_row[c, i] for i in _bits(term & ~t)] + ([a_row[c, unit_column(t)]] if t else [])
+                for term in gates[c].outputs[k] for t in (0, *_submasks(term)) if t or party == 1]
+
+    def next_rows(party: int) -> list[list[list[int]]]:
+        rows = []
+        for c, j in enumerate(sizes):  # an AND, or a G and its top G; else carried
+            own = [[here + starts[c] + j - 1]] if combine or j == 1 else []
+            rows.append((out(c, 0, party) if j > 1 else []) + own)
+        if combine:  # the P of each group above the lowest, or its carried P
+            rows += [out(c, 1, party) if j > 1 else [[here + count - 1 + starts[c]]]
+                     for c, j in enumerate(sizes) if c]
+        return rows
+
+    slot = {c: g for g, c in enumerate(gates)}
+    return Level(len(gates), np.array([source(c, i) for c, i in flight], dtype=np.intp),
+                 np.array([[slot[c] for c, _ in reads], [col for _, col in reads]], dtype=np.intp),
+                 tuple(xor_of_ands(next_rows(party)) for party in (1, 2)))
+
+
+def tree_cost(levels: tuple[Level, ...]) -> tuple[int, int, int]:
+    """(levels, bits sent per lane, gate units per lane) of a compiled tree."""
+    return (len(levels), sum(level.opened.size for level in levels),
+            sum(level.groups for level in levels))
 
 
 @cache
 def and_tree(count: int) -> tuple[Level, ...]:
     """The levels ANDing `count` rows down to one, groups of at most RADIX."""
-    return tuple(_level(sizes, False) for sizes in tree_sizes(count, False))
+    return tuple(_level(sizes, False) for sizes in _best_tree(count, False)[1])
+
+
+def path_columns(n: int) -> int:
+    """Columns of a tournament's path bits over n rows: one per level, and
+    one public 1 at n = 1."""
+    return max(1, ceil_log2(n))
 
 
 # --- the whole comparison ----------------------------------------------------
@@ -410,7 +398,7 @@ def _cross_rows(blocks: tuple[int, ...]) -> int:
 
 def _choose_blocks(leaves: int) -> tuple[int, ...]:
     def key(blocks):
-        depth, bits, gates = tree_cost(len(blocks), True)
+        depth, bits, gates = _best_tree(len(blocks), True)[0]
         return depth, _cross_rows(blocks) + bits, gates
 
     fewest = -(-leaves // MAX_BLOCK)
@@ -444,20 +432,16 @@ class CarryPlan:
         blocks = _choose_blocks(self.width - 1)
         leaf = tuple(tuple(_leaf_table(blocks, party, cross) for cross in (False, True))
                      for party in (0, 1))
-        tree = tree_sizes(len(blocks), True)
+        tree = _best_tree(len(blocks), True)[1]
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "leaf", leaf)
         object.__setattr__(self, "tree", tree)
         object.__setattr__(self, "levels", tuple(_level(sizes, True) for sizes in tree))
 
     @property
-    def combine_levels(self) -> int:
-        return len(self.levels)
-
-    @property
     def and_rounds(self) -> int:
         # one one-sided AND flight for the leaf blocks plus one per combine level
-        return 1 + self.combine_levels
+        return 1 + len(self.levels)
 
     @property
     def cross_rows(self) -> int:
@@ -465,19 +449,9 @@ class CarryPlan:
         return _cross_rows(self.blocks)
 
     @property
-    def combine_bits(self) -> int:
-        """Gate inputs opened per compared lane: words sent per 64 lanes."""
-        return tree_cost(len(self.blocks), True)[1]
-
-    @property
-    def combine_gates(self) -> int:
-        """Combine gates per compared lane: gate units per 64 lanes."""
-        return tree_cost(len(self.blocks), True)[2]
-
-    @property
     def total_and_rows(self) -> int:
         """AND gates per compared lane, the leaf blocks' one-sided ANDs included."""
-        return self.cross_rows + self.combine_gates
+        return self.cross_rows + tree_cost(self.levels)[2]
 
 
 @cache

@@ -40,8 +40,8 @@ from .ring import Ring, default_vmax
 from .sharing import decode_values, encode_values, read_share_file, share_matrix, value_width_bytes
 
 PROTOCOL_VERSION = 4
-_SERVER_HELLO = struct.Struct("<BBH")  # version, ring width, attribute count
-_QUERY_HEAD = struct.Struct("<BBH")  # version, ring width, attribute count
+# version, ring width, attribute count: the server hello, and a query's head
+_HEAD = struct.Struct("<BBH")
 _RESULT_HEAD = struct.Struct("<I")   # row count
 # version, ring width, sender's party, its pool cursor per kind
 _PEER_HELLO = struct.Struct("<BBB" + "Q" * len(KINDS))
@@ -87,35 +87,40 @@ def run_pair(task1, task2):
     return results[0], results[1]
 
 
+def _check_version(payload: bytes, sender: str):
+    """Refuse a frame of another protocol version by its first byte, before
+    its size: another version's frame may have another size."""
+    ver = payload[0] if payload else "nothing"
+    if ver != PROTOCOL_VERSION:
+        raise FrameError(f"version mismatch: {sender} speaks {ver}, we speak {PROTOCOL_VERSION}")
+
+
 def _encode_server_hello(l: int, m: int) -> bytes:
-    return _SERVER_HELLO.pack(PROTOCOL_VERSION, l, m)
+    return _HEAD.pack(PROTOCOL_VERSION, l, m)
 
 
 def _decode_server_hello(payload: bytes) -> tuple[int, int]:
     """Check a server hello, its version first; returns (l, m)."""
-    ver = payload[0] if payload else "nothing"
-    if ver != PROTOCOL_VERSION:  # first: another version's hello has another size
-        raise FrameError(f"version mismatch: server speaks {ver}, we speak {PROTOCOL_VERSION}")
-    if len(payload) != _SERVER_HELLO.size:
+    _check_version(payload, "server")
+    if len(payload) != _HEAD.size:
         raise FrameError("malformed server hello")
-    _, l, m = _SERVER_HELLO.unpack(payload)
+    _, l, m = _HEAD.unpack(payload)
     Ring(l)  # rejects a width outside [2, 64]
     return l, m
 
 
 def _encode_query_payload(l: int, q_share: np.ndarray) -> bytes:
-    return _QUERY_HEAD.pack(PROTOCOL_VERSION, l, q_share.size) + encode_values(q_share, l)
+    return _HEAD.pack(PROTOCOL_VERSION, l, q_share.size) + encode_values(q_share, l)
 
 
 def _decode_query_payload(payload: bytes, l: int) -> np.ndarray:
-    if len(payload) < _QUERY_HEAD.size:
+    _check_version(payload, "client")
+    if len(payload) < _HEAD.size:
         raise FrameError("query frame too short")
-    ver, got_l, m = _QUERY_HEAD.unpack_from(payload)
-    if ver != PROTOCOL_VERSION:
-        raise FrameError(f"version mismatch: peer speaks {ver}, we speak {PROTOCOL_VERSION}")
+    _, got_l, m = _HEAD.unpack_from(payload)
     if got_l != l:
         raise FrameError(f"ring width mismatch: query uses l={got_l}, server uses l={l}")
-    values = decode_values(payload[_QUERY_HEAD.size:], l)
+    values = decode_values(payload[_HEAD.size:], l)
     if values.size != m:
         raise FrameError(f"query declares {m} attributes but carries {values.size}")
     return values
@@ -131,11 +136,10 @@ def _read_peer_hello(sock: socket.socket, l: int, party: int) -> tuple[int, tupl
     """Read and check the peer's hello or ack; returns its session id and
     the peer's pool cursors."""
     kind, session, payload = read_bounded_frame(sock, _PEER_HELLO.size)
+    _check_version(payload, "peer")
     if kind != KIND_QUERY or len(payload) != _PEER_HELLO.size:
         raise FrameError("bad peer hello")
-    ver, peer_l, peer_party, *cursors = _PEER_HELLO.unpack(payload)
-    if ver != PROTOCOL_VERSION:
-        raise FrameError(f"version mismatch: peer hello v{ver}")
+    _, peer_l, peer_party, *cursors = _PEER_HELLO.unpack(payload)
     if peer_l != l or peer_party != party:
         raise FrameError("peer hello does not match this server's ring width or peer party")
     return session, tuple(cursors)
@@ -210,12 +214,7 @@ class LocalEngine:
         merged = self.ring.reduce(out1.rows + out2.rows)
         rows = [tuple(int(x) for x in row) for row in merged]
         self.last_contexts = (ctx1, ctx2)
-        metrics = SessionMetrics(
-            session=session_id, n=self.n, m=self.m, k=out1.k,
-            rounds=chan1.rounds, bytes_tx=chan1.bytes_tx, bytes_rx=chan1.bytes_rx,
-            secext=ctx1.meters.secext, wall_ms=wall_ms,
-        )
-        return rows, metrics
+        return rows, SessionMetrics.of_party(session_id, ctx1, (self.n, self.m), out1.k, wall_ms)
 
 
 # --- TCP roles ---------------------------------------------------------------
@@ -398,12 +397,7 @@ class Server:
         finally:
             chan.close()
         wall_ms = (time.perf_counter() - started) * 1000.0
-        metrics = SessionMetrics(
-            session=session, n=self.shares.shape[0], m=self.shares.shape[1],
-            k=outcome.k, rounds=chan.rounds, bytes_tx=chan.bytes_tx,
-            bytes_rx=chan.bytes_rx, secext=ctx.meters.secext, wall_ms=wall_ms,
-        )
-        return outcome, metrics
+        return outcome, SessionMetrics.of_party(session, ctx, self.shares.shape, outcome.k, wall_ms)
 
     def _handle_client(self, conn: socket.socket):
         session = -1
@@ -412,7 +406,7 @@ class Server:
             write_frame(conn, KIND_HELLO, 0, _encode_server_hello(self.ring.l, m))
             try:
                 kind, session, payload = read_bounded_frame(
-                    conn, _QUERY_HEAD.size + m * value_width_bytes(self.ring.l))
+                    conn, _HEAD.size + m * value_width_bytes(self.ring.l))
             except ConnectionClosed:  # e.g. tcp_query refused the query itself
                 print(f"server {self.party}: client left without a query", flush=True)
                 return
@@ -449,14 +443,16 @@ def _listener(addr: tuple[str, int]) -> socket.socket:
     return sock
 
 
-def tcp_query(servers: list[str], q, l: int | None = None, seed: int = 0, scale: int = 1,
-              timeout: float = 120.0) -> list[tuple[int, ...]]:
+def tcp_query(servers: list[str], q, l: int | None = None, seed: int | None = None,
+              scale: int = 1, timeout: float = 120.0) -> list[tuple[int, ...]]:
     """Client role: learn the session parameters from both servers' hellos,
     check the query against them, share it, and reconstruct the result.
 
     l, when given, must match the servers' ring width.  The scaled query
     must lie in the exact window (check_query); one outside it is refused
-    before any share leaves the client.
+    before any share leaves the client.  The query's sharing mask and
+    session id come from fresh OS entropy unless a seed is given; two
+    queries under one seed share one mask, so their difference leaks.
     """
     if len(servers) != 2:
         raise ValueError("exactly two server endpoints are required")
@@ -467,7 +463,7 @@ def tcp_query(servers: list[str], q, l: int | None = None, seed: int = 0, scale:
             socks.append(socket.create_connection(parse_endpoint(endpoint), timeout=timeout))
         hellos = []
         for sock in socks:
-            kind, _, payload = read_bounded_frame(sock, _SERVER_HELLO.size)
+            kind, _, payload = read_bounded_frame(sock, _HEAD.size)
             if kind != KIND_HELLO:
                 raise FrameError(f"expected a server hello, got kind {kind}")
             hellos.append(_decode_server_hello(payload))

@@ -8,7 +8,7 @@ from skyshare.correlated import StreamPool
 from skyshare.gadgets import less_than, min_with_payload
 from skyshare.metering import query_rounds, select_cost
 from skyshare.online import (
-    and_multi,
+    and_level,
     and_one_sided,
     and_trees,
     bit_mul,
@@ -22,12 +22,14 @@ from skyshare.ppa import (
     UNIT_WORDS,
     CarryPlan,
     and_gate,
+    _level,
     and_tree,
     block_outputs,
     carry_plan,
     ceil_log2,
     combine_gate,
     tree_cost,
+    unit_column,
 )
 from skyshare.ring import Ring
 
@@ -125,9 +127,8 @@ def test_carry_plan_shape():
             (64, (2, 2) + (1,) * 59, ((4,) * 15 + (1,), (4,) * 4, (4,)), 67, 137, 20)):
         plan = carry_plan(l)
         assert (plan.blocks, plan.tree) == (blocks, tree), l
-        assert plan.combine_levels == len(tree) and plan.and_rounds == 1 + len(tree)
-        assert (plan.cross_rows, plan.combine_bits, plan.combine_gates) == (cross, bits, gates)
-        assert plan.total_and_rows == cross + gates
+        assert tree_cost(plan.levels) == (len(tree), bits, gates) and plan.and_rounds == 1 + len(tree)
+        assert plan.cross_rows == cross and plan.total_and_rows == cross + gates
     # at every width: G-only lowest block, G and P above it; the tree reduces
     # the blocks to one in as few levels as groups of 4 allow, sending as
     # few bits as any grouping of those levels; and the block count is the
@@ -146,10 +147,11 @@ def test_carry_plan_shape():
             assert sum(sizes) == count and max(sizes) <= 4, l
             count = len(sizes)
         assert count == 1
-        assert plan.combine_bits == sum(map(_combine_bits, plan.tree)), l
-        assert plan.combine_gates == sum(j > 1 for sizes in plan.tree for j in sizes), l
+        depth, bits, gates = tree_cost(plan.levels)
+        assert bits == sum(map(_combine_bits, plan.tree)), l
+        assert gates == sum(j > 1 for sizes in plan.tree for j in sizes), l
         if segments <= 10:
-            assert (len(plan.tree), plan.combine_bits) == _brute_tree(segments), l
+            assert (depth, bits) == _brute_tree(segments), l
     assert CarryPlan(2).total_and_rows == 1
     with pytest.raises(ValueError):
         CarryPlan(1)
@@ -176,50 +178,94 @@ def _gate_shapes():
             + [combine_gate(j, with_p) for j in (2, 3, 4) for with_p in (False, True)])
 
 
-def _eval_terms(gate, assignment):
-    """Each output of the gate in the clear: XOR of its product terms, a
-    family input i taking bit i of assignment."""
-    return [sum(int(term & assignment == term) for term in out) & 1 for out in gate.outputs]
+def _clear_level(rows, sizes, combine):
+    """A level's next rows in the clear: each group's AND, or its combined G
+    and, above the lowest group, its P; a group of one carried."""
+    count, out, p_out = sum(sizes), [], []
+    at = 0
+    for c, j in enumerate(sizes):
+        if not combine:
+            out.append(np.bitwise_and.reduce(rows[at:at + j], axis=0))
+        else:
+            g = rows[at]
+            for s in range(at + 1, at + j):
+                g = rows[s] ^ (rows[count - 1 + s] & g)
+            out.append(g)
+            if c:
+                p_out.append(np.bitwise_and.reduce(rows[count - 1 + at:count - 1 + at + j], axis=0))
+        at += j
+    return np.array(out + p_out)
 
 
-def test_and_multi_truth_tables_and_masked_flights():
-    """Every gate shape the plans use, over every assignment of its inputs,
-    each lane with a fresh random share split, all shapes in one flight: the
-    shares XOR to the gate's outputs, one unit per word is taken, and each
-    party sends exactly its input shares XOR its mask shares, for the
-    gate's inputs only."""
+def test_and_level_truth_tables_and_masked_flights():
+    """Every gate shape the plans use, carried rows beside them, over every
+    assignment of each group's rows, each lane with a fresh random share
+    split, four compiled levels in one flight: every next row (ANDs, G's,
+    P's and carried rows) XORs to its clear value, a unit per gate per word
+    is taken, and each party sends exactly its opened rows XOR their masks:
+    for a combine group, every G but the top one and every P but the
+    lowest segment's, which the lowest group skips."""
     rng = np.random.default_rng(71)
-    gates = _gate_shapes()
+    lanes = np.arange(256)  # 4 words: bit t of a lane feeds a group's t-th row
+    specs = [((2, 3, 4, 1), False), ((2, 3, 4, 1), True), ((3, 2), True), ((4, 1, 2), True)]
+    shapes = set()
     ctx1, ctx2 = session_pair(l=8, seed=72, record=True)
-    jobs, want = {1: [], 2: []}, []
-    for gate in gates:
-        k = len(gate.inputs)
-        reps = 4 * 64 // (1 << k)  # 4 words of lanes, every assignment repeated
-        lanes = np.tile(np.arange(1 << k), reps)  # lane value: bit r for input r
-        bits = np.array([(lanes >> r) & 1 for r in range(k)], dtype=np.uint8)
+    levels, shares, want = [], {1: [], 2: []}, []
+    for sizes, combine in specs:
+        count = sum(sizes)
+        level = _level(sizes, combine)
+        at, local = 0, []
+        for j in sizes:
+            local += [at + t for t in range(j)]
+            at += j
+        if combine:  # P rows feed bits 4.., a P per segment above the lowest
+            local += [4 + t for t in local[1:]]
+        bits = ((lanes >> np.array(local)[:, None]) & 1).astype(np.uint8)
         split = rng.integers(0, 2, size=bits.shape, dtype=np.uint8)
-        jobs[1].append((gate, pack_bits(split)))
-        jobs[2].append((gate, pack_bits(bits ^ split)))
-        family = sum(bits[r].astype(np.int64) << i for r, i in enumerate(gate.inputs))
-        want.append(np.array([_eval_terms(gate, int(a)) for a in family], dtype=np.uint8).T)
-    units = [ctx.rand.bin for ctx in (ctx1, ctx2)]
-    peeked = [pool.take(4 * len(gates))[0].copy() for pool in units]
-    ctx1.rand.bin, ctx2.rand.bin = (StreamPool(1) for _ in range(2))
+        shares[1].append((pack_bits(split), level))
+        shares[2].append((pack_bits(bits ^ split), level))
+        levels.append((sizes, combine, level))
+        want.append(_clear_level(bits, sizes, combine))
+        shapes |= {(j, combine and c > 0, combine) for c, j in enumerate(sizes) if j > 1}
+    assert len(shapes) == 9  # AND of 2..4, combines of 2..4 with and without P
+    groups = sum(level.groups for *_, level in levels)
+    assert groups == sum(j > 1 for sizes, *_ in levels for j in sizes)
+    peeked = [ctx.rand.bin.take(4 * groups)[0].copy() for ctx in (ctx1, ctx2)]
     for ctx, unit in zip((ctx1, ctx2), peeked):
+        ctx.rand.bin = StreamPool(1)
         ctx.rand.bin.push((unit,))
-    z1, z2 = run_two(ctx1, ctx2, lambda c: and_multi(c, jobs[c.party]))
-    for gate, a, b, w in zip(gates, z1, z2, want):
-        assert (unpack_bits(a ^ b, 256) == w).all(), gate.outputs
-    assert ctx1.chan.rounds == 1 and ctx1.rand.bin.consumed == 4 * len(gates)
+    z1, z2 = run_two(ctx1, ctx2, lambda c: and_level(c, shares[c.party]))
+    for a, b, w in zip(z1, z2, want):
+        assert a.shape == (len(w), 4)
+        assert (np.array([unpack_bits(row, 256) for row in a ^ b]) == w).all()
+    assert ctx1.chan.rounds == 1 and ctx1.rand.bin.consumed == 4 * groups
     for ctx, other, party in ((ctx1, ctx2, 1), (ctx2, ctx1, 2)):
         sent = np.frombuffer(other.chan.flights[0][1], dtype="<u8")  # what party sent
-        at = 0
-        for g, (gate, x) in enumerate(jobs[party]):
-            masks = peeked[party - 1][4 * g:4 * g + 4, gate.cols[:len(gate.inputs)]].T
-            size = x.size
-            assert (sent[at:at + size].reshape(x.shape) == x ^ masks).all()
-            at += size
-        assert at == sent.size == sum(len(gate.inputs) for gate in gates) * 4
+        at = first = 0
+        for (sizes, combine, level), (x, _) in zip(levels, shares[party]):
+            count, starts = sum(sizes), np.cumsum((0,) + sizes[:-1])
+            opened = []
+            for c, j in enumerate(sizes):
+                if j > 1 and combine:
+                    lo = starts[c]
+                    opened += [lo + t for t in range(j - 1)]  # G's but the top
+                    opened += [count - 1 + lo + t for t in range(j) if t or c]  # P's
+                elif j > 1:
+                    opened += [starts[c] + t for t in range(j)]
+            assert sorted(level.opened) == sorted(opened)
+            k = level.opened.size
+            units = peeked[party - 1][first:first + 4 * level.groups].reshape(level.groups, 4, -1)
+            masks = units[level.reads[0][:k], :, level.reads[1][:k]]
+            assert (sent[at:at + x[level.opened].size].reshape(k, 4)
+                    == x[level.opened] ^ masks).all()
+            at += k * 4
+            first += 4 * level.groups
+        assert at == sent.size
+
+
+def _gate_columns(gate):
+    """The unit columns a gate reads: its inputs' masks, then its monomials."""
+    return [unit_column(1 << i) for i in gate.inputs] + [unit_column(t) for t in gate.monomials]
 
 
 def test_gate_shapes_are_sub_families_of_one_unit():
@@ -228,12 +274,14 @@ def test_gate_shapes_are_sub_families_of_one_unit():
     root combine reads 6 masks and 15 monomials."""
     assert (FAMILY_INPUTS, len(MONOMIALS), UNIT_WORDS) == (7, 22, 29)
     full = combine_gate(4, True)
-    assert full.inputs == tuple(range(7)) and sorted(full.cols) == list(range(29))
+    assert full.inputs == tuple(range(7)) and sorted(_gate_columns(full)) == list(range(29))
     root = combine_gate(4, False)
-    assert len(root.inputs) == 6 and len(root.cols) == 6 + 15
+    assert len(root.inputs) == 6 and len(_gate_columns(root)) == 6 + 15
     for gate in _gate_shapes():
-        assert set(gate.cols) <= set(full.cols)
-        assert list(gate.cols[:len(gate.inputs)]) == list(gate.inputs)
+        cols = _gate_columns(gate)
+        assert set(cols) <= set(range(UNIT_WORDS)) and len(set(cols)) == len(cols)
+        assert cols[:len(gate.inputs)] == list(gate.inputs)
+        assert all(t.bit_count() >= 2 for t in gate.monomials)
 
 
 def test_and_one_sided_every_input_pair_and_masked_flights():
@@ -316,7 +364,7 @@ def test_and_trees_run_level_locked_over_packed_rows():
         bits = ((lanes >> np.arange(count)[:, None]) & 1).astype(np.uint8)
         trees.append((bits, and_tree(count)))
         want.append(np.bitwise_and.reduce(bits, axis=0))
-        units += words_for(lanes.size) * tree_cost(count, False)[2]
+        units += words_for(lanes.size) * tree_cost(and_tree(count))[2]
     plan = carry_plan(64)
     segments = len(plan.blocks)
     gp = rng.integers(0, 2, size=(2 * segments - 1, 300), dtype=np.uint8)  # G's, then P's
@@ -325,7 +373,7 @@ def test_and_trees_run_level_locked_over_packed_rows():
         g = gp[i] ^ (gp[segments - 1 + i] & g)
     trees.append((gp, plan.levels))
     want.append(g)
-    units += words_for(300) * plan.combine_gates
+    units += words_for(300) * tree_cost(plan.levels)[2]
     shares = {1: [], 2: []}
     for bits, levels in trees:
         split = rng.integers(0, 2, size=bits.shape, dtype=np.uint8)
@@ -337,7 +385,7 @@ def test_and_trees_run_level_locked_over_packed_rows():
         assert (unpack_bits(a ^ b, w.size) == w).all()
     depths = sorted({len(levels) for _, levels in trees})
     assert depths[0] == 0 and len(depths) > 2
-    assert ctx1.chan.rounds == depths[-1] == plan.combine_levels
+    assert ctx1.chan.rounds == depths[-1] == len(plan.levels)
     assert ctx1.rand.bin.consumed == ctx2.rand.bin.consumed == units
 
 

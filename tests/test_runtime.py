@@ -14,6 +14,7 @@ from skyshare.channel import (
     KIND_NAMES,
     KIND_OPEN_BIT,
     KIND_QUERY,
+    KIND_RESULT,
     KIND_ROUND_DATA,
     ConnectionClosed,
     FrameError,
@@ -533,7 +534,7 @@ def test_a_burn_past_the_pool_end_aborts_cleanly(capsys):
 
 def test_client_caps_the_server_hello():
     # a hello one byte longer than a hello can be is refused before its body
-    declared = len(encode_frame(KIND_HELLO, 0, bytes(runtime._SERVER_HELLO.size))) - 4 + 1
+    declared = len(encode_frame(KIND_HELLO, 0, bytes(runtime._HEAD.size))) - 4 + 1
     fake = socket.create_server(("127.0.0.1", 0))
     accepted = []
 
@@ -561,11 +562,50 @@ def test_client_refuses_a_v3_server_hello_by_version():
     """A v3 hello, which also carried the sentinel as a u64, is refused by its
     version byte, whole or cut to a v4 hello's size, not misread."""
     v3 = struct.pack("<BBHQ", 3, 11, 2, 1 << 9)
-    for hello in (v3, v3[:runtime._SERVER_HELLO.size]):
+    for hello in (v3, v3[:runtime._HEAD.size]):
         with pytest.raises(FrameError, match="version mismatch: server speaks 3"):
             runtime._decode_server_hello(hello)
     v4 = struct.pack("<BBH", runtime.PROTOCOL_VERSION, 11, 2)
     assert runtime._decode_server_hello(v4) == (11, 2)
+
+
+def test_unseeded_queries_draw_fresh_masks_and_session_ids():
+    """Two fake servers capture the query frames of two unseeded queries:
+    the shares and session ids differ, so no server sees the two queries
+    under one mask (whose share difference would be q - q')."""
+    l, m, queries = 10, 2, ([100, 7], [3, 250])
+    listeners = [socket.create_server(("127.0.0.1", 0)) for _ in range(2)]
+    captured = [[], []]
+
+    def serve(listener, frames):
+        for _ in queries:
+            conn, _ = listener.accept()
+            with conn:
+                write_frame(conn, KIND_HELLO, 0, runtime._encode_server_hello(l, m))
+                _, session, payload = read_frame(conn)
+                frames.append((session, runtime._decode_query_payload(payload, l)))
+                write_frame(conn, KIND_RESULT, session,
+                            runtime._encode_result(np.zeros((0, m), dtype=np.uint64), l))
+
+    threads = [threading.Thread(target=serve, args=pair, daemon=True)
+               for pair in zip(listeners, captured)]
+    for t in threads:
+        t.start()
+    endpoints = [f"127.0.0.1:{sock.getsockname()[1]}" for sock in listeners]
+    try:
+        for q in queries:
+            assert tcp_query(endpoints, q) == []
+        for t in threads:
+            t.join(timeout=5.0)
+    finally:
+        for sock in listeners:
+            sock.close()
+    for frames in captured:
+        (first, a), (second, b) = frames
+        assert first != second and (a != b).any()
+    for i, q in enumerate(queries):
+        assert captured[0][i][0] == captured[1][i][0]  # one session id per query
+        assert list(Ring(l).reduce(captured[0][i][1] + captured[1][i][1])) == q
 
 
 def test_bytes_grow_with_database_size():
