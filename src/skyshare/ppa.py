@@ -439,11 +439,6 @@ class CarryPlan:
         object.__setattr__(self, "levels", tuple(_level(sizes, True) for sizes in tree))
 
     @property
-    def and_rounds(self) -> int:
-        # one one-sided AND flight for the leaf blocks plus one per combine level
-        return 1 + len(self.levels)
-
-    @property
     def cross_rows(self) -> int:
         """One-sided ANDs per compared lane: cross words per 64 lanes."""
         return _cross_rows(self.blocks)

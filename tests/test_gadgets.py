@@ -6,7 +6,7 @@ from conftest import reconstruct, reconstruct_bits, run_two, session_pair, share
 from skyshare.bitpack import bits_of_values, pack_bits, unpack_bits, words_for
 from skyshare.correlated import StreamPool
 from skyshare.gadgets import less_than, min_with_payload
-from skyshare.metering import query_rounds, select_cost
+from skyshare.metering import msb_cost, query_rounds, select_cost
 from skyshare.online import (
     and_level,
     and_one_sided,
@@ -127,7 +127,7 @@ def test_carry_plan_shape():
             (64, (2, 2) + (1,) * 59, ((4,) * 15 + (1,), (4,) * 4, (4,)), 67, 137, 20)):
         plan = carry_plan(l)
         assert (plan.blocks, plan.tree) == (blocks, tree), l
-        assert tree_cost(plan.levels) == (len(tree), bits, gates) and plan.and_rounds == 1 + len(tree)
+        assert tree_cost(plan.levels) == (len(tree), bits, gates) and msb_cost(1, l).rounds == 1 + len(tree)
         assert plan.cross_rows == cross and plan.total_and_rows == cross + gates
     # at every width: G-only lowest block, G and P above it; the tree reduces
     # the blocks to one in as few levels as groups of 4 allow, sending as
@@ -139,7 +139,7 @@ def test_carry_plan_shape():
         assert sum(plan.blocks) == l - 1 and max(plan.blocks) <= 3, l
         assert list(plan.blocks) == sorted(plan.blocks, reverse=True), l
         fewest = -(-(l - 1) // 3)
-        assert plan.and_rounds == 1 + _ceil_log4(fewest) == 1 + _ceil_log4(segments), l
+        assert msb_cost(1, l).rounds == 1 + _ceil_log4(fewest) == 1 + _ceil_log4(segments), l
         assert plan.cross_rows == ({1: 1, 2: 3, 3: 7}[plan.blocks[0]]
                                    + sum({1: 1, 2: 5, 3: 13}[w] for w in plan.blocks[1:])), l
         count = segments
@@ -164,9 +164,9 @@ def _ceil_log4(n):
 def test_msb_rounds_never_exceed_the_leaf_and_tree():
     # never above the radix-2 tree's 1 + ceil(log2(blocks)), fewest blocks
     for l in range(2, 65):
-        assert carry_plan(l).and_rounds <= 1 + ceil_log2(-(-(l - 1) // 3)), l
-    assert [carry_plan(l).and_rounds for l in range(8, 14)] == [2] * 6
-    assert carry_plan(64).and_rounds == 4
+        assert msb_cost(1, l).rounds <= 1 + ceil_log2(-(-(l - 1) // 3)), l
+    assert [msb_cost(1, l).rounds for l in range(8, 14)] == [2] * 6
+    assert msb_cost(1, 64).rounds == 4
     # whole queries at the benchmark shapes and typical k: 180, 1,128 and 356 before
     assert query_rounds(16, 3, 11, 6) == query_rounds(16, 3, 10, 6) == 132
     assert query_rounds(128, 4, 11, 28) == query_rounds(128, 4, 10, 28) == 839
@@ -347,7 +347,7 @@ def test_less_than_round_count():
     a1, a2 = share_pair(np.arange(10, dtype=np.uint64), R64, seed=1)
     run_two(ctx1, ctx2, lambda c: less_than(c, a1 if c.party == 1 else a2,
                                             a1 if c.party == 1 else a2))
-    assert ctx1.chan.rounds == carry_plan(64).and_rounds
+    assert ctx1.chan.rounds == msb_cost(1, 64).rounds
     assert ctx1.meters.secext == 10
 
 
@@ -564,7 +564,7 @@ def test_min_with_payload_random_instances(l):
         assert _path_winners(path1, path2) == [idx], (n, keys.tolist())
         assert ctx1.meters.secext == n - 1
         # a level is one comparison and one select round
-        assert ctx1.chan.rounds == ceil_log2(n) * (carry_plan(l).and_rounds + 1)
+        assert ctx1.chan.rounds == ceil_log2(n) * (msb_cost(1, l).rounds + 1)
 
 
 def test_min_with_payload_all_equal_takes_first():
