@@ -4,8 +4,9 @@ Global flags (before the subcommand): --l, --latency-ms, --seed.  The
 filtering sentinel is not a flag: it is ring.default_vmax of the ring width.
 Dataset parameters may come from a key = value config file, with
 command-line flags taking precedence.  Every command is deterministic under
---seed apart from wall-clock fields and the TCP client's query sharing,
-which draws fresh entropy per query; its printed rows stay deterministic.
+--seed apart from wall-clock fields, deal's shares and pools, and the TCP
+client's query sharing, which draw fresh entropy on every run (a query's
+printed rows stay deterministic).
 """
 
 from __future__ import annotations
@@ -72,9 +73,12 @@ def cmd_deal(args) -> int:
     if args.sessions < 1:
         return _fail("--sessions must be at least 1")
     budget = budget_for_query(n, m, l, k_max).scaled(args.sessions)
-    rng = np.random.default_rng(args.seed)
-    s1, s2 = share_matrix(data, rng, ring)
-    rand1, rand2 = deal_strict(ring, np.random.SeedSequence(args.seed).spawn(1)[0], budget, vmax)
+    # fresh OS entropy, never --seed: two dealings under one seed would hand
+    # party 2 shares whose difference is the data's, and both servers the
+    # same masks for sessions of either dealing
+    share_seed, pool_seed = np.random.SeedSequence().spawn(2)
+    s1, s2 = share_matrix(data, np.random.default_rng(share_seed), ring)
+    rand1, rand2 = deal_strict(ring, pool_seed, budget, vmax)
     os.makedirs(args.out_dir, exist_ok=True)
     for party, shares, rand in ((1, s1, rand1), (2, s2, rand2)):
         share_path = os.path.join(args.out_dir, f"party{party}.shares")
@@ -175,9 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="injected one-way channel latency "
                           "(default: 1 for serve, 0 elsewhere)")
     top.add_argument("--seed", type=int, default=0,
-                     help="root seed for all randomness but the TCP client's; deal "
-                          "deals identical pools and share masks at one seed, so "
-                          "re-deal under a new one")
+                     help="root seed for gen, verify and bench; deal and query draw "
+                          "fresh OS entropy for every share and pool")
     sub = top.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a synthetic dataset CSV")

@@ -1,16 +1,16 @@
 """Offline dealer for the correlated randomness the online phase consumes.
 
-Kinds: arithmetic multiplication triples (u, v, w = u*v), AND gate units
-(ppa's gate family, packed 64 lanes per word: XOR shares of 7 input masks
-and of the 22 monomials of degree >= 2 that the 4-segment combine's
-products need; every multi-input AND gate reads a sub-family of one unit
-per word), daBits (a random bit held both as an XOR sharing and as an
-arithmetic sharing) used to hop a bit from the binary domain into the
-arithmetic one, and cross words for one-sided ANDs (packed likewise:
-party 1 holds a mask r, party 2 a mask s, and each an XOR share of
-r & s).  Every arithmetic sharing goes through sharing.share_matrix.  The
-filtering sentinel is not dealt: it is the public ring.default_vmax(l),
-which each server holds as a public sharing.
+Kinds: select units (a daBit r, held both as an XOR sharing and as an
+arithmetic sharing, with arithmetic shares of a uniform mask v and of r*v:
+the Beaver pair whose first factor is the daBit itself, one unit per
+selected value), AND gate units (ppa's gate family, packed 64 lanes per
+word: XOR shares of 7 input masks and of the 22 monomials of degree >= 2
+that the 4-segment combine's products need; every multi-input AND gate
+reads a sub-family of one unit per word), and cross words for one-sided
+ANDs (packed likewise: party 1 holds a mask r, party 2 a mask s, and each
+an XOR share of r & s).  Every arithmetic sharing goes through
+sharing.share_matrix.  The filtering sentinel is not dealt: it is the
+public ring.default_vmax(l), which each server holds as a public sharing.
 
 The dealer is trusted in the semi-honest two-server model and is run by the
 owner-side tooling.  Pools are either strict (pre-dealt to an exact budget,
@@ -21,7 +21,7 @@ deterministic).
 
 Pool file format (strict pools, one file per party), walked from KINDS:
 
-    header '<5sBB'   magic b"SSKR5", l:u8, party:u8
+    header '<5sBB'   magic b"SSKR6", l:u8, party:u8
     counts '<Q'      one count per kind
     kind blocks      per kind, its parts in turn, each `count` elements in the
                      part's codec: ring values ceil(l/8) bytes LE, '<u8',
@@ -72,13 +72,12 @@ class Kind(NamedTuple):
 
 # dealing order, which is also the pool file's order
 KINDS = (
-    Kind("arith", "arith", "arith_triples", "arith_triples", (RING, RING, RING)),
+    Kind("dabits", "dabits", "dabits", "dabits", ("u1", RING, RING, RING)),
     Kind("bin_words", "bin", "bin_words", "bin_triple_words", (f"({UNIT_WORDS},)<u8",)),
-    Kind("dabits", "dabits", "dabits", "dabits", ("u1", RING)),
     Kind("cross_words", "cross", "cross_words", "cross_words", ("<u8", "<u8")),
 )
 
-POOL_MAGIC = b"SSKR5"
+POOL_MAGIC = b"SSKR6"
 _POOL_HEADER = struct.Struct("<5sBB")
 _POOL_COUNTS = struct.Struct("<" + "Q" * len(KINDS))
 
@@ -155,15 +154,6 @@ class Dealer:
         raw = self.rng.integers(0, 256, size=(count + 7) // 8, dtype=np.uint8)
         return np.unpackbits(raw, count=count, bitorder="little")
 
-    def arith_triples(self, count: int) -> tuple[tuple, tuple]:
-        u = uniform_values(self.rng, self.ring, count)
-        v = uniform_values(self.rng, self.ring, count)
-        w = u * v
-        u1, u2 = share_matrix(u, self.rng, self.ring)
-        v1, v2 = share_matrix(v, self.rng, self.ring)
-        w1, w2 = share_matrix(w, self.rng, self.ring)
-        return (u1, v1, w1), (u2, v2, w2)
-
     def bin_triple_words(self, nwords: int) -> tuple[tuple, tuple]:
         """nwords gate units, (nwords, UNIT_WORDS) per party: the masks, then
         their monomials, each XOR-shared.  Built in place, column by column,
@@ -183,10 +173,13 @@ class Dealer:
         return (r, w1), (s, (r & s) ^ w1)
 
     def dabits(self, count: int) -> tuple[tuple, tuple]:
-        bits = self._bits(count)
-        b1 = self._bits(count)
-        a1, a2 = share_matrix(bits, self.rng, self.ring)
-        return (b1, a1), (bits ^ b1, a2)
+        """count select units per party: XOR and arithmetic shares of a
+        daBit r, then arithmetic shares of a uniform v and of r*v."""
+        r = self._bits(count)
+        x1 = self._bits(count)
+        v = uniform_values(self.rng, self.ring, count)
+        first, second = share_matrix(np.stack((r, v, r * v)), self.rng, self.ring)
+        return (x1, *first), (r ^ x1, *second)
 
 
 class _PairedFeeder:
@@ -218,11 +211,17 @@ class _PairedFeeder:
 
 class PartyRandomness:
     """One party's correlated-randomness hand for a session: one pool per
-    kind, at the kind's attribute (.arith, .bin, .dabits, .cross)."""
+    kind, at the kind's attribute (.dabits, .bin, .cross)."""
 
     def __init__(self, pools):
         for kind, pool in zip(KINDS, pools, strict=True):
             setattr(self, kind.attr, pool)
+
+    @property
+    def arith(self) -> StreamPool:
+        """The select units' pool under its Beaver name: one take per select
+        serves both its daBits and its triples."""
+        return self.dabits
 
     def cursors(self) -> tuple[int, ...]:
         """How far each kind's pool has been consumed, in KINDS order."""

@@ -14,10 +14,11 @@ comparisons and every kind of correlated randomness together.  run_query
 checks each session's meters against query_cost field for field, and the
 *_rounds and query_bytes readers below are views of the same walks, so
 every structural choice (batched comparison levels, level-locked flag
-trees, the one-flight daBit select) is encoded here and nowhere else.  A
-comparison's leaf flight comes from ppa's carry plan, and every AND tree's
-levels, bits sent and gate units are read off the compiled levels that
-online.and_level runs (ppa.tree_cost): nothing here restates a plan.
+trees, the one-flight select with one opened value per product) is
+encoded here and nowhere else.  A comparison's leaf flight comes from
+ppa's carry plan, and every AND tree's levels, bits sent and gate units are
+read off the compiled levels that online.and_level runs (ppa.tree_cost):
+nothing here restates a plan.
 
 Functions that still take a `mode` accept only MODE_DABIT, the one
 bit-by-value multiplication the protocol has.
@@ -57,10 +58,15 @@ class RandomnessBudget:
     rounds: int = 0
     bytes: int = 0
     secext: int = 0
-    arith_triples: int = 0
     bin_words: int = 0
     dabits: int = 0
     cross_words: int = 0
+
+    @property
+    def arith_triples(self) -> int:
+        """The select units under their Beaver name: each unit is a triple
+        (r, v, r*v) whose first factor is its daBit r, so the counts are one."""
+        return self.dabits
 
     # vars() holds the fields in declaration order
     def __add__(self, other: "RandomnessBudget") -> "RandomnessBudget":
@@ -95,11 +101,12 @@ def msb_cost(batch: int, l: int) -> RandomnessBudget:
 
 def select_cost(batch: int, width: int, l: int) -> RandomnessBudget:
     """Oblivious two-way select of `batch` rows, `width` values per row, in
-    one flight: a daBit per row, opened packed, and a triple per value,
-    whose e and f take ceil(l/8) bytes each."""
-    return RandomnessBudget(rounds=1,
-                            bytes=(batch + 7) // 8 + 2 * value_width_bytes(l) * batch * width,
-                            arith_triples=batch * width, dabits=batch)
+    one flight: a select unit (a daBit r with shares of v and r*v) per
+    value, whose c = bit ^ r goes out packed, one bit a value, and whose
+    f = y - v takes ceil(l/8) bytes."""
+    values = batch * width
+    return RandomnessBudget(rounds=1, bytes=(values + 7) // 8 + value_width_bytes(l) * values,
+                            dabits=values)
 
 
 def map_cost(n: int, m: int, l: int, mode: str) -> RandomnessBudget:

@@ -5,9 +5,9 @@ Every function here is SPMD: both parties run the same code on their own
 shares, exchanging one flight per round through the session channel, and
 the two flights of a round are always the same size.  All openings are of
 uniformly masked values (AND gate inputs and one-sided AND operands under
-fresh dealer masks, Beaver e/f, daBit-masked bits); the single deliberate
-value opening in the whole protocol is open_bit(), used once per query
-loop for the stop flag.
+fresh dealer masks, the select's daBit-masked bits and its y - v under
+fresh dealt v); the single deliberate value opening in the whole protocol
+is open_bit(), used once per query loop for the stop flag.
 
 Arithmetic shares stay unreduced in uint64 between flights: Z_{2^64} maps
 onto Z_{2^l}, so only the bits that leave (encode_values) or are read as
@@ -135,39 +135,29 @@ def public_share(ctx: PartyContext, value: np.generic, n: int) -> np.ndarray:
 def bit_mul(ctx: PartyContext, bits: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Product of a shared bit and shared value(s), bit*y per row, in one flight.
 
-    values is (n,) or (n, w) with bits of length n.  With a daBit r and the
-    opened c = bit XOR r, bit*y = c*y + (1 - 2c)*(r*y).  Both r and y are
-    known before the flight, so the packed opening of c and the Beaver e/f
-    of r*y travel together; c, e and f are uniform whatever bit and y are.
-    What follows the flight is local.
+    values is (n,) or (n, w) with bits of length n.  Each value y takes one
+    select unit: a daBit r with shares of a mask v and of r*v.  With the
+    opened c = bit XOR r, bit*y = c*y + (1 - 2c)*(r*y), and with the opened
+    f = y - v, r*y = f*r + r*v is linear in the unit's shares.  The flight
+    carries the packed c, one bit a value, and f; each c is uniform under
+    its own r and each f under its own v, whatever bit and y are.  What
+    follows the flight is local.
     """
     n = bits.shape[0]
     if values.shape[0] != n:
         raise ValueError("bit/value length mismatch")
     l = ctx.ring.l
-    rbits, rvals = ctx.rand.dabits.take(n)
-    # the Beaver e = r - u and f = y - v of r*y, r broadcast against y's rows
-    u, v, w = (part.reshape(values.shape) for part in ctx.rand.arith.take(values.size))
-    ef = np.empty((2,) + values.shape, dtype=np.uint64)
-    np.subtract(rvals if values.ndim == 1 else rvals[:, None], u, out=ef[0])
-    np.subtract(values, v, out=ef[1])
-    c = np.packbits(bits.reshape(n) ^ rbits, bitorder="little")
-    payload = c.tobytes() + encode_values(ef, l)
-    got = ctx.chan.exchange(payload)
+    rbits, r, v, rv = (part.reshape(values.shape) for part in ctx.rand.dabits.take(values.size))
+    c = np.packbits((bits if values.ndim == 1 else bits[:, None]) ^ rbits, bitorder="little")
+    f = values - v
+    got = ctx.chan.exchange(c.tobytes() + encode_values(f, l))
     c ^= np.frombuffer(got, dtype=np.uint8, count=c.size)
-    ef += decode_values(memoryview(got)[c.size:], l).reshape(ef.shape)  # the opened e and f
-    e, f = ef
-    ry = f * u
-    if ctx.is_p1:  # e*v + e*f, the public term folded in at party 1
-        f += v
-        e *= f
-    else:
-        e *= v
-    ry += e
-    ry += w
+    f += decode_values(memoryview(got)[c.size:], l).reshape(f.shape)  # the opened f
+    ry = f * r
+    ry += rv
     # c is public: the product is r*y where c = 0 and y - r*y where c = 1
-    c_bits = np.unpackbits(c, count=n, bitorder="little").view(bool)
-    return np.where(c_bits if values.ndim == 1 else c_bits[:, None], values - ry, ry)
+    c_bits = np.unpackbits(c, count=values.size, bitorder="little").view(bool)
+    return np.where(c_bits.reshape(values.shape), values - ry, ry)
 
 
 def obliv_select(ctx: PartyContext, bits: np.ndarray, when_true: np.ndarray,

@@ -29,7 +29,6 @@ from .channel import (
     LocalChannel,
     TcpChannel,
     read_bounded_frame,
-    read_frame,
     write_frame,
 )
 from .correlated import KINDS, PartyRandomness, PoolExhausted, deal_streaming, read_pool_file
@@ -39,9 +38,11 @@ from .protocol import check_domain, check_query, ring_width, run_query
 from .ring import Ring, default_vmax
 from .sharing import decode_values, encode_values, read_share_file, share_matrix, value_width_bytes
 
-PROTOCOL_VERSION = 4
-# version, ring width, attribute count: the server hello, and a query's head
+PROTOCOL_VERSION = 5
+# version, ring width, attribute count: a query's head
 _HEAD = struct.Struct("<BBH")
+# the query head's fields, then the row count n: the server hello
+_SERVER_HELLO = struct.Struct("<BBHI")
 _RESULT_HEAD = struct.Struct("<I")   # row count
 # version, ring width, sender's party, its pool cursor per kind
 _PEER_HELLO = struct.Struct("<BBB" + "Q" * len(KINDS))
@@ -95,18 +96,20 @@ def _check_version(payload: bytes, sender: str):
         raise FrameError(f"version mismatch: {sender} speaks {ver}, we speak {PROTOCOL_VERSION}")
 
 
-def _encode_server_hello(l: int, m: int) -> bytes:
-    return _HEAD.pack(PROTOCOL_VERSION, l, m)
+def _encode_server_hello(l: int, m: int, n: int) -> bytes:
+    return _SERVER_HELLO.pack(PROTOCOL_VERSION, l, m, n)
 
 
-def _decode_server_hello(payload: bytes) -> tuple[int, int]:
-    """Check a server hello, its version first; returns (l, m)."""
+def _decode_server_hello(payload: bytes) -> tuple[int, int, int]:
+    """Check a server hello, its version first; returns (l, m, n)."""
     _check_version(payload, "server")
-    if len(payload) != _HEAD.size:
+    if len(payload) != _SERVER_HELLO.size:
         raise FrameError("malformed server hello")
-    _, l, m = _HEAD.unpack(payload)
+    _, l, m, n = _SERVER_HELLO.unpack(payload)
     Ring(l)  # rejects a width outside [2, 64]
-    return l, m
+    if m < 1 or n < 1:
+        raise FrameError(f"server hello declares an empty database ({n} x {m})")
+    return l, m, n
 
 
 def _encode_query_payload(l: int, q_share: np.ndarray) -> bytes:
@@ -401,9 +404,9 @@ class Server:
 
     def _handle_client(self, conn: socket.socket):
         session = -1
-        m = self.shares.shape[1]
+        n, m = self.shares.shape
         try:
-            write_frame(conn, KIND_HELLO, 0, _encode_server_hello(self.ring.l, m))
+            write_frame(conn, KIND_HELLO, 0, _encode_server_hello(self.ring.l, m, n))
             try:
                 kind, session, payload = read_bounded_frame(
                     conn, _HEAD.size + m * value_width_bytes(self.ring.l))
@@ -463,13 +466,13 @@ def tcp_query(servers: list[str], q, l: int | None = None, seed: int | None = No
             socks.append(socket.create_connection(parse_endpoint(endpoint), timeout=timeout))
         hellos = []
         for sock in socks:
-            kind, _, payload = read_bounded_frame(sock, _HEAD.size)
+            kind, _, payload = read_bounded_frame(sock, _SERVER_HELLO.size)
             if kind != KIND_HELLO:
                 raise FrameError(f"expected a server hello, got kind {kind}")
             hellos.append(_decode_server_hello(payload))
         if hellos[0] != hellos[1]:
-            raise FrameError(f"servers disagree on (l, m): {hellos[0]} vs {hellos[1]}")
-        ring_l, m = hellos[0]
+            raise FrameError(f"servers disagree on (l, m, n): {hellos[0]} vs {hellos[1]}")
+        ring_l, m, n = hellos[0]
         if l is not None and l != ring_l:
             raise FrameError(f"ring width mismatch: client expects l={l}, servers use l={ring_l}")
         # scaled as Python ints, so a large attribute cannot wrap into the window
@@ -481,8 +484,9 @@ def tcp_query(servers: list[str], q, l: int | None = None, seed: int | None = No
         for sock, share in zip(socks, (s1, s2)):
             write_frame(sock, KIND_QUERY, session, _encode_query_payload(ring_l, share[0]))
         results = []
-        for sock in socks:  # a result's size depends on k, so only MAX_FRAME caps it
-            kind, got_session, payload = read_frame(sock)
+        for sock in socks:  # at most k = n rows of m values
+            kind, got_session, payload = read_bounded_frame(
+                sock, _RESULT_HEAD.size + n * m * value_width_bytes(ring_l))
             if kind != KIND_RESULT or got_session != session:
                 raise FrameError("unexpected frame while waiting for the result")
             results.append(payload)

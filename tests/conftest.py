@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from skyshare.channel import KIND_ROUND_DATA, LocalChannel
-from skyshare.correlated import deal_streaming, deal_strict
-from skyshare.online import PartyContext
+from skyshare.correlated import StreamPool, deal_streaming, deal_strict
+from skyshare.online import PartyContext, bit_mul
 from skyshare.ring import Ring, default_vmax
 from skyshare.runtime import run_pair
 from skyshare.sharing import share_matrix
@@ -58,6 +58,57 @@ def reconstruct(ring, a, b):
 
 def reconstruct_bits(a, b):
     return np.asarray(a, dtype=np.uint8) ^ np.asarray(b, dtype=np.uint8)
+
+
+def select_openings(bit, ys):
+    """bit_mul at l = 4 over one row per assignment of the row's select
+    units, a daBit r and a mask v for each of its len(ys) values, with party
+    1's unit shares fixed.  Every row's bit and values are the same, bit and
+    ys.  Returns the products, then the c = bit ^ r and f = y - v that party
+    1 opens from party 2's flight, each (rows, len(ys)) in value order."""
+    width = len(ys)
+    grids = np.meshgrid(*[np.arange(2)] * width, *[np.arange(16)] * width, indexing="ij")
+    r, v = (np.stack([g.ravel() for g in grids[i:i + width]], axis=1).astype(np.uint64)
+            for i in (0, width))
+    rows = r.shape[0]
+    rx1, ra1, v1, rv1, y1 = (np.full((rows, width), s, dtype=np.uint64) for s in (1, 3, 1, 4, 9))
+    units = {1: (rx1, ra1, v1, rv1), 2: (r ^ rx1, r - ra1, v - v1, r * v - rv1)}
+    y = np.array(ys, dtype=np.uint64)
+    b1 = np.zeros(rows, dtype=np.uint8)
+    ctx1, ctx2 = session_pair(l=4, record=True)
+    for ctx in (ctx1, ctx2):
+        ctx.rand.dabits = StreamPool(4)
+        ctx.rand.dabits.push(tuple((part.ravel() & 15).astype(np.uint8 if i == 0 else np.uint64)
+                                   for i, part in enumerate(units[ctx.party])))
+    z1, z2 = run_two(ctx1, ctx2, lambda c: bit_mul(
+        c, b1 if c.party == 1 else b1 ^ bit, y1 if c.party == 1 else (y - y1) & 15))
+    assert ctx1.chan.rounds == 1 and ctx1.rand.dabits.consumed == rows * width
+    _, flight = ctx1.chan.flights[0]  # party 2's packed c, then its f values
+    opened = (rows * width + 7) // 8
+    c2 = np.unpackbits(np.frombuffer(flight[:opened], dtype=np.uint8), count=rows * width,
+                       bitorder="little").reshape(rows, width)
+    f2 = np.frombuffer(flight[opened:], dtype=np.uint8).reshape(rows, width)
+    c = b1[:, None] ^ rx1.astype(np.uint8) ^ c2
+    f = (y1 - v1 + f2) & 15
+    return reconstruct(Ring(4), z1, z2), c, f
+
+
+def audit_select_openings():
+    """The select's openings at l = 4 (select_openings), for one and two
+    values a row: every joint (c per value, f per value) occurs exactly
+    once over the rows, identically for bit in {0, 1} and every y, and each
+    product is exact."""
+    for inputs in ([(5,), (12,)], [(5, 12), (12, 5)]):
+        histograms = []
+        for bit in (0, 1):
+            for ys in inputs:
+                got, c, f = select_openings(bit, ys)
+                counts = np.zeros((2,) * len(ys) + (16,) * len(ys), dtype=int)
+                np.add.at(counts, (*c.T, *f.T.astype(np.intp)), 1)
+                assert (counts == 1).all(), (bit, ys)
+                assert (got == bit * np.array(ys, dtype=np.uint64)).all(), (bit, ys)
+                histograms.append(counts)
+        assert all((h == histograms[0]).all() for h in histograms)
 
 
 def peer_addr(server):

@@ -11,6 +11,7 @@ import time
 import numpy as np
 
 from conftest import (
+    audit_select_openings,
     reconstruct,
     reconstruct_bits,
     run_two,
@@ -20,7 +21,6 @@ from conftest import (
 )
 
 from skyshare.channel import KIND_OPEN_BIT, KIND_ROUND_DATA
-from skyshare.correlated import StreamPool
 from skyshare.datasets import DatasetSpec, generate
 from skyshare.gadgets import less_than
 from skyshare.metering import msb_invocations, query_rounds
@@ -230,33 +230,11 @@ def test_criterion_7_leakage_audit():
         assert len(opened) == metrics.k + 1
         assert all(tx == 1 and rx == 1 for _, tx, rx in opened)
 
-    # (b) the select's Beaver e = r - u and f = y - v at l=4: exact
-    # uniformity and input independence, one select row per triple mask
-    ring4 = Ring(4)
-    u, v = (g.ravel() for g in np.meshgrid(np.arange(16, dtype=np.uint64),
-                                           np.arange(16, dtype=np.uint64), indexing="ij"))
-    rows = u.size
-    u1, v1, w1, ra1, y1 = (np.full(rows, s, dtype=np.uint64) for s in (7, 1, 4, 3, 2))
-    b1 = np.zeros(rows, dtype=np.uint8)  # party 1's shares of the bit and of the daBit r = 1
-    dabits = {1: (b1, ra1), 2: (b1 ^ 1, (1 - ra1) & 15)}
-    triples = {1: (u1, v1, w1), 2: ((u - u1) & 15, (v - v1) & 15, (u * v - w1) & 15)}
-    histograms = []
-    for bit, y in ((1, 12), (0, 1)):
-        ctx1, ctx2 = session_pair(l=4, seed=bit, record=True)
-        for ctx in (ctx1, ctx2):
-            ctx.rand.dabits, ctx.rand.arith = StreamPool(2), StreamPool(3)
-            ctx.rand.dabits.push(dabits[ctx.party])
-            ctx.rand.arith.push(triples[ctx.party])
-        z1, z2 = run_two(ctx1, ctx2, lambda c: bit_mul(
-            c, b1 if c.party == 1 else b1 ^ bit, y1 if c.party == 1 else (y - y1) & 15))
-        assert (reconstruct(ring4, z1, z2) == bit * y).all()
-        _, flight = ctx1.chan.flights[0]  # party 2's packed c, then its e and f
-        e2, f2 = np.frombuffer(flight[(rows + 7) // 8:], dtype=np.uint8).reshape(2, rows)
-        counts = np.zeros((16, 16), dtype=int)
-        np.add.at(counts, ((ra1 - u1 + e2) & 15, (y1 - v1 + f2) & 15), 1)
-        assert (counts == 1).all()
-        histograms.append(counts)
-    assert (histograms[0] == histograms[1]).all()
+    # (b) the select's openings, c = bit ^ r per value and f = y - v, at
+    # l=4: one row per assignment of its values' daBits and masks; every
+    # joint opening exactly once, per value and across a row's two values,
+    # identically for every bit and y
+    audit_select_openings()
 
     # (c) share marginals at l=4: uniform over the dealer's randomness
     class OneDraw:
@@ -267,7 +245,7 @@ def test_criterion_7_leakage_audit():
             return np.full(size, self.value, dtype=np.uint64)
 
     for secret in (0, 9):
-        seen = sorted(int(share_matrix([secret], OneDraw(d), ring4)[0][0]) for d in range(16))
+        seen = sorted(int(share_matrix([secret], OneDraw(d), Ring(4))[0][0]) for d in range(16))
         assert seen == list(range(16))
     _pass("7 leakage audit (k+1 stop bits only; masked openings exactly uniform)")
 

@@ -1,10 +1,16 @@
 import socket
 
+import numpy as np
+
 from conftest import start_server_pair
 
 from skyshare.cli import main
+from skyshare.datasets import save_csv
 from skyshare.metering import METRICS_CSV_HEADER, msb_invocations
+from skyshare.protocol import ring_width
+from skyshare.ring import Ring
 from skyshare.runtime import Server
+from skyshare.sharing import read_share_file
 
 
 def test_gen_is_deterministic(tmp_path):
@@ -33,6 +39,43 @@ def test_deal_writes_share_and_pool_files(tmp_path, table_example):
     for party in (1, 2):
         assert (out / f"party{party}.shares").exists()
         assert (out / f"party{party}.pool").exists()
+
+
+def test_redealing_a_changed_database_draws_fresh_shares(tmp_path, capsys):
+    """Two databases one row apart, dealt at one --seed: party 1's shares
+    differ, party 2's differ by something other than the data's change, and
+    servers on either dealing answer exactly."""
+    first = np.array([[3, 5], [7, 1], [2, 2], [6, 6]])
+    second = first.copy()
+    second[1] = [4, 6]  # the same bound, so the same ring width
+    ring = Ring(ring_width(2, 7))
+    dealt = []
+    for name, data in (("a", first), ("b", second)):
+        csv = tmp_path / f"{name}.csv"
+        save_csv(str(csv), data)
+        out = tmp_path / name
+        assert main(["--seed", "0", "deal", "--data", str(csv), "--sessions", "2",
+                     "--out-dir", str(out)]) == 0
+        dealt.append({party: read_share_file(str(out / f"party{party}.shares"))[0]
+                      for party in (1, 2)})
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(f"kind = csv\npath = {csv}\n")
+        servers = start_server_pair(lambda party, peer: Server.from_files(
+            party, "127.0.0.1:0", peer,
+            str(out / f"party{party}.shares"), str(out / f"party{party}.pool"),
+            latency_ms=0.0, handshake_timeout=2.0))
+        capsys.readouterr()
+        try:
+            endpoints = f"127.0.0.1:{servers[0].port},127.0.0.1:{servers[1].port}"
+            assert main(["verify", "--config", str(cfg), "--queries", "2",
+                         "--servers", endpoints]) == 0
+            assert "matched 2/2" in capsys.readouterr().out
+        finally:
+            for s in servers:
+                s.stop()
+    assert (dealt[0][1] != dealt[1][1]).any()
+    change = ring.reduce((second - first).astype(np.uint64))
+    assert (ring.reduce(dealt[1][2] - dealt[0][2]) != change).any()
 
 
 def _free_port():

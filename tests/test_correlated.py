@@ -28,24 +28,25 @@ R4 = Ring(4)
 WIDTHS = (4, 11, 13, 64)  # exhaustive, the two benchmark widths, and full width
 
 
+def _select_triples(ring, first, second):
+    """A select unit's arithmetic parts, reconstructed: the triple (r, v,
+    r*v) whose first factor is the unit's daBit r."""
+    return tuple(reconstruct(ring, a, b) for a, b in zip(first[1:], second[1:]))
+
+
 def test_dealt_arith_triples_reconstruct():
     for l in WIDTHS:
         ring = Ring(l)
-        dealer = Dealer(ring, l)
-        (u1, v1, w1), (u2, v2, w2) = dealer.arith_triples(500)
-        u = reconstruct(ring, u1, u2)
-        v = reconstruct(ring, v1, v2)
-        w = reconstruct(ring, w1, w2)
-        assert (w == ring.reduce(u * v)).all(), l
+        r, v, w = _select_triples(ring, *Dealer(ring, l).dabits(500))
+        assert (w == ring.reduce(r * v)).all(), l
+        assert set(np.unique(r)) == {0, 1} and len(np.unique(v)) >= min(1 << l, 400), l
 
 
 def test_dealt_arith_triples_exhaustive_small_ring():
-    dealer = Dealer(R4, 1)
-    (u1, v1, w1), (u2, v2, w2) = dealer.arith_triples(2000)
-    u = reconstruct(R4, u1, u2)
-    v = reconstruct(R4, v1, v2)
-    w = reconstruct(R4, w1, w2)
-    assert (w == R4.reduce(u * v)).all()
+    r, v, w = _select_triples(R4, *Dealer(R4, 1).dabits(2000))
+    assert (w == R4.reduce(r * v)).all()
+    # every (r, v) pair of the ring is dealt
+    assert len(set(zip(r.tolist(), v.tolist()))) == 32
 
 
 def _unit_holds_its_monomials(unit):
@@ -75,7 +76,7 @@ def test_dealt_dabits_agree_across_domains():
     for l in WIDTHS:
         ring = Ring(l)
         dealer = Dealer(ring, 3)
-        (b1, a1), (b2, a2) = dealer.dabits(1000)
+        (b1, a1, _, _), (b2, a2, _, _) = dealer.dabits(1000)
         bits = b1 ^ b2
         assert set(np.unique(bits)) <= {0, 1}
         assert 400 < int(bits.sum()) < 600, l  # fair bits, not a constant
@@ -90,9 +91,8 @@ def test_dealt_values_are_uniform_ring_elements():
     for l in WIDTHS:
         ring = Ring(l)
         dealer = Dealer(ring, 9)
-        first, second = dealer.arith_triples(count)
-        (_, a1), (_, a2) = dealer.dabits(count)
-        for values in (*first, *second, a1, a2):
+        first, second = dealer.dabits(count)
+        for values in (*first[1:], *second[1:]):
             if l < 64:
                 assert int(values.max()) < 1 << l, l
             for bit in (0, l // 2, l - 1):
@@ -107,8 +107,8 @@ def test_dealt_values_are_uniform_ring_elements():
 
 def test_zero_count_deals_empty():
     dealer = Dealer(R64, 4)
-    (u1, _, _), _ = dealer.arith_triples(0)
-    assert u1.size == 0
+    first, second = dealer.dabits(0)
+    assert all(part.size == 0 for part in first + second)
 
 
 def test_budget_matches_comparison_formula():
@@ -150,7 +150,7 @@ def test_pool_take_spans_chunks():
 def test_streaming_pools_extend_and_match(monkeypatch):
     monkeypatch.setattr(correlated, "STREAM_CHUNK", 16)
     r1, r2 = deal_streaming(R64, 7)
-    a = reconstruct(R64, r1.arith.take(100)[0], r2.arith.take(100)[0])
+    a = reconstruct(R64, r1.dabits.take(100)[1], r2.dabits.take(100)[1])
     assert a.size == 100
 
 
@@ -158,7 +158,7 @@ def test_streaming_pools_stay_in_lockstep_across_threads(monkeypatch):
     """Party threads take the same sequence from streaming pools without
     waiting for each other, across hundreds of chunk boundaries, two
     sessions at once (more threads than cores): the pieces still pair up,
-    so every triple and cross word reconstructs and every daBit agrees."""
+    so every select unit and cross word reconstructs and every daBit agrees."""
     ring = Ring(13)
     monkeypatch.setattr(correlated, "STREAM_CHUNK", 7)
     sessions = [deal_streaming(ring, seed) for seed in (31, 32)]
@@ -185,11 +185,10 @@ def test_streaming_pools_stay_in_lockstep_across_threads(monkeypatch):
     total = tuple(sum(col) for col in zip(*sizes))
     for s, rand in enumerate(sessions):
         for one, two in zip(taken[s, 0], taken[s, 1]):
-            u, v, w = (reconstruct(ring, x, y) for x, y in zip(one["arith"], two["arith"]))
-            assert (w == ring.reduce(u * v)).all()
+            r, v, w = _select_triples(ring, one["dabits"], two["dabits"])
+            assert (w == ring.reduce(r * v)).all()
+            assert (r == (one["dabits"][0] ^ two["dabits"][0])).all()
             _unit_holds_its_monomials(one["bin_words"][0] ^ two["bin_words"][0])
-            (b1, a1), (b2, a2) = one["dabits"], two["dabits"]
-            assert (reconstruct(ring, a1, a2) == (b1 ^ b2)).all()
             (r, w1), (mask, w2) = one["cross_words"], two["cross_words"]
             assert (r & mask == w1 ^ w2).all()
         for r in rand:
@@ -303,7 +302,7 @@ def test_pool_file_round_trip(tmp_path):
 
 def _check_pool_file_round_trip(tmp_path, l):
     ring = Ring(l)
-    budget = RandomnessBudget(secext=0, arith_triples=9, bin_words=4, dabits=6, cross_words=5)
+    budget = RandomnessBudget(secext=0, dabits=9, bin_words=4, cross_words=5)
     dealt = deal_strict(ring, 21, budget, default_vmax(l))
     again = deal_strict(ring, 21, budget, default_vmax(l))
     backs = []
@@ -311,8 +310,7 @@ def _check_pool_file_round_trip(tmp_path, l):
         path = str(tmp_path / f"l{l}party{party}.pool")
         write_pool_file(path, party, l, dealt[party - 1], budget)
         back, meta = read_pool_file(path)
-        assert meta == {"l": l, "party": party, "arith": 9, "bin_words": 4, "dabits": 6,
-                        "cross_words": 5}
+        assert meta == {"l": l, "party": party, "dabits": 9, "bin_words": 4, "cross_words": 5}
         want = again[party - 1]
         # every part of every kind comes back exactly as the same seed deals it
         for kind in KINDS:
@@ -325,14 +323,14 @@ def _check_pool_file_round_trip(tmp_path, l):
             with pytest.raises(PoolExhausted):
                 getattr(back, kind.attr).take(1)
         backs.append(read_pool_file(path)[0])
-    # the two parties' files still reconstruct to triples
-    (u1, v1, w1), (u2, v2, w2) = (back.arith.take(9) for back in backs)
-    u, v, w = (reconstruct(ring, a, b) for a, b in ((u1, u2), (v1, v2), (w1, w2)))
-    assert (w == ring.reduce(u * v)).all()
+    # the two parties' files still reconstruct to select units
+    first, second = (back.dabits.take(9) for back in backs)
+    r, v, w = _select_triples(ring, first, second)
+    assert (w == ring.reduce(r * v)).all() and (r == first[0] ^ second[0]).all()
 
 
 @pytest.mark.parametrize("l", [13, 64])
-def test_pool_file_layout_is_sskr5(tmp_path, l):
+def test_pool_file_layout_is_sskr6(tmp_path, l):
     """Known arrays in every part, written and compared with the documented
     layout built from struct; no dealer runs, so no RNG stream is pinned."""
     mask, width = (1 << l) - 1, (l + 7) // 8
@@ -343,30 +341,28 @@ def test_pool_file_layout_is_sskr5(tmp_path, l):
     def le(values):
         return b"".join(int(x).to_bytes(width, "little") for x in values)
 
-    arith = (ring_values(1, 2), ring_values(3, mask), ring_values(0x1234, 0x5A5A5A5A))
+    select = (np.array([1, 0, 1], dtype=np.uint8), ring_values(1, 0, mask),
+              ring_values(3, mask, 2), ring_values(0x1234, 0x5A5A5A5A, 0))
     units = (np.array([[0x0123456789ABCDEF, 2**64 - 1, 7] + list(range(26))],
                       dtype=np.uint64),)  # one unit of 29 words
-    bits, bit_values = np.array([1, 0, 1], dtype=np.uint8), ring_values(1, 0, mask)
     cross = (np.array([5, 2**63], dtype=np.uint64),
              np.array([0xFEDCBA9876543210, 1], dtype=np.uint64))
     rand, _ = deal_strict(Ring(l), 0, RandomnessBudget(), default_vmax(l))
-    for attr, parts in (("arith", arith), ("bin", units), ("dabits", (bits, bit_values)),
-                        ("cross", cross)):
+    for attr, parts in (("dabits", select), ("bin", units), ("cross", cross)):
         setattr(rand, attr, StreamPool(len(parts)))
         getattr(rand, attr).push(parts)
-    budget = RandomnessBudget(arith_triples=2, bin_words=1, dabits=3, cross_words=2)
+    budget = RandomnessBudget(dabits=3, bin_words=1, cross_words=2)
     path = tmp_path / "p.pool"
     write_pool_file(str(path), 2, l, rand, budget)
-    expected = (struct.pack("<5sBB", b"SSKR5", l, 2) + struct.pack("<QQQQ", 2, 1, 3, 2)
-                + b"".join(le(part) for part in arith)
+    expected = (struct.pack("<5sBB", b"SSKR6", l, 2) + struct.pack("<QQQ", 3, 1, 2)
+                + bytes(select[0].tolist()) + b"".join(le(part) for part in select[1:])
                 + struct.pack("<29Q", *(int(w) for w in units[0][0]))
-                + bytes(bits.tolist()) + le(bit_values)
                 + b"".join(struct.pack("<QQ", *(int(w) for w in part)) for part in cross))
     assert path.read_bytes() == expected
     back, meta = read_pool_file(str(path))
-    assert meta == {"l": l, "party": 2, "arith": 2, "bin_words": 1, "dabits": 3, "cross_words": 2}
-    for got, want in zip(back.arith.take(2) + back.bin.take(1) + back.dabits.take(3)
-                         + back.cross.take(2), arith + units + (bits, bit_values) + cross):
+    assert meta == {"l": l, "party": 2, "dabits": 3, "bin_words": 1, "cross_words": 2}
+    for got, want in zip(back.dabits.take(3) + back.bin.take(1) + back.cross.take(2),
+                         select + units + cross):
         assert np.array_equal(got, want)
 
 
@@ -375,8 +371,9 @@ def test_pool_file_refuses_the_sskr2_layout(tmp_path):
     # an SSKR3 file, which carried the sentinel and its sharing, as dealt then
     sskr3 = (struct.pack("<5sBBQ", b"SSKR3", 16, 1, 1 << 14) + blob[7:7 + 8 * len(KINDS)]
              + bytes(2) + blob[7 + 8 * len(KINDS):])
-    # an SSKR4 file, whose AND triples were three words each
-    for old in (b"SSKR2" + blob[5:], sskr3, b"SSKR4" + blob[5:]):
+    # an SSKR4 file, whose AND triples were three words each, and an SSKR5
+    # file, whose Beaver triples and daBits were two kinds
+    for old in (b"SSKR2" + blob[5:], sskr3, b"SSKR4" + blob[5:], b"SSKR5" + blob[5:]):
         path.write_bytes(old)
         with pytest.raises(ValueError, match="bad magic"):
             read_pool_file(str(path))
@@ -384,7 +381,7 @@ def test_pool_file_refuses_the_sskr2_layout(tmp_path):
 
 def test_pool_file_rejects_truncation(tmp_path):
     # a cut at any byte, section boundaries included, is a ValueError
-    budget = RandomnessBudget(secext=0, arith_triples=5, bin_words=2, dabits=3, cross_words=2)
+    budget = RandomnessBudget(secext=0, dabits=5, bin_words=2, cross_words=2)
     r1, _ = deal_strict(R64, 5, budget, default_vmax(64))
     path = str(tmp_path / "p.pool")
     write_pool_file(path, 1, 64, r1, budget)
@@ -397,7 +394,7 @@ def test_pool_file_rejects_truncation(tmp_path):
 
 
 def _pool_blob(tmp_path, l=16):
-    budget = RandomnessBudget(secext=0, arith_triples=3, bin_words=1, dabits=2, cross_words=2)
+    budget = RandomnessBudget(secext=0, dabits=3, bin_words=1, cross_words=2)
     r1, _ = deal_strict(Ring(l), 6, budget, default_vmax(l))
     path = tmp_path / "p.pool"
     write_pool_file(str(path), 1, l, r1, budget)
@@ -420,7 +417,7 @@ def test_pool_file_rejects_a_trailing_byte(tmp_path):
 
 
 def test_deal_strict_refuses_another_sentinel():
-    budget = RandomnessBudget(arith_triples=1)
+    budget = RandomnessBudget(dabits=1)
     for l in (4, 11, 64):
         assert len(deal_strict(Ring(l), 6, budget, default_vmax(l))) == 2
         for vmax in (0, 300, 1 << (l - 2), default_vmax(l) + 1):

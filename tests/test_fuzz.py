@@ -25,7 +25,7 @@ FUZZ = settings(max_examples=300, deadline=None)
 
 
 def _valid_pool() -> bytes:
-    budget = RandomnessBudget(secext=0, arith_triples=3, bin_words=2, dabits=4)
+    budget = RandomnessBudget(secext=0, dabits=4, bin_words=2)
     r1, _ = deal_strict(Ring(13), 1, budget, default_vmax(13))
     with tempfile.TemporaryDirectory() as d:
         path = Path(d) / "p.pool"
@@ -90,14 +90,18 @@ def test_query_payload_fuzz(payload, l):
 @given(st.one_of(st.binary(max_size=24),
                  st.tuples(st.just(PROTOCOL_VERSION) | st.integers(0, 255), st.integers(0, 255),
                            st.integers(0, 2**16 - 1))
-                 .map(lambda t: struct.pack("<BBH", *t))))
+                 .map(lambda t: struct.pack("<BBH", *t)),
+                 st.tuples(st.just(PROTOCOL_VERSION) | st.integers(0, 255), st.integers(0, 255),
+                           st.integers(0, 2**16 - 1), st.integers(0, 2**32 - 1))
+                 .map(lambda t: struct.pack("<BBHI", *t))))
 def test_server_hello_fuzz(payload):
     try:
-        l, m = _decode_server_hello(payload)
+        l, m, n = _decode_server_hello(payload)
     except ValueError:
         return
-    assert payload[0] == PROTOCOL_VERSION and len(payload) == 4
-    assert 2 <= l <= 64 and (l, m) == struct.unpack("<BBH", payload)[1:]
+    assert payload[0] == PROTOCOL_VERSION and len(payload) == 8
+    assert 2 <= l <= 64 and m >= 1 and n >= 1
+    assert (l, m, n) == struct.unpack("<BBHI", payload)[1:]
 
 
 @pytest.mark.parametrize("reader, valid", [(read_pool_file, _valid_pool()),

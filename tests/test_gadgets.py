@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from conftest import reconstruct, reconstruct_bits, run_two, session_pair, share_pair
+from conftest import (
+    audit_select_openings,
+    reconstruct,
+    reconstruct_bits,
+    run_two,
+    session_pair,
+    share_pair,
+)
 
 from skyshare.bitpack import bits_of_values, pack_bits, unpack_bits, words_for
 from skyshare.correlated import StreamPool
@@ -421,44 +428,11 @@ def test_bit_mul_vector_payload():
 
 
 def test_bit_mul_openings_are_uniform_and_input_independent_l4():
-    # one select row per daBit r and triple (u, v), party 1's shares fixed:
-    # the opened c = bit ^ r, e = r - u and f = y - v take every value
-    # exactly once, and the same way for every bit and y
-    ring = Ring(4)
-    r, u, v = (g.ravel() for g in np.meshgrid(
-        np.arange(2, dtype=np.uint64), np.arange(16, dtype=np.uint64),
-        np.arange(16, dtype=np.uint64), indexing="ij"))
-    rows = r.size
-    rb1 = np.ones(rows, dtype=np.uint8)
-    b1 = np.zeros(rows, dtype=np.uint8)
-    ra1, u1, v1, w1, y1 = (np.full(rows, s, dtype=np.uint64) for s in (3, 7, 1, 4, 9))
-    dabits = {1: (rb1, ra1), 2: (r.astype(np.uint8) ^ rb1, (r - ra1) & 15)}
-    triples = {1: (u1, v1, w1), 2: ((u - u1) & 15, (v - v1) & 15, (u * v - w1) & 15)}
-    histograms = []
-    for bit in (0, 1):
-        for y in (5, 12):
-            ctx1, ctx2 = session_pair(l=4, seed=50, record=True)
-            for ctx in (ctx1, ctx2):
-                ctx.rand.dabits, ctx.rand.arith = StreamPool(2), StreamPool(3)
-                ctx.rand.dabits.push(dabits[ctx.party])
-                ctx.rand.arith.push(triples[ctx.party])
-            b2 = np.full(rows, bit, dtype=np.uint8) ^ b1
-            z1, z2 = run_two(ctx1, ctx2, lambda c: bit_mul(
-                c, b1 if c.party == 1 else b2, y1 if c.party == 1 else (y - y1) & 15))
-            assert (reconstruct(ring, z1, z2) == bit * y).all()
-            assert ctx1.chan.rounds == 1
-            _, flight = ctx1.chan.flights[0]  # party 2's c, then its e and f values
-            nc = (rows + 7) // 8
-            c2 = np.unpackbits(np.frombuffer(flight[:nc], dtype=np.uint8), bitorder="little")
-            e2, f2 = np.frombuffer(flight[nc:], dtype=np.uint8).reshape(2, rows)
-            c = b1 ^ rb1 ^ c2
-            e = (ra1 - u1 + e2) & 15
-            f = (y1 - v1 + f2) & 15
-            counts = np.zeros((2, 16, 16), dtype=int)
-            np.add.at(counts, (c, e, f), 1)
-            assert (counts == 1).all()
-            histograms.append(counts)
-    assert all((h == histograms[0]).all() for h in histograms)
+    # one select row per assignment of its values' daBits r and masks v,
+    # party 1's shares fixed: the opened c = bit ^ r and f = y - v take every
+    # joint value exactly once, per value and across a row's two values, and
+    # the same way for every bit and y
+    audit_select_openings()
 
 
 def _select(l, bits, u, v, seed):
@@ -476,9 +450,9 @@ def _select(l, bits, u, v, seed):
     want = select_cost(bits.size, width, l)
     for ctx in (ctx1, ctx2):
         assert (ctx.chan.rounds, ctx.chan.bytes_tx) == (want.rounds, want.bytes) == \
-            (1, (bits.size + 7) // 8 + 2 * ((l + 7) // 8) * bits.size * width)
+            (1, (bits.size * width + 7) // 8 + ((l + 7) // 8) * bits.size * width)
         assert (ctx.rand.arith.consumed, ctx.rand.dabits.consumed) == \
-            (want.arith_triples, want.dabits)
+            (want.arith_triples, want.dabits) == (bits.size * width,) * 2
     return reconstruct(ring, z1, z2)
 
 

@@ -383,15 +383,16 @@ def test_flight_values_stay_below_the_ring_modulus(monkeypatch):
     """Shares are kept unreduced between flights, so the high bits of a share
     carry borrows of the secret: every ring value a party sends must be
     masked to l bits.  Values travel only in the selects' flights, after
-    the packed daBit openings; the other flights carry bits."""
+    the packed daBit openings, one bit a value; the other flights carry
+    bits."""
     value_flights = []
 
     def recording(fn):
         def wrapped(ctx, bits, values):
             before = len(ctx.chan.flights)
             out = fn(ctx, bits, values)
-            opened = (bits.shape[0] + 7) // 8
-            value_flights.extend((ctx.ring.l, payload[opened:])
+            opened = (values.size + 7) // 8  # the packed c, one bit a value
+            value_flights.extend((ctx.ring.l, payload[opened:], values.size)
                                  for _, payload in ctx.chan.flights[before:])
             return out
         return wrapped
@@ -411,9 +412,9 @@ def test_flight_values_stay_below_the_ring_modulus(monkeypatch):
         got = sorted(map(tuple, reconstruct(ring, out1.rows, out2.rows).tolist()))
         assert same_rows(got, plaintext_skyline(data, q))
         assert value_flights, l
-        for width, payload in value_flights:
+        for width, payload, count in value_flights:
             values = decode_values(payload, width)
-            assert values.size and int(values.max()) < 1 << width, l
+            assert values.size == count and int(values.max()) < 1 << width, l
 
 
 @pytest.mark.parametrize("field", ["rounds", "bytes", "secext", *(k.budget for k in KINDS)])

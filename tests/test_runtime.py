@@ -534,7 +534,7 @@ def test_a_burn_past_the_pool_end_aborts_cleanly(capsys):
 
 def test_client_caps_the_server_hello():
     # a hello one byte longer than a hello can be is refused before its body
-    declared = len(encode_frame(KIND_HELLO, 0, bytes(runtime._HEAD.size))) - 4 + 1
+    declared = len(encode_frame(KIND_HELLO, 0, bytes(runtime._SERVER_HELLO.size))) - 4 + 1
     fake = socket.create_server(("127.0.0.1", 0))
     accepted = []
 
@@ -559,14 +559,79 @@ def test_client_caps_the_server_hello():
 
 
 def test_client_refuses_a_v3_server_hello_by_version():
-    """A v3 hello, which also carried the sentinel as a u64, is refused by its
-    version byte, whole or cut to a v4 hello's size, not misread."""
+    """A v3 hello, which also carried the sentinel as a u64, and a v4 hello,
+    which did not carry n, are refused by their version byte, whole or cut
+    to another hello's size, not misread."""
     v3 = struct.pack("<BBHQ", 3, 11, 2, 1 << 9)
-    for hello in (v3, v3[:runtime._HEAD.size]):
-        with pytest.raises(FrameError, match="version mismatch: server speaks 3"):
-            runtime._decode_server_hello(hello)
-    v4 = struct.pack("<BBH", runtime.PROTOCOL_VERSION, 11, 2)
-    assert runtime._decode_server_hello(v4) == (11, 2)
+    v4 = struct.pack("<BBH", 4, 11, 2)
+    for version, old in ((3, v3), (4, v4)):
+        for hello in (old, old[:runtime._SERVER_HELLO.size], old + bytes(4)):
+            with pytest.raises(FrameError, match=f"version mismatch: server speaks {version}"):
+                runtime._decode_server_hello(hello)
+    v5 = struct.pack("<BBHI", runtime.PROTOCOL_VERSION, 11, 2, 6)
+    assert runtime._decode_server_hello(v5) == (11, 2, 6)
+
+
+def _fake_servers(hellos, answer):
+    """Two listeners that each greet one client with their (l, m, n) hello,
+    read its query frame and hand the socket and session to answer."""
+    listeners = [socket.create_server(("127.0.0.1", 0)) for _ in range(2)]
+
+    def serve(listener, hello):
+        conn, _ = listener.accept()
+        with conn:
+            write_frame(conn, KIND_HELLO, 0, runtime._encode_server_hello(*hello))
+            try:
+                _, session, _ = read_frame(conn)
+            except (ConnectionClosed, OSError):  # the client refused the hellos
+                return
+            answer(conn, session, hello)
+            try:
+                conn.recv(1)  # hold the link open until the client lets go
+            except OSError:
+                pass
+
+    threads = [threading.Thread(target=serve, args=pair, daemon=True)
+               for pair in zip(listeners, hellos)]
+    for t in threads:
+        t.start()
+    return [f"127.0.0.1:{sock.getsockname()[1]}" for sock in listeners], listeners, threads
+
+
+def test_client_caps_the_result_at_n_rows():
+    """The hello carries n, so the client reads a result of at most n rows:
+    hellos that disagree on n are refused, a full n-row result is read, and
+    a result frame one byte longer is refused from its length prefix, before
+    its body is buffered."""
+    l, m, n = 10, 2, 5
+    full = runtime._RESULT_HEAD.size + n * m * 2  # n rows of m two-byte values
+
+    def zero_rows(conn, session, hello):
+        write_frame(conn, KIND_RESULT, session,
+                    runtime._encode_result(np.zeros((n, m), dtype=np.uint64), l))
+
+    def one_byte_over(conn, session, hello):
+        conn.sendall((len(encode_frame(KIND_RESULT, session, bytes(full))) - 4 + 1)
+                     .to_bytes(4, "big"))
+
+    cases = [([(l, m, n), (l, m, n + 1)], zero_rows, "disagree on \\(l, m, n\\)"),
+             ([(l, m, n)] * 2, one_byte_over, "exceeds the limit"),
+             ([(l, m, n)] * 2, zero_rows, None)]
+    for hellos, answer, refusal in cases:
+        endpoints, listeners, threads = _fake_servers(hellos, answer)
+        try:
+            started = time.monotonic()
+            if refusal is None:
+                assert tcp_query(endpoints, [1, 2], timeout=5.0) == [(0, 0)] * n
+            else:
+                with pytest.raises(FrameError, match=refusal):
+                    tcp_query(endpoints, [1, 2], timeout=5.0)
+            assert time.monotonic() - started < 2.0
+            for t in threads:
+                t.join(timeout=5.0)
+        finally:
+            for sock in listeners:
+                sock.close()
 
 
 def test_unseeded_queries_draw_fresh_masks_and_session_ids():
@@ -581,7 +646,7 @@ def test_unseeded_queries_draw_fresh_masks_and_session_ids():
         for _ in queries:
             conn, _ = listener.accept()
             with conn:
-                write_frame(conn, KIND_HELLO, 0, runtime._encode_server_hello(l, m))
+                write_frame(conn, KIND_HELLO, 0, runtime._encode_server_hello(l, m, 4))
                 _, session, payload = read_frame(conn)
                 frames.append((session, runtime._decode_query_payload(payload, l)))
                 write_frame(conn, KIND_RESULT, session,
