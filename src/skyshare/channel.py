@@ -12,9 +12,9 @@ round counter increments on every completed exchange.  The two flights of
 a round are the same size, so a peer flight of any other length is a
 FrameError, and the TCP transport refuses a longer one before reading it.
 Byte meters count application payload only (frame headers excluded), per
-direction.  Injected latency is applied on the receive side of each
-flight, so crossing flights of one round overlap and the round floor is
-one one-way delay.
+direction.  Injected latency is one sleep in exchange, after the peer's
+flight arrives, so crossing flights of one round overlap and the round
+floor is one one-way delay.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ KIND_NAMES = {
 
 _LEN = struct.Struct(">I")
 _HEAD = struct.Struct(">BI")
-MAX_FRAME = 1 << 30
 
 
 class FrameError(ValueError):
@@ -97,22 +96,17 @@ def _read_length(sock: socket.socket, limit: int) -> int:
     return length
 
 
-def read_body(sock: socket.socket, max_payload: int | None = None) -> bytes:
+def read_body(sock: socket.socket, max_payload: int) -> bytes:
     """Read one frame's length prefix, check it, and return the rest.
 
-    With max_payload, a declared length longer than a frame of that payload
-    is refused before any of the body is buffered; without, MAX_FRAME caps it.
+    A declared length longer than a frame of max_payload bytes of payload
+    is refused before any of the body is buffered.
     """
-    limit = MAX_FRAME if max_payload is None else _HEAD.size + max_payload
-    return recv_exact(sock, _read_length(sock, limit))
-
-
-def read_frame(sock: socket.socket) -> tuple[int, int, bytes]:
-    return decode_frame(read_body(sock))
+    return recv_exact(sock, _read_length(sock, _HEAD.size + max_payload))
 
 
 def read_bounded_frame(sock: socket.socket, max_payload: int) -> tuple[int, int, bytes]:
-    """read_frame for a frame whose payload can hold at most max_payload bytes."""
+    """Read and decode one frame whose payload can hold at most max_payload bytes."""
     return decode_frame(read_body(sock, max_payload))
 
 
@@ -151,6 +145,8 @@ class ChannelBase:
             )
         if len(got) != len(payload):
             raise FrameError(f"peer flight of {len(got)} bytes, ours has {len(payload)}")
+        if self.latency_s > 0:
+            time.sleep(self.latency_s)
         self.rounds += 1
         self.bytes_tx += len(payload)
         self.bytes_rx += len(got)
@@ -182,19 +178,16 @@ class LocalChannel(ChannelBase):
         return cls(q12, q21, session, latency_s), cls(q21, q12, session, latency_s)
 
     def _send_frame(self, frame: bytes):
-        self._outbox.put((time.monotonic() + self.latency_s, frame))
+        self._outbox.put(frame)
 
     def poison_peer(self):
         """Unblock a peer whose counterpart died mid-protocol."""
-        self._outbox.put((0.0, None))
+        self._outbox.put(None)
 
     def _recv_frame(self, max_payload: int) -> bytes:
-        deliver_at, frame = self._inbox.get()
+        frame = self._inbox.get()
         if frame is None:
             raise FrameError("peer aborted the session")
-        wait = deliver_at - time.monotonic()
-        if wait > 0:
-            time.sleep(wait)
         # the sender framed it itself: the length prefix covers the rest
         return frame[_LEN.size:]
 
@@ -228,10 +221,7 @@ class TcpChannel(ChannelBase):
         self._outq.put(frame)
 
     def _recv_frame(self, max_payload: int) -> bytes:
-        body = read_body(self._sock, max_payload)
-        if self.latency_s > 0:
-            time.sleep(self.latency_s)
-        return body
+        return read_body(self._sock, max_payload)
 
     def close(self):
         self._outq.put(None)

@@ -14,10 +14,11 @@ public ring.default_vmax(l), which each server holds as a public sharing.
 
 The dealer is trusted in the semi-honest two-server model and is run by the
 owner-side tooling.  Pools are either strict (pre-dealt to an exact budget,
-exhaustion raises) or streaming (a seeded dealer extends both parties' pools
-in lockstep on demand, at least STREAM_CHUNK elements a refill; both
-consumption orders are identical because the online protocol is
-deterministic).
+exhaustion raises) or streaming (a take the pool cannot cover gets a fresh
+chunk of at least STREAM_CHUNK elements that covers the whole take, dealt
+for both parties at once by a seeded dealer, and the unused tail is
+dropped; both parties take the same sequence because the online protocol
+is deterministic, so both drop the same tails).
 
 Pool file format (strict pools, one file per party), walked from KINDS:
 
@@ -91,56 +92,37 @@ class PoolExhausted(RuntimeError):
 
 
 class StreamPool:
-    """FIFO of parallel arrays read through a cursor; take() never reuses an
-    element.
+    """Parallel arrays read through a cursor; take() never reuses an element.
 
     take() returns a slice of each part (views, not copies) and bumps the
-    cursor.  A pool belongs to one party thread, which alone takes from it
-    and refills it: refill(need) returns the pool's next chunk.
+    cursor.  A take the arrays cannot cover raises PoolExhausted in a strict
+    pool (no refill); a streaming pool instead replaces its arrays with
+    refill(count), a chunk that covers the whole take, and drops the unused
+    tail.  Both parties take the same sequence of counts, so both drop the
+    same tails and their chunks stay paired.  A pool belongs to one party
+    thread, which alone takes from it and refills it.
     """
 
-    def __init__(self, parts: int, refill=None):
-        self._parts = parts
-        self._arrays = tuple(np.empty(0, dtype=np.uint64) for _ in range(parts))
+    def __init__(self, parts, refill=None):
+        self._arrays = tuple(parts)
         self._at = 0
-        self._end = 0
         self._refill = refill
         self.consumed = 0
 
-    def push(self, chunk: tuple):
-        if len(chunk) != self._parts:
-            raise ValueError("chunk arity mismatch")
-        if self._at == self._end:
-            self._arrays = tuple(chunk)
-        else:  # the unconsumed tail moves into the new arrays; nothing else is kept
-            self._arrays = tuple(np.concatenate((a[self._at:self._end], c))
-                                 for a, c in zip(self._arrays, chunk))
-        self._at = 0
-        self._end = len(self._arrays[0])
-
-    def available(self) -> int:
-        return self._end - self._at
-
     def take(self, count: int) -> list:
+        if count < 0:
+            raise ValueError("negative take")
         at = self._at
         end = at + count
-        if end > self._end or count < 0:
-            self._fill(count)
-            at = self._at
-            end = at + count
+        if end > len(self._arrays[0]):
+            if self._refill is None:
+                raise PoolExhausted(f"pool exhausted: requested {count}, "
+                                    f"have {len(self._arrays[0]) - at}")
+            self._arrays = tuple(self._refill(count))
+            at, end = 0, count
         self._at = end
         self.consumed += count
         return [a[at:end] for a in self._arrays]
-
-    def _fill(self, count: int):
-        if count < 0:
-            raise ValueError("negative take")
-        while self.available() < count:
-            if self._refill is None:
-                raise PoolExhausted(
-                    f"pool exhausted: requested {count}, have {self.available()}"
-                )
-            self.push(self._refill(count - self.available()))
 
 
 class Dealer:
@@ -235,12 +217,6 @@ class PartyRandomness:
             pool.take(max(0, at - pool.consumed))
 
 
-def _filled(kind: Kind, parts) -> StreamPool:
-    pool = StreamPool(len(kind.codecs))
-    pool.push(tuple(parts))
-    return pool
-
-
 def deal_strict(ring: Ring, seed, budget: RandomnessBudget, vmax: int
                 ) -> tuple[PartyRandomness, PartyRandomness]:
     """Pre-deal an exact budget; pools raise on exhaustion.  The sentinel is
@@ -250,18 +226,19 @@ def deal_strict(ring: Ring, seed, budget: RandomnessBudget, vmax: int
     dealer = Dealer(ring, seed)
     pairs = [getattr(dealer, kind.deal)(getattr(budget, kind.budget)) for kind in KINDS]
     return tuple(
-        PartyRandomness([_filled(kind, pair[i]) for kind, pair in zip(KINDS, pairs)])
+        PartyRandomness([StreamPool(pair[i]) for pair in pairs])
         for i in (0, 1)
     )
 
 
 def deal_streaming(ring: Ring, seed) -> tuple[PartyRandomness, PartyRandomness]:
-    """Lazily dealt pools that never exhaust; both parties extend in lockstep,
-    at least STREAM_CHUNK elements a refill."""
+    """Lazily dealt pools that never exhaust; a refill deals both parties a
+    chunk of max(take, STREAM_CHUNK) elements."""
     dealer = Dealer(ring, seed)
     feeders = [_PairedFeeder(getattr(dealer, kind.deal), STREAM_CHUNK) for kind in KINDS]
     return tuple(
-        PartyRandomness([StreamPool(len(kind.codecs), feeder.refill_for(i))
+        PartyRandomness([StreamPool([np.empty(0, dtype=np.uint64)] * len(kind.codecs),
+                                    feeder.refill_for(i))
                          for kind, feeder in zip(KINDS, feeders)])
         for i in (0, 1)
     )
@@ -303,7 +280,7 @@ def read_pool_file(path: str) -> tuple[PartyRandomness, dict]:
         raise ValueError(f"{path}: bad magic {magic!r}")
     check_file_header(path, l, party)
     counts = _POOL_COUNTS.unpack(take(_POOL_COUNTS.size))
-    pools = [_filled(kind, [part(codec, count) for codec in kind.codecs])
+    pools = [StreamPool([part(codec, count) for codec in kind.codecs])
              for kind, count in zip(KINDS, counts)]
     if at != len(blob):
         raise ValueError(f"{path}: {len(blob) - at} trailing bytes after the last section")

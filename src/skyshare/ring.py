@@ -45,9 +45,6 @@ class Ring:
             return arr
         return arr & self.mask_np
 
-    def msb_array(self, arr: np.ndarray) -> np.ndarray:
-        return ((arr >> np.uint64(self.l - 1)) & np.uint64(1)).astype(np.uint8)
-
 
 def default_vmax(l: int) -> int:
     """The filtering sentinel, strictly above any admissible attribute sum:

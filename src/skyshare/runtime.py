@@ -60,9 +60,9 @@ def parse_endpoint(text: str) -> tuple[str, int]:
 def run_pair(task1, task2):
     """Run the two party closures in lockstep threads.
 
-    Each task is (fn, channel); a failing party poisons its peer's channel
-    so the survivor unblocks instead of waiting forever.  The error raised
-    is that of the party that failed first.
+    Each task is (fn, LocalChannel); a failing party poisons its peer's
+    channel so the survivor unblocks instead of waiting forever.  The error
+    raised is that of the party that failed first.
     """
     results = [None, None]
     errors: list[BaseException] = []  # in the order the parties failed
@@ -72,8 +72,7 @@ def run_pair(task1, task2):
             results[i] = fn()
         except BaseException as exc:  # re-raised in the caller
             errors.append(exc)  # before the poison: the peer's own error comes later
-            if chan is not None and hasattr(chan, "poison_peer"):
-                chan.poison_peer()
+            chan.poison_peer()
 
     threads = [
         threading.Thread(target=runner, args=(i, fn, chan), daemon=True)

@@ -56,6 +56,11 @@ def reconstruct(ring, a, b):
     return ring.reduce(np.asarray(a, dtype=np.uint64) + np.asarray(b, dtype=np.uint64))
 
 
+def msb_array(ring, arr):
+    """The top bit of each ring element: the cleartext comparison oracle."""
+    return ((arr >> np.uint64(ring.l - 1)) & np.uint64(1)).astype(np.uint8)
+
+
 def reconstruct_bits(a, b):
     return np.asarray(a, dtype=np.uint8) ^ np.asarray(b, dtype=np.uint8)
 
@@ -77,9 +82,8 @@ def select_openings(bit, ys):
     b1 = np.zeros(rows, dtype=np.uint8)
     ctx1, ctx2 = session_pair(l=4, record=True)
     for ctx in (ctx1, ctx2):
-        ctx.rand.dabits = StreamPool(4)
-        ctx.rand.dabits.push(tuple((part.ravel() & 15).astype(np.uint8 if i == 0 else np.uint64)
-                                   for i, part in enumerate(units[ctx.party])))
+        ctx.rand.dabits = StreamPool((part.ravel() & 15).astype(np.uint8 if i == 0 else np.uint64)
+                                     for i, part in enumerate(units[ctx.party]))
     z1, z2 = run_two(ctx1, ctx2, lambda c: bit_mul(
         c, b1 if c.party == 1 else b1 ^ bit, y1 if c.party == 1 else (y - y1) & 15))
     assert ctx1.chan.rounds == 1 and ctx1.rand.dabits.consumed == rows * width

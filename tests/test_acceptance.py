@@ -12,6 +12,7 @@ import numpy as np
 
 from conftest import (
     audit_select_openings,
+    msb_array,
     reconstruct,
     reconstruct_bits,
     run_two,
@@ -151,7 +152,7 @@ def test_criterion_4_gadget_exhaustiveness():
     r1, r2 = run_two(ctx1, ctx2, lambda c: less_than(
         c, a1 if c.party == 1 else a2, b1 if c.party == 1 else b2))
     got = reconstruct_bits(r1, r2)
-    want = ring.msb_array(ring.reduce(a - b))
+    want = msb_array(ring, ring.reduce(a - b))
     assert (got == want).all()
 
     # every (bit, value) product, 256 fresh share decompositions each

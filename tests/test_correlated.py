@@ -131,20 +131,31 @@ def test_budget_linear_in_n():
 
 
 def test_strict_pool_exhaustion_raises():
-    pool = StreamPool(1)
-    pool.push((np.arange(10, dtype=np.uint64),))
+    pool = StreamPool((np.arange(10, dtype=np.uint64),))
     pool.take(8)
-    with pytest.raises(PoolExhausted):
+    with pytest.raises(PoolExhausted, match="requested 3, have 2"):
         pool.take(3)
 
 
-def test_pool_take_spans_chunks():
-    pool = StreamPool(1)
-    pool.push((np.arange(5, dtype=np.uint64),))
-    pool.push((np.arange(5, 12, dtype=np.uint64),))
-    (got,) = pool.take(9)
-    assert list(got) == list(range(9))
-    assert pool.consumed == 9
+def test_a_take_the_tail_cannot_cover_refills_by_the_whole_take():
+    """A take past the tail asks the refill for the whole take and is served
+    as views of that one chunk; the dropped tail never comes back."""
+    asked, chunks = [], []
+
+    def refill(need):
+        asked.append(need)
+        start = 100 * len(asked)
+        chunks.append(np.arange(start, start + max(need, 6), dtype=np.uint64))
+        return (chunks[-1],)
+
+    pool = StreamPool((np.arange(5, dtype=np.uint64),), refill)
+    taken = [pool.take(count)[0] for count in (3, 4, 2, 9, 0)]
+    assert asked == [4, 9]  # the 4 past the tail [3, 4], then the 9 past nothing
+    for got, chunk in zip(taken[1:4], (0, 0, 1)):
+        assert np.shares_memory(got, chunks[chunk])
+    values = np.concatenate(taken).tolist()
+    assert values == [0, 1, 2, *range(100, 106), *range(200, 209)]
+    assert pool.consumed == len(values)
 
 
 def test_streaming_pools_extend_and_match(monkeypatch):
@@ -349,8 +360,7 @@ def test_pool_file_layout_is_sskr6(tmp_path, l):
              np.array([0xFEDCBA9876543210, 1], dtype=np.uint64))
     rand, _ = deal_strict(Ring(l), 0, RandomnessBudget(), default_vmax(l))
     for attr, parts in (("dabits", select), ("bin", units), ("cross", cross)):
-        setattr(rand, attr, StreamPool(len(parts)))
-        getattr(rand, attr).push(parts)
+        setattr(rand, attr, StreamPool(parts))
     budget = RandomnessBudget(dabits=3, bin_words=1, cross_words=2)
     path = tmp_path / "p.pool"
     write_pool_file(str(path), 2, l, rand, budget)

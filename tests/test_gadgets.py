@@ -3,6 +3,7 @@ import pytest
 
 from conftest import (
     audit_select_openings,
+    msb_array,
     reconstruct,
     reconstruct_bits,
     run_two,
@@ -239,8 +240,7 @@ def test_and_level_truth_tables_and_masked_flights():
     assert groups == sum(j > 1 for sizes, *_ in levels for j in sizes)
     peeked = [ctx.rand.bin.take(4 * groups)[0].copy() for ctx in (ctx1, ctx2)]
     for ctx, unit in zip((ctx1, ctx2), peeked):
-        ctx.rand.bin = StreamPool(1)
-        ctx.rand.bin.push((unit,))
+        ctx.rand.bin = StreamPool((unit,))
     z1, z2 = run_two(ctx1, ctx2, lambda c: and_level(c, shares[c.party]))
     for a, b, w in zip(z1, z2, want):
         assert a.shape == (len(w), 4)
@@ -300,8 +300,7 @@ def test_and_one_sided_every_input_pair_and_masked_flights():
     r, s, w1 = np.random.default_rng(41).integers(0, 2**64, size=(3, 2), dtype=np.uint64)
     ctx1, ctx2 = session_pair(l=8, seed=41, record=True)
     for ctx, parts in ((ctx1, (r, w1)), (ctx2, (s, (r & s) ^ w1))):
-        ctx.rand.cross = StreamPool(2)
-        ctx.rand.cross.push(parts)
+        ctx.rand.cross = StreamPool(parts)
     z1, z2 = run_two(ctx1, ctx2, lambda c: and_one_sided(c, x if c.party == 1 else y))
     assert (z1 ^ z2 == x & y).all()
     assert (unpack_bits(x & y, 128) == np.array([0, 0, 0, 1] * 32)).all()
@@ -327,7 +326,7 @@ def test_less_than_exhaustive_l8():
     a = np.repeat(np.arange(256, dtype=np.uint64), 256)
     b = np.tile(np.arange(256, dtype=np.uint64), 256)
     got = _compare_all_pairs(8, a, b, seed=5)
-    want = R8.msb_array(R8.reduce(a - b))
+    want = msb_array(R8, R8.reduce(a - b))
     assert (got == want).all()
 
 

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from conftest import msb_array
+
 from skyshare.ring import Ring, default_vmax
 
 R8 = Ring(8)
@@ -31,8 +33,8 @@ def test_sub_and_neg_consistency():
 
 
 def test_msb_examples():
-    assert R8.msb_array(np.array([0, 128], dtype=np.uint64)).tolist() == [0, 1]
-    assert R8.msb_array(R8.reduce(_signed(R8, [3]) - _signed(R8, [5]))).tolist() == [1]
+    assert msb_array(R8, np.array([0, 128], dtype=np.uint64)).tolist() == [0, 1]
+    assert msb_array(R8, R8.reduce(_signed(R8, [3]) - _signed(R8, [5]))).tolist() == [1]
     assert _signed(R8, [-2]).tolist() == [254]
 
 
@@ -43,7 +45,7 @@ def test_msb_matches_signed_comparison_exhaustively():
     inside = np.abs(u - v) < 128
     u, v = u[inside], v[inside]
     d = R8.reduce(_signed(R8, u) - _signed(R8, v))
-    assert (R8.msb_array(d) == (u < v)).all()
+    assert (msb_array(R8, d) == (u < v)).all()
 
 
 def test_mul_distributes_over_add():
@@ -57,7 +59,7 @@ def test_mul_distributes_over_add():
 def test_array_reduce_and_msb():
     arr = np.array([0, 127, 128, 255, 300], dtype=np.uint64)
     assert list(R8.reduce(arr)) == [0, 127, 128, 255, 44]
-    assert list(R8.msb_array(R8.reduce(arr))) == [0, 0, 1, 1, 0]
+    assert list(msb_array(R8, R8.reduce(arr))) == [0, 0, 1, 1, 0]
 
 
 def test_width_bounds_and_vmax():

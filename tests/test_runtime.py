@@ -21,12 +21,12 @@ from skyshare.channel import (
     LocalChannel,
     decode_frame,
     encode_frame,
+    read_bounded_frame,
     read_body,
-    read_frame,
     write_frame,
 )
 from skyshare.correlated import KINDS, deal_streaming, deal_strict, write_pool_file
-from skyshare.metering import budget_for_query, query_rounds
+from skyshare.metering import budget_for_query, query_bytes, query_rounds
 from skyshare.plaintext import plaintext_skyline, same_rows
 from skyshare.protocol import ring_width
 from skyshare.ring import Ring, default_vmax
@@ -34,6 +34,12 @@ from skyshare.runtime import LocalEngine, Server, parse_endpoint, run_pair, tcp_
 from skyshare.sharing import share_matrix, write_share_file
 
 FRESH = (0,) * len(KINDS)  # the pool cursors a fake peer reports in its hello
+HELLO = runtime._SERVER_HELLO.size  # the payload of a server hello, read by fake clients
+
+
+def _query_size(l, m):
+    """The payload of a query frame of m values at width l."""
+    return len(runtime._encode_query_payload(l, np.zeros(m, np.uint64)))
 
 
 def test_frame_round_trip_all_kinds():
@@ -55,6 +61,7 @@ def test_frame_rejects_bad_kind_and_truncation():
 def test_frame_socket_fuzz():
     """Truncated and oversized frames must fail loudly, never hang or parse."""
     rng = np.random.default_rng(0)
+    limit = 10  # the longest payload an honest frame of the fuzz carries
     for case in range(40):
         a, b = socket.socketpair()
         try:
@@ -72,13 +79,14 @@ def test_frame_socket_fuzz():
                 a.sendall(b"\x00\x00\x00\x0c" + blob)
             b.settimeout(2.0)
             with pytest.raises((FrameError, OSError)):
-                read_frame(b)
+                read_bounded_frame(b, limit)
         finally:
             a.close()
             b.close()
 
 
 def test_read_body_tells_a_clean_close_from_a_torn_frame():
+    limit = 4  # admits the 9-byte declaration (4 bytes of payload), so it is torn
     for sent, closed_cleanly in ((b"", True), (b"\x00\x00", False), (b"\x00\x00\x00\x09\x03", False)):
         a, b = socket.socketpair()
         try:
@@ -86,7 +94,7 @@ def test_read_body_tells_a_clean_close_from_a_torn_frame():
             a.close()
             b.settimeout(2.0)
             with pytest.raises(FrameError) as caught:
-                read_body(b)
+                read_body(b, limit)
             assert isinstance(caught.value, ConnectionClosed) == closed_cleanly, sent
         finally:
             b.close()
@@ -343,7 +351,7 @@ def test_server_refuses_a_frame_longer_than_it_can_hold(tmp_path, table_example,
             with socket.create_connection(addr) as sock:
                 sock.settimeout(5.0)
                 if kind == "query":
-                    read_frame(sock)  # the server hello
+                    read_bounded_frame(sock, HELLO)  # the server hello
                 declared = len(longest[kind]) - 4 + 1
                 sock.sendall(declared.to_bytes(4, "big"))
                 assert sock.recv(1) == b"", kind  # dropped at once, not left waiting
@@ -375,7 +383,7 @@ def test_stalled_peer_aborts_the_session_and_frees_the_server(party, capsys):
         for session in (11, 12):
             client = socket.create_connection(("127.0.0.1", server.port), timeout=5.0)
             held.append(client)
-            read_frame(client)  # the server hello
+            read_bounded_frame(client, HELLO)  # the server hello
             if party == 2:  # the fake party 1 binds its link to the session first
                 link = socket.create_connection(peer_addr(server), timeout=5.0)
                 runtime._write_peer_hello(link, session, l, 1, FRESH)
@@ -444,14 +452,15 @@ def test_peer_flight_of_another_size_aborts_the_session(extra, capsys):
     try:
         client = socket.create_connection(("127.0.0.1", server.port), timeout=5.0)
         held.append(client)
-        read_frame(client)  # the server hello
+        read_bounded_frame(client, HELLO)  # the server hello
         link = socket.create_connection(peer_addr(server), timeout=5.0)
         held.append(link)
         runtime._write_peer_hello(link, session, l, 1, FRESH)
         write_frame(client, KIND_QUERY, session,
                     runtime._encode_query_payload(l, np.zeros(2, np.uint64)))
         assert runtime._read_peer_hello(link, l, 2)[0] == session
-        kind, got_session, flight = read_frame(link)
+        # no flight is longer than all that a query sends
+        kind, got_session, flight = read_bounded_frame(link, query_bytes(3, 2, l, 3))
         assert (kind, got_session) == (KIND_ROUND_DATA, session) and flight
         write_frame(link, KIND_ROUND_DATA, session, bytes(len(flight) + extra))
         out = _server_lines(capsys, f"session {session} aborted", 1)
@@ -475,14 +484,15 @@ def test_an_aborted_session_leaves_the_next_query_exact(tmp_path, table_example,
     try:
         client = socket.create_connection(("127.0.0.1", servers[1].port), timeout=5.0)
         held.append(client)
-        read_frame(client)  # the server hello
+        read_bounded_frame(client, HELLO)  # the server hello
         link = socket.create_connection(peer_addr(servers[1]), timeout=5.0)
         held.append(link)
         runtime._write_peer_hello(link, session, l, 1, FRESH)
         write_frame(client, KIND_QUERY, session,
                     runtime._encode_query_payload(l, np.zeros(2, np.uint64)))
         assert runtime._read_peer_hello(link, l, 2) == (session, FRESH)
-        kind, _, flight = read_frame(link)
+        n, m = np.shape(database)
+        kind, _, flight = read_bounded_frame(link, query_bytes(n, m, l, n))
         assert kind == KIND_ROUND_DATA
         write_frame(link, KIND_ROUND_DATA, session, bytes(len(flight)))
         link.close()
@@ -515,7 +525,7 @@ def test_a_burn_past_the_pool_end_aborts_cleanly(capsys):
     try:
         client = socket.create_connection(("127.0.0.1", server.port), timeout=5.0)
         held.append(client)
-        read_frame(client)  # the server hello
+        read_bounded_frame(client, HELLO)  # the server hello
         link = socket.create_connection(peer_addr(server), timeout=5.0)
         held.append(link)
         beyond = tuple(getattr(budget, kind.budget) + 1 for kind in KINDS)
@@ -582,7 +592,7 @@ def _fake_servers(hellos, answer):
         with conn:
             write_frame(conn, KIND_HELLO, 0, runtime._encode_server_hello(*hello))
             try:
-                _, session, _ = read_frame(conn)
+                _, session, _ = read_bounded_frame(conn, _query_size(hello[0], hello[1]))
             except (ConnectionClosed, OSError):  # the client refused the hellos
                 return
             answer(conn, session, hello)
@@ -647,7 +657,7 @@ def test_unseeded_queries_draw_fresh_masks_and_session_ids():
             conn, _ = listener.accept()
             with conn:
                 write_frame(conn, KIND_HELLO, 0, runtime._encode_server_hello(l, m, 4))
-                _, session, payload = read_frame(conn)
+                _, session, payload = read_bounded_frame(conn, _query_size(l, m))
                 frames.append((session, runtime._decode_query_payload(payload, l)))
                 write_frame(conn, KIND_RESULT, session,
                             runtime._encode_result(np.zeros((0, m), dtype=np.uint64), l))
