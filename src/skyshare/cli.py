@@ -86,7 +86,7 @@ def cmd_deal(args) -> int:
         write_share_file(share_path, party, shares, l, args.scale or 1)
         write_pool_file(pool_path, party, l, rand, budget)
         print(f"party {party}: {share_path} + {pool_path}")
-    counts = ", ".join(f"{getattr(budget, kind.budget)} {kind.name}" for kind in KINDS)
+    counts = ", ".join(f"{getattr(budget, kind.name)} {kind.name}" for kind in KINDS)
     print(f"dealt for n={n} m={m} bound={bound} l={l} k_max={k_max} ({counts})")
     return 0
 

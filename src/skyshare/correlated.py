@@ -64,18 +64,17 @@ _MONOMIAL_STEPS = tuple((unit_column(term & (term - 1)), unit_column(term & -ter
 
 
 class Kind(NamedTuple):
-    name: str     # read_pool_file's meta key
+    name: str     # the RandomnessBudget field counting it, and read_pool_file's meta key
     attr: str     # the PartyRandomness attribute holding its pool
-    budget: str   # the RandomnessBudget field counting it
     deal: str     # the Dealer method dealing both parties' parts, looked up per call
     codecs: tuple  # one per part, in pool order: RING or a numpy dtype string
 
 
 # dealing order, which is also the pool file's order
 KINDS = (
-    Kind("dabits", "dabits", "dabits", "dabits", ("u1", RING, RING, RING)),
-    Kind("bin_words", "bin", "bin_words", "bin_triple_words", (f"({UNIT_WORDS},)<u8",)),
-    Kind("cross_words", "cross", "cross_words", "cross_words", ("<u8", "<u8")),
+    Kind("dabits", "dabits", "dabits", ("u1", RING, RING, RING)),
+    Kind("bin_words", "bin", "bin_triple_words", (f"({UNIT_WORDS},)<u8",)),
+    Kind("cross_words", "cross", "cross_words", ("<u8", "<u8")),
 )
 
 POOL_MAGIC = b"SSKR6"
@@ -224,7 +223,7 @@ def deal_strict(ring: Ring, seed, budget: RandomnessBudget, vmax: int
     if vmax != default_vmax(ring.l):
         raise ValueError(f"the sentinel at l={ring.l} is {default_vmax(ring.l)}, not {vmax}")
     dealer = Dealer(ring, seed)
-    pairs = [getattr(dealer, kind.deal)(getattr(budget, kind.budget)) for kind in KINDS]
+    pairs = [getattr(dealer, kind.deal)(getattr(budget, kind.name)) for kind in KINDS]
     return tuple(
         PartyRandomness([StreamPool(pair[i]) for pair in pairs])
         for i in (0, 1)
@@ -247,7 +246,7 @@ def deal_streaming(ring: Ring, seed) -> tuple[PartyRandomness, PartyRandomness]:
 def write_pool_file(path: str, party: int, l: int, rand: PartyRandomness,
                     budget: RandomnessBudget):
     """Serialize a strict pool (single un-consumed chunk per kind)."""
-    counts = [getattr(budget, kind.budget) for kind in KINDS]
+    counts = [getattr(budget, kind.name) for kind in KINDS]
     taken = [getattr(rand, kind.attr).take(count) for kind, count in zip(KINDS, counts)]
     with open(path, "wb") as f:
         f.write(_POOL_HEADER.pack(POOL_MAGIC, l, party))

@@ -59,10 +59,11 @@ def min_with_payload(ctx: PartyContext, keys: np.ndarray, payloads: list[np.ndar
     lowest index survives - the same winner a sequential first-minimum scan
     would keep.  ceil(log2(n)) comparison levels, each one batched flight.
 
-    Also returns XOR shares of the (n, levels) path bits: bit j of row i is
-    1 iff row i's entry at level j (entry i >> j) won or sat out that
-    level's match, so a row's path bits AND to 1 at the winner only.  At
-    n = 1 there is no match and the one column is a public 1.
+    Also returns XOR shares of the path bits, one row per level,
+    (path_columns(n), n): bit i of row j is 1 iff key i's entry at level j
+    (entry i >> j) won or sat out that level's match, so key i's bits over
+    all levels AND to 1 at the winner only.  At n = 1 there is no match and
+    the one row is a public 1.
     """
     n = keys.shape[0]
     if n < 1:
@@ -74,7 +75,7 @@ def min_with_payload(ctx: PartyContext, keys: np.ndarray, payloads: list[np.ndar
     rows = np.hstack([keys[:, None]] + payloads) if payloads else keys[:, None]
     levels = pair_levels(n)
     one = public_share(ctx, np.uint8(1), 1)
-    path = np.full((n, path_columns(n)), one[0], dtype=np.uint8)
+    path = np.full((path_columns(n), n), one[0], dtype=np.uint8)
     for j, pairs in enumerate(levels):
         left = rows[0:2 * pairs:2]
         right = rows[1:2 * pairs:2]
@@ -84,7 +85,7 @@ def min_with_payload(ctx: PartyContext, keys: np.ndarray, payloads: list[np.ndar
         won[0:2 * pairs:2] = not_bits(ctx, phi)  # phi: the right entry won
         won[1:2 * pairs:2] = phi
         won[2 * pairs:] = one  # an odd tail is carried
-        path[:, j] = won.repeat(1 << j)[:n]
+        path[j] = won.repeat(1 << j)[:n]
         rows = np.concatenate([winners, rows[2 * pairs:]])
     best = rows[0]
     out, at = [], 1

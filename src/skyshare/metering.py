@@ -129,8 +129,8 @@ def stop_cost(l: int) -> RandomnessBudget:
 
 def filt_cost(n: int, m: int, l: int, mode: str) -> RandomnessBudget:
     # one fused comparison batch, then the AND tree over the fetch's path
-    # bits running level-locked with the one over the m+1 dominance columns,
-    # each column's n bits packed on their own; then one overwrite
+    # bits running level-locked with the one over the m+1 dominance rows,
+    # each row's n bits packed on their own; then one overwrite
     check_mode(mode)
     flags = trees_cost([and_tree(path_columns(n)), and_tree(m + 1)], words_for(n))
     return msb_cost(n * (m + 1), l) + flags + select_cost(n, 1, l)

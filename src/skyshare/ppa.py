@@ -6,19 +6,19 @@ d1 + d2, where d_i is party i's share of the difference: party 1 holds the
 bits a_i of d1, party 2 the bits b_i of d2, over positions 0..l-2.
 
 Leaf blocks.  The L = l-1 positions are cut into consecutive blocks of at
-most 3, the largest lowest.  A block's generate G and propagate P (ripple
-carry over g_i = a_i b_i, p_i = a_i XOR b_i) are polynomials over GF(2) in
-the block's a and b bits.  Each is an XOR of a-only monomials (party 1
-evaluates them on its own bits), b-only monomials (party 2 likewise) and
-cross terms a^S b^T, whose coefficients form the cross matrix M[S, T].
-For G and P, M is a partial permutation matrix: each a-monomial meets at
-most one b-monomial and each b-monomial at most one a-monomial.  So
-rank(M) is its number of terms, M factors as the sum of those terms'
-outer products, and each cross term is one product of a monomial party 1
-holds and one party 2 holds: one one-sided AND (online.and_one_sided).
-G needs 1, 3 and 7 products at widths 1, 2 and 3, P needs 0, 2 and 6,
-and the lowest block needs no P.  Every block's products go out in one
-flight.
+most 3, the largest lowest.  Over a block's positions K, ripple carry over
+g_i = a_i b_i and p_i = a_i XOR b_i has the closed form
+
+    G = XOR_i a_i b_i prod_{k>i} (a_k ^ b_k),    P = prod_k (a_k ^ b_k),
+
+an XOR of terms a^S b^T: G's are a^(S+i) b^(K_i-S+i) over S within
+K_i = {i+1, ..., w-1}, P's are a^S b^(K-S) over S within K.  P's two ends
+a^K and b^K are local, each party's own bits.  Every other term is a cross
+term whose S and T meet in {i} (G) or not at all (P), so no a^S and no b^T
+repeats, and each is one product of a monomial party 1 holds and one party
+2 holds: one one-sided AND (online.and_one_sided).  G needs 1, 3 and 7
+products at widths 1, 2 and 3, P needs 0, 2 and 6, and the lowest block
+needs no P.  Every block's products go out in one flight.
 
 Combine tree.  Each level cuts the segments, lowest first, into groups of
 at most 4 and combines each group in one gate; for segments 3..0 of a group
@@ -46,7 +46,6 @@ gate units off its compiled levels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache, reduce
 from operator import or_
 from typing import NamedTuple
@@ -118,29 +117,10 @@ def xor_of_ands(outputs: list[list[list[int]]]) -> Table:
 
 # --- one leaf block ----------------------------------------------------------
 #
-# A polynomial is a set of monomials (S, T): S and T are bit masks over the
-# block's positions, S of party 1's bits a, T of party 2's bits b.  XOR of
-# polynomials is symmetric difference.
-
-
-def _mul(f: set, g: set) -> set:
-    out: set = set()
-    for s1, t1 in f:
-        for s2, t2 in g:
-            out ^= {(s1 | s2, t1 | t2)}
-    return out
-
-
-def _ripple(width: int) -> tuple[set, set]:
-    """Generate and propagate of a block of `width` positions."""
-    g: set = set()
-    p = {(0, 0)}
-    for i in range(width):
-        bit = 1 << i
-        pi = {(bit, 0), (0, bit)}
-        g = {(bit, bit)} ^ _mul(pi, g)
-        p = _mul(pi, p)
-    return g, p
+# A term is a pair of bit masks (S, T) over the block's positions, S of
+# party 1's bits a, T of party 2's bits b.  G's term for position i and S
+# within K_i is (S | i, K_i - S | i), P's for S within K is (S, K - S): each
+# cross term's S & T is {i} or empty, so each is one one-sided AND.
 
 
 class Output(NamedTuple):
@@ -155,21 +135,15 @@ class Output(NamedTuple):
     cross: tuple
 
 
-def _output(poly: set) -> Output:
-    cross = tuple(sorted((s, t) for s, t in poly if s and t))
-    if len({s for s, _ in cross}) < len(cross) or len({t for _, t in cross}) < len(cross):
-        raise ValueError("cross matrix is not a partial permutation")
-    mine = sorted(s for s, t in poly if not t)
-    theirs = sorted(t for s, t in poly if not s)
-    if (0, 0) in poly or len(mine) != len(theirs) or not poly:
-        raise ValueError("block output needs local parts of equal size and no constant")
-    return Output(tuple(zip(mine, theirs)), cross)
-
-
 @cache
 def block_outputs(width: int) -> tuple[Output, Output]:
     """G and P of a block of `width` positions, factored."""
-    return tuple(_output(poly) for poly in _ripple(width))
+    full = (1 << width) - 1
+    # position i = log2(bit): S within K_i runs over the multiples of 2 * bit,
+    # and K_i - S + i is K less S and the positions below i
+    g = sorted((s | bit, full ^ (bit - 1) ^ s)
+               for bit in (1 << i for i in range(width)) for s in range(0, full + 1, 2 * bit))
+    return Output((), tuple(g)), Output(((full, full),), tuple((s, full ^ s) for s in range(1, full)))
 
 
 def _outputs(blocks: tuple[int, ...]) -> list[tuple[int, Output]]:
@@ -213,23 +187,8 @@ def _monomials(terms) -> list[int]:
     return sorted({sub for term in terms for sub in _submasks(term) if sub.bit_count() >= 2})
 
 
-# the 4-segment combine's products: P3 G2, P3 P2 G1, P3 P2 P1 G0, P3 P2 P1 P0
-_FAMILY_TERMS = tuple(_prefix(range(s + 1, 4)) | _g(s) for s in (2, 1, 0)) + (_prefix(range(4)),)
-FAMILY_INPUTS = 7
-MONOMIALS = tuple(_monomials(_FAMILY_TERMS))
-UNIT_WORDS = FAMILY_INPUTS + len(MONOMIALS)  # per lane word: the masks, then the monomials
-
-
-def unit_column(term: int) -> int:
-    """The unit column holding the mask product of `term`: an input's mask
-    for one input, else its monomial."""
-    if term.bit_count() == 1:
-        return term.bit_length() - 1
-    return FAMILY_INPUTS + MONOMIALS.index(term)
-
-
 def _bits(mask: int) -> list[int]:
-    return [i for i in range(FAMILY_INPUTS) if mask >> i & 1]
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 class Gate(NamedTuple):
@@ -264,6 +223,22 @@ def combine_gate(segments: int, with_p: bool) -> Gate:
     low = RADIX - segments
     g = tuple(_prefix(range(s + 1, 4)) | _g(s) for s in range(2, low - 1, -1))
     return _gate((g, (_prefix(range(low, 4)),)) if with_p else (g,))
+
+
+# the dealt unit is the widest gate's: P3 G2, P3 P2 G1, P3 P2 P1 G0 and
+# P3 P2 P1 P0 open all 7 inputs, and every other gate's terms are among its
+# terms' submasks
+FAMILY_INPUTS = len(combine_gate(RADIX, True).inputs)
+MONOMIALS = combine_gate(RADIX, True).monomials
+UNIT_WORDS = FAMILY_INPUTS + len(MONOMIALS)  # per lane word: the masks, then the monomials
+
+
+def unit_column(term: int) -> int:
+    """The unit column holding the mask product of `term`: an input's mask
+    for one input, else its monomial."""
+    if term.bit_count() == 1:
+        return term.bit_length() - 1
+    return FAMILY_INPUTS + MONOMIALS.index(term)
 
 
 # --- tree levels -------------------------------------------------------------
@@ -378,7 +353,7 @@ def and_tree(count: int) -> tuple[Level, ...]:
 
 
 def path_columns(n: int) -> int:
-    """Columns of a tournament's path bits over n rows: one per level, and
+    """Rows of a tournament's path bits over n entries: one per level, and
     one public 1 at n = 1."""
     return max(1, ceil_log2(n))
 
@@ -414,29 +389,14 @@ def _leaf_table(blocks: tuple[int, ...], party: int, cross: bool) -> Table:
                         for j, out in _outputs(blocks)])
 
 
-@dataclass(frozen=True)
-class CarryPlan:
+class CarryPlan(NamedTuple):
     width: int
-    # leaf block widths, lowest positions first
-    blocks: tuple = field(init=False)
+    blocks: tuple  # leaf block widths, lowest positions first
     # per party, the leaf flight's (local, cross) tables: an output's share
     # is its local XOR-of-ANDs, XOR the one-sided ANDs of its cross products
-    leaf: tuple = field(init=False, repr=False)
-    # group sizes per combine level, lowest group first
-    tree: tuple = field(init=False)
-    levels: tuple = field(init=False, repr=False)
-
-    def __post_init__(self):
-        if self.width < 2:
-            raise ValueError("carry plan needs width >= 2")
-        blocks = _choose_blocks(self.width - 1)
-        leaf = tuple(tuple(_leaf_table(blocks, party, cross) for cross in (False, True))
-                     for party in (0, 1))
-        tree = _best_tree(len(blocks), True)[1]
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "leaf", leaf)
-        object.__setattr__(self, "tree", tree)
-        object.__setattr__(self, "levels", tuple(_level(sizes, True) for sizes in tree))
+    leaf: tuple
+    tree: tuple  # group sizes per combine level, lowest group first
+    levels: tuple
 
     @property
     def cross_rows(self) -> int:
@@ -451,4 +411,11 @@ class CarryPlan:
 
 @cache
 def carry_plan(width: int) -> CarryPlan:
-    return CarryPlan(width)
+    if width < 2:
+        raise ValueError("carry plan needs width >= 2")
+    blocks = _choose_blocks(width - 1)
+    tree = _best_tree(len(blocks), True)[1]
+    return CarryPlan(width, blocks,
+                     tuple(tuple(_leaf_table(blocks, party, cross) for cross in (False, True))
+                           for party in (0, 1)),
+                     tree, tuple(_level(sizes, True) for sizes in tree))

@@ -116,22 +116,23 @@ def filter_round(ctx: PartyContext, t_shares: np.ndarray, t_star: np.ndarray,
     """Overwrite the fetched row's sum and the sums of every row it dominates
     with the sentinel, without revealing which rows (or how many) changed.
 
-    path is the fetch's (n, levels) path bits: they AND to 1 at the fetched
-    row only, the lowest-index row attaining s_min.
+    path is the fetch's path bits, rows by level: they AND to 1 at the
+    fetched row only, the lowest-index row attaining s_min.
     """
     n, m = t_shares.shape
 
-    # one fused comparison batch: minimum-vs-sum for every row, then every
-    # mapped cell against the fetched row's cell
-    lhs = np.concatenate([np.broadcast_to(s_min, (n,)), t_shares.ravel()])
-    rhs = np.concatenate([sums, np.tile(t_star, n)])
-    bits = less_than(ctx, lhs, rhs)
-    # dominated: t_star[j] <= t_i[j] on every j and s_min < sums[i], so never
+    # one fused comparison batch, n lanes per flag row: minimum-vs-sum for
+    # every row, then each attribute's mapped cells against the fetched
+    # row's; dense, since padding each row to whole words sends more bytes
+    lhs = np.concatenate([np.broadcast_to(s_min, (n,)), t_shares.T.ravel()])
+    rhs = np.concatenate([sums, np.repeat(t_star, n)])
+    flags = less_than(ctx, lhs, rhs).reshape(m + 1, n)
+    # dominated: s_min < sums[i] and t_star[j] <= t_i[j] on every j, so never
     # a row tied with the minimum, the fetched row included
-    dominance = np.hstack([not_bits(ctx, bits[n:]).reshape(n, m), bits[:n, None]])
-    # each flag column's n bits packed on their own; both AND trees level-locked
-    is_first, is_dominated = and_trees(ctx, [(pack_bits(x.T), and_tree(x.shape[1]))
-                                             for x in (path, dominance)])
+    flags[1:] = not_bits(ctx, flags[1:])
+    # each flag row's n bits packed on their own; both AND trees level-locked
+    is_first, is_dominated = and_trees(ctx, [(pack_bits(x), and_tree(x.shape[0]))
+                                             for x in (path, flags)])
     marked = unpack_bits(is_first ^ is_dominated, n)
 
     sentinel = public_share(ctx, np.uint64(default_vmax(ctx.ring.l)), n)
@@ -150,7 +151,7 @@ def _meters(ctx: PartyContext) -> RandomnessBudget:
     """The session's meters so far, in query_cost's terms."""
     return RandomnessBudget(rounds=ctx.chan.rounds, bytes=ctx.chan.bytes_tx,
                             secext=ctx.meters.secext,
-                            **{kind.budget: getattr(ctx.rand, kind.attr).consumed for kind in KINDS})
+                            **{kind.name: getattr(ctx.rand, kind.attr).consumed for kind in KINDS})
 
 
 def run_query(ctx: PartyContext, p_shares: np.ndarray, q_shares: np.ndarray) -> QueryOutcome:

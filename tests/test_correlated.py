@@ -227,7 +227,7 @@ def test_budget_is_sufficient_for_worst_case_query():
         exact = budget_for_query(n, m, 64, out1.k)
         for rand in (ctx1.rand, ctx2.rand):
             for kind, used in zip(KINDS, rand.cursors()):
-                assert used == getattr(exact, kind.budget) <= getattr(budget, kind.budget)
+                assert used == getattr(exact, kind.name) <= getattr(budget, kind.name)
 
 
 def test_a_pool_one_cross_word_short_fails_without_rows():
@@ -285,7 +285,7 @@ def test_a_pool_dealt_for_two_queries_serves_them_in_either_order():
         rows = [tuple(int(x) for x in row) for row in ring.reduce(out1.rows + out2.rows)]
         assert rows == plaintext_skyline(data, q)
     for rand in rands:
-        assert rand.cursors() == tuple(getattr(budget, kind.budget) for kind in KINDS)
+        assert rand.cursors() == tuple(getattr(budget, kind.name) for kind in KINDS)
         for kind in KINDS:
             with pytest.raises(PoolExhausted):
                 getattr(rand, kind.attr).take(1)
@@ -325,7 +325,7 @@ def _check_pool_file_round_trip(tmp_path, l):
         want = again[party - 1]
         # every part of every kind comes back exactly as the same seed deals it
         for kind in KINDS:
-            count = getattr(budget, kind.budget)
+            count = getattr(budget, kind.name)
             got_parts = getattr(back, kind.attr).take(count)
             want_parts = getattr(want, kind.attr).take(count)
             assert len(got_parts) == len(want_parts) == len(kind.codecs)

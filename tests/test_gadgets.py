@@ -28,7 +28,6 @@ from skyshare.ppa import (
     FAMILY_INPUTS,
     MONOMIALS,
     UNIT_WORDS,
-    CarryPlan,
     and_gate,
     _level,
     and_tree,
@@ -126,11 +125,12 @@ def _brute_tree(count):
 
 
 def test_carry_plan_shape():
-    # l = 8, 11, 13: 3 or 4 blocks and one radix-4 root combine, G only,
+    # l = 8, 10, 11, 12, 13: 4 blocks and one radix-4 root combine, G only,
     # opening P3 P2 P1 and G2 G1 G0; l = 64: 61 blocks, levels of 16, 4, 1
     # groups, all but the top one of 4 segments
     for l, blocks, tree, cross, bits, gates in (
-            (8, (2, 2, 2, 1), ((4,),), 14, 6, 1), (11, (3, 3, 2, 2), ((4,),), 30, 6, 1),
+            (8, (2, 2, 2, 1), ((4,),), 14, 6, 1), (10, (3, 2, 2, 2), ((4,),), 22, 6, 1),
+            (11, (3, 3, 2, 2), ((4,),), 30, 6, 1), (12, (3, 3, 3, 2), ((4,),), 38, 6, 1),
             (13, (3, 3, 3, 3), ((4,),), 46, 6, 1),
             (64, (2, 2) + (1,) * 59, ((4,) * 15 + (1,), (4,) * 4, (4,)), 67, 137, 20)):
         plan = carry_plan(l)
@@ -160,9 +160,9 @@ def test_carry_plan_shape():
         assert gates == sum(j > 1 for sizes in plan.tree for j in sizes), l
         if segments <= 10:
             assert (depth, bits) == _brute_tree(segments), l
-    assert CarryPlan(2).total_and_rows == 1
+    assert carry_plan(2).total_and_rows == 1
     with pytest.raises(ValueError):
-        CarryPlan(1)
+        carry_plan(1)
 
 
 def _ceil_log4(n):
@@ -492,7 +492,7 @@ def _min_oracle(keys):
 
 def _path_winners(path1, path2):
     """Rows whose tournament path bits all reconstruct to 1."""
-    return np.flatnonzero(reconstruct_bits(path1, path2).all(axis=1)).tolist()
+    return np.flatnonzero(reconstruct_bits(path1, path2).all(axis=0)).tolist()
 
 
 def test_min_with_payload_walkthrough(table_example):
@@ -533,7 +533,7 @@ def test_min_with_payload_random_instances(l):
         idx = _min_oracle(keys)
         assert int(reconstruct(ring, m1, m2)[0]) == keys[idx]
         assert reconstruct(ring, pay1[0], pay2[0]).tolist() == payload[idx].tolist()
-        assert path1.shape == path2.shape == (n, max(1, ceil_log2(n)))
+        assert path1.shape == path2.shape == (max(1, ceil_log2(n)), n)
         assert _path_winners(path1, path2) == [idx], (n, keys.tolist())
         assert ctx1.meters.secext == n - 1
         # a level is one comparison and one select round

@@ -123,7 +123,7 @@ def _check_engine_query(engine, data, query):
     assert metrics.rounds == query_rounds(n, m, l, metrics.k), (n, m)
     want = budget_for_query(n, m, l, metrics.k)
     for ctx in engine.last_contexts:
-        assert ctx.rand.cursors() == tuple(getattr(want, kind.budget) for kind in KINDS), (n, m)
+        assert ctx.rand.cursors() == tuple(getattr(want, kind.name) for kind in KINDS), (n, m)
 
 
 @pytest.mark.parametrize("kind", ["inde", "corr", "anti"])
@@ -234,7 +234,7 @@ def _fetch_and_filter(ctx1, ctx2, t, p, s):
     returns the rows the fetch's path bits pick and both parties' new sums."""
     (mn1, ts1, _, path1), (mn2, ts2, _, path2) = run_two(ctx1, ctx2, lambda c: fetch_min(
         c, s[c.party - 1], t[c.party - 1], p[c.party - 1]))
-    winners = np.flatnonzero(reconstruct_bits(path1, path2).all(axis=1)).tolist()
+    winners = np.flatnonzero(reconstruct_bits(path1, path2).all(axis=0)).tolist()
     new = run_two(ctx1, ctx2, lambda c: filter_round(
         c, t[c.party - 1], (ts1, ts2)[c.party - 1], (mn1, mn2)[c.party - 1],
         s[c.party - 1], (path1, path2)[c.party - 1]))
@@ -417,12 +417,12 @@ def test_flight_values_stay_below_the_ring_modulus(monkeypatch):
             assert values.size == count and int(values.max()) < 1 << width, l
 
 
-@pytest.mark.parametrize("field", ["rounds", "bytes", "secext", *(k.budget for k in KINDS)])
+@pytest.mark.parametrize("field", ["rounds", "bytes", "secext", *(k.name for k in KINDS)])
 def test_run_query_names_each_drifted_meter(monkeypatch, field):
     """Drift one meter at every stop opening, identically at both parties
     so the query itself stays exact: run_query refuses the session and
     names that meter and no other."""
-    pools = {kind.budget: kind.attr for kind in KINDS}
+    pools = {kind.name: kind.attr for kind in KINDS}
     open_bit = protocol.open_bit
 
     def drifting(ctx, bit):

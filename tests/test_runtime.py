@@ -1,3 +1,4 @@
+import queue
 import socket
 import struct
 import threading
@@ -121,6 +122,12 @@ def test_local_channel_round_and_kind_discipline():
     c1, c2 = LocalChannel.pair(8)
     with pytest.raises(FrameError, match="peer flight of [45] bytes, ours has [45]"):
         run_pair((lambda: c1.exchange(b"alpha"), c1), (lambda: c2.exchange(b"beta"), c2))
+
+    # a frame of another session is refused
+    q12, q21 = queue.SimpleQueue(), queue.SimpleQueue()
+    c1, c2 = LocalChannel(q12, q21, 7), LocalChannel(q21, q12, 8)
+    with pytest.raises(FrameError, match="session mismatch"):
+        run_pair((lambda: c1.exchange(b"x"), c1), (lambda: c2.exchange(b"y"), c2))
 
 
 def test_poisoned_peer_unblocks():
@@ -409,8 +416,9 @@ def test_stalled_peer_aborts_the_session_and_frees_the_server(party, capsys):
 
 def test_an_unclaimed_peer_link_is_closed_and_dropped(capsys):
     """A fake party 1 binds a peer link to a session that no client opens:
-    party 2 closes the link after the handshake timeout and forgets it, and
-    the threads of finished connections are not kept."""
+    a second link for that session is closed at once, party 2 closes the
+    first after the handshake timeout and forgets it, and the threads of
+    finished connections are not kept."""
     l = 16
     ring = Ring(l)
     shares, _ = share_matrix(np.array([[3, 1], [1, 3]]), np.random.default_rng(0), ring)
@@ -421,6 +429,14 @@ def test_an_unclaimed_peer_link_is_closed_and_dropped(capsys):
     try:
         with socket.create_connection(peer_addr(server), timeout=5.0) as link:
             runtime._write_peer_hello(link, 99, l, 1, FRESH)
+            deadline = time.monotonic() + 5.0
+            while 99 not in server._pending_peers and time.monotonic() < deadline:
+                time.sleep(0.01)
+            with socket.create_connection(peer_addr(server), timeout=5.0) as second:
+                runtime._write_peer_hello(second, 99, l, 1, FRESH)
+                assert second.recv(1) == b""
+            assert "session 99 already has one" in _server_lines(capsys, "already has one", 1)
+            assert 99 in server._pending_peers  # the first link is still parked
             assert link.recv(1) == b""  # closed by the server, not left open
         assert "server 2: dropped the peer link of session 99" in _server_lines(
             capsys, "dropped the peer link", 1)
@@ -528,7 +544,7 @@ def test_a_burn_past_the_pool_end_aborts_cleanly(capsys):
         read_bounded_frame(client, HELLO)  # the server hello
         link = socket.create_connection(peer_addr(server), timeout=5.0)
         held.append(link)
-        beyond = tuple(getattr(budget, kind.budget) + 1 for kind in KINDS)
+        beyond = tuple(getattr(budget, kind.name) + 1 for kind in KINDS)
         runtime._write_peer_hello(link, session, l, 1, beyond)
         write_frame(client, KIND_QUERY, session,
                     runtime._encode_query_payload(l, np.zeros(2, np.uint64)))
