@@ -224,9 +224,7 @@ class TcpChannel(ChannelBase):
         return read_body(self._sock, max_payload)
 
     def close(self):
+        """Stop the writer once it has sent every queued frame.  The socket
+        stays open: its owner closes it, after this returns."""
         self._outq.put(None)
         self._writer.join(timeout=5)
-        try:
-            self._sock.close()
-        except OSError:
-            pass

@@ -1,13 +1,13 @@
 """Role execution: the in-process two-party engine and the TCP server/client.
 
-Both transports run the same protocol code; only the channel differs.  The
-client talks to each server with hello/query/result frames (the server's
-hello publishes the session parameters the client checks its query
-against before sharing it); the servers talk to
-each other with round-data/open-bit frames plus one unmetered hello frame
-each way that binds a peer connection to a session and carries the
-sender's pool cursors (metrics cover protocol flights only, so in-process
-and TCP sessions report identical numbers).
+Both transports run each party through one runner (_run_party); only the
+channel differs.  The client talks to each server with hello/query/result
+frames (the server's hello publishes the session parameters the client
+checks its query against before sharing it).  The servers talk over one
+peer link per session, which Server._handle_client owns: one unmetered
+hello each way binds it to the session and carries the sender's pool
+cursors, then round-data/open-bit frames follow (metrics cover protocol
+flights only, so in-process and TCP sessions report identical numbers).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .channel import (
     read_bounded_frame,
     write_frame,
 )
-from .correlated import KINDS, PartyRandomness, PoolExhausted, deal_streaming, read_pool_file
+from .correlated import KINDS, PartyRandomness, deal_streaming, read_pool_file
 from .metering import MODE_DABIT, SessionMetrics, check_mode
 from .online import PartyContext
 from .protocol import check_domain, check_query, ring_width, run_query
@@ -161,6 +161,24 @@ def _decode_result(payload: bytes, l: int, m: int) -> np.ndarray:
     return values.reshape(k, m)
 
 
+def _run_party(party: int, ring: Ring, chan, rand: PartyRandomness, shares: np.ndarray,
+               q_share: np.ndarray, session: int):
+    """Run one party's half of a session on chan; returns its context, its
+    outcome and its metrics, timed around run_query."""
+    ctx = PartyContext(party, ring, chan, rand)
+    started = time.perf_counter()
+    outcome = run_query(ctx, shares, q_share)
+    wall_ms = (time.perf_counter() - started) * 1000.0
+    return ctx, outcome, SessionMetrics.of_party(session, ctx, shares.shape, outcome.k, wall_ms)
+
+
+def _merge(ring: Ring, rows1: np.ndarray, rows2: np.ndarray) -> list[tuple[int, ...]]:
+    """Reconstruct the result rows from the two parties' shares of them."""
+    if rows1.shape != rows2.shape:
+        raise FrameError("the parties disagree on the result size")
+    return [tuple(int(x) for x in row) for row in ring.reduce(rows1 + rows2)]
+
+
 class LocalEngine:
     """Owner, dealer, both servers and the client folded into one process.
 
@@ -203,27 +221,26 @@ class LocalEngine:
         q1, q2 = share_matrix(q_arr[None, :], np.random.default_rng(client_seed), self.ring)
         session_id = self._sessions
         chan1, chan2 = LocalChannel.pair(session_id, self.latency_s)
-        ctx1 = PartyContext(1, self.ring, chan1, rand1)
-        ctx2 = PartyContext(2, self.ring, chan2, rand2)
-        started = time.perf_counter()
-        out1, out2 = run_pair(
-            (lambda: run_query(ctx1, self.p1_shares, q1[0]), chan1),
-            (lambda: run_query(ctx2, self.p2_shares, q2[0]), chan2),
+        (ctx1, out1, metrics), (ctx2, out2, _) = run_pair(
+            (lambda: _run_party(1, self.ring, chan1, rand1, self.p1_shares, q1[0], session_id), chan1),
+            (lambda: _run_party(2, self.ring, chan2, rand2, self.p2_shares, q2[0], session_id), chan2),
         )
-        wall_ms = (time.perf_counter() - started) * 1000.0
-        if out1.k != out2.k:
-            raise FrameError("parties disagree on the result size")
-        merged = self.ring.reduce(out1.rows + out2.rows)
-        rows = [tuple(int(x) for x in row) for row in merged]
         self.last_contexts = (ctx1, ctx2)
-        return rows, SessionMetrics.of_party(session_id, ctx1, (self.n, self.m), out1.k, wall_ms)
+        return _merge(self.ring, out1.rows, out2.rows), metrics
 
 
 # --- TCP roles ---------------------------------------------------------------
 
 
 class Server:
-    """One cloud server: answers client query sessions against its share."""
+    """One cloud server: answers client query sessions against its share.
+
+    Every session takes one path, _handle_client: the client's hello and
+    query, one handshake on a peer link that a `with` there owns (party 1
+    dials and writes its hello, party 2 claims the link party 1 parked and
+    acks), a burn of each pool to the larger cursor, and _run_session,
+    which records the session's metrics in self.completed.
+    """
 
     def __init__(self, party: int, listen: str, peer: str, shares: np.ndarray,
                  rand: PartyRandomness, l: int, latency_ms: float = 1.0,
@@ -319,7 +336,6 @@ class Server:
             print(f"server {self.party}: rejected peer link: {exc}", flush=True)
             conn.close()
             return
-        deadline = time.monotonic() + self.handshake_timeout
         with self._peer_ready:
             if session in self._pending_peers:
                 print(f"server {self.party}: rejected peer link: session {session} "
@@ -328,88 +344,49 @@ class Server:
                 return
             parked = self._pending_peers[session] = conn, cursors
             self._peer_ready.notify_all()
-            while self._pending_peers.get(session) is parked:  # until a session claims it
-                remaining = deadline - time.monotonic()
-                if remaining <= 0 or self._stop.is_set():
-                    del self._pending_peers[session]
-                    print(f"server {self.party}: dropped the peer link of session {session}: "
-                          f"no client claimed it", flush=True)
-                    conn.close()
-                    return
-                self._peer_ready.wait(remaining)
+            self._peer_ready.wait_for(  # until a session claims it
+                lambda: self._pending_peers.get(session) is not parked or self._stop.is_set(),
+                self.handshake_timeout)
+            if self._pending_peers.get(session) is parked:
+                del self._pending_peers[session]
+                print(f"server {self.party}: dropped the peer link of session {session}: "
+                      f"no client claimed it", flush=True)
+                conn.close()
 
     def _wait_peer(self, session: int) -> tuple[socket.socket, tuple]:
-        deadline = time.monotonic() + self.handshake_timeout
+        """Claim session's parked peer link; returns it and the peer's cursors."""
         with self._peer_ready:
-            while session not in self._pending_peers:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0 or self._stop.is_set():
-                    raise FrameError(f"peer link for session {session} never arrived")
-                self._peer_ready.wait(remaining)
+            self._peer_ready.wait_for(
+                lambda: session in self._pending_peers or self._stop.is_set(),
+                self.handshake_timeout)
+            if session not in self._pending_peers:
+                raise FrameError(f"peer link for session {session} never arrived")
             self._peer_ready.notify_all()  # wakes the link's parking thread
             return self._pending_peers.pop(session)
 
-    def _dial_peer(self, session: int) -> tuple[socket.socket, tuple]:
-        """Open the per-session peer link and wait for the peer's commit;
-        returns the link and the peer's pool cursors.
-
-        No correlated randomness is touched before the acknowledgement comes
-        back, so a session the peer never joins (its client half went
-        missing) aborts with both servers' pool cursors where they were.  The
-        handshake timeout stays the deadline of every read on the link, so a
-        peer that stalls mid-session aborts it and frees the execution lock.
-        """
-        sock = socket.create_connection(self.peer_addr, timeout=self.handshake_timeout)
+    def _run_session(self, link: socket.socket, session: int, q_share: np.ndarray):
+        """Run one session on a peer link the caller closes; its metrics go to
+        self.completed, which keeps the COMPLETED_KEPT most recent."""
+        chan = TcpChannel(link, session, self.latency_s)
         try:
-            _write_peer_hello(sock, session, self.ring.l, self.party, self.rand.cursors())
-            acked, cursors = _read_peer_hello(sock, self.ring.l, 2)
-            if acked != session:
-                raise FrameError("peer acknowledged another session")
-        except (FrameError, OSError):
-            sock.close()
-            raise
-        return sock, cursors
-
-    def _run_aligned(self, peer_conn: socket.socket, session: int, q_share: np.ndarray,
-                     peer_cursors: tuple):
-        """Burn each pool forward to the peer's cursor, then run the session.
-
-        Both servers burn to the larger cursor of each kind, so a session
-        that aborted after either side consumed randomness leaves the next
-        one aligned.  A burn past the end of a pool aborts with PoolExhausted.
-        A completed session's metrics go to self.completed, which keeps the
-        COMPLETED_KEPT most recent.
-        """
-        try:
-            self.rand.burn_to(peer_cursors)
-        except PoolExhausted:
-            peer_conn.close()
-            raise
-        outcome, metrics = self._run_session(peer_conn, session, q_share)
-        self.completed.append(metrics)
-        del self.completed[:-COMPLETED_KEPT]
-        return outcome
-
-    def _run_session(self, peer_conn: socket.socket, session: int, q_share: np.ndarray):
-        chan = TcpChannel(peer_conn, session, self.latency_s)
-        started = time.perf_counter()
-        try:
-            ctx = PartyContext(self.party, self.ring, chan, self.rand)
-            outcome = run_query(ctx, self.shares, q_share)
+            _, outcome, metrics = _run_party(self.party, self.ring, chan, self.rand,
+                                             self.shares, q_share, session)
         finally:
             chan.close()
-        wall_ms = (time.perf_counter() - started) * 1000.0
-        return outcome, SessionMetrics.of_party(session, ctx, self.shares.shape, outcome.k, wall_ms)
+        self.completed.append(metrics)
+        del self.completed[:-COMPLETED_KEPT]
+        return outcome, metrics
 
     def _handle_client(self, conn: socket.socket):
+        """Serve one client session: hello, query, handshake, session, result."""
         session = -1
         n, m = self.shares.shape
         try:
-            write_frame(conn, KIND_HELLO, 0, _encode_server_hello(self.ring.l, m, n))
             try:
+                write_frame(conn, KIND_HELLO, 0, _encode_server_hello(self.ring.l, m, n))
                 kind, session, payload = read_bounded_frame(
                     conn, _HEAD.size + m * value_width_bytes(self.ring.l))
-            except ConnectionClosed:  # e.g. tcp_query refused the query itself
+            except (ConnectionClosed, ConnectionError):  # e.g. tcp_query refused the query itself
                 print(f"server {self.party}: client left without a query", flush=True)
                 return
             except FrameError as exc:  # torn, or longer than a query can be
@@ -420,16 +397,23 @@ class Server:
             q_share = _decode_query_payload(payload, self.ring.l)
             if q_share.size != m:
                 raise FrameError(f"query has {q_share.size} attributes, database has {m}")
-            if self.party == 1:
-                with self._exec_lock:
-                    peer_conn, peer_cursors = self._dial_peer(session)
-                    outcome = self._run_aligned(peer_conn, session, q_share, peer_cursors)
-            else:
-                peer_conn, peer_cursors = self._wait_peer(session)
-                with self._exec_lock:
-                    _write_peer_hello(peer_conn, session, self.ring.l, self.party,
-                                      self.rand.cursors())
-                    outcome = self._run_aligned(peer_conn, session, q_share, peer_cursors)
+            if self.party == 2:  # outside the lock: a link that never comes holds up no other
+                link, peer_cursors = self._wait_peer(session)
+            with self._exec_lock:
+                if self.party == 1:  # under the lock: the hello carries the last session's cursors
+                    link = socket.create_connection(self.peer_addr, timeout=self.handshake_timeout)
+                with link:  # the handshake timeout stays the deadline of every read on it
+                    # party 1's hello, then party 2's ack.  No randomness is touched before
+                    # the ack: a session the peer never joins leaves both cursors as they were
+                    _write_peer_hello(link, session, self.ring.l, self.party, self.rand.cursors())
+                    if self.party == 1:
+                        acked, peer_cursors = _read_peer_hello(link, self.ring.l, 2)
+                        if acked != session:
+                            raise FrameError("peer acknowledged another session")
+                    # both burn to the larger cursor of each kind, so a session that aborted
+                    # after either side consumed randomness leaves the next one aligned
+                    self.rand.burn_to(peer_cursors)  # past a pool's end: PoolExhausted
+                    outcome, _ = self._run_session(link, session, q_share)
             write_frame(conn, KIND_RESULT, session, _encode_result(outcome.rows, self.ring.l))
         except (FrameError, OSError, ValueError, RuntimeError) as exc:
             print(f"server {self.party}: session {session} aborted: {exc}", flush=True)
@@ -492,9 +476,4 @@ def tcp_query(servers: list[str], q, l: int | None = None, seed: int | None = No
     finally:
         for sock in socks:
             sock.close()
-    rows1 = _decode_result(results[0], ring_l, m)
-    rows2 = _decode_result(results[1], ring_l, m)
-    if rows1.shape != rows2.shape:
-        raise FrameError("servers disagree on the result size")
-    merged = ring.reduce(rows1 + rows2)
-    return [tuple(int(x) for x in row) for row in merged]
+    return _merge(ring, *(_decode_result(payload, ring_l, m) for payload in results))

@@ -444,7 +444,8 @@ def test_an_unclaimed_peer_link_is_closed_and_dropped(capsys):
         accept = server._threads[0]
         for _ in range(4):  # clients that leave at once, one after another
             socket.create_connection(("127.0.0.1", server.port), timeout=5.0).close()
-            _server_lines(capsys, "client left without a query", 1)
+            assert "server 2: client left without a query" in _server_lines(
+                capsys, "client left without a query", 1)
             for t in server._threads[1:]:
                 t.join(timeout=5.0)
         assert server._threads[0] is accept and len(server._threads) == 2
@@ -555,6 +556,86 @@ def test_a_burn_past_the_pool_end_aborts_cleanly(capsys):
     finally:
         for sock in held:
             sock.close()
+        server.stop()
+
+
+def _lone_server(party, peer_port=0, handshake_timeout=5.0):
+    """A started l = 16 server over three rows, with streaming pools, whose
+    peer a test fakes (party 1 dials peer_port)."""
+    ring = Ring(16)
+    shares, _ = share_matrix(np.array([[3, 1], [1, 3], [2, 2]]), np.random.default_rng(0), ring)
+    rand, _ = deal_streaming(ring, 1)
+    server = Server(party, "127.0.0.1:0", f"127.0.0.1:{peer_port}", shares, rand, 16,
+                    latency_ms=0.0, handshake_timeout=handshake_timeout)
+    server.start()
+    return server
+
+
+def _send_query(server, session):
+    """A fake client: read the server hello and send a zero query share."""
+    client = socket.create_connection(("127.0.0.1", server.port), timeout=5.0)
+    read_bounded_frame(client, HELLO)
+    write_frame(client, KIND_QUERY, session, runtime._encode_query_payload(16, np.zeros(2, np.uint64)))
+    return client
+
+
+def test_a_client_that_resets_before_its_query_left_without_one(capsys):
+    """A client that closes with a reset (SO_LINGER (1, 0)) instead of a FIN,
+    after the server hello or before reading it, is logged as a client
+    that left without a query, not as an aborted session."""
+    server = _lone_server(2)
+    try:
+        for read_hello in (True, False, True, False):
+            client = socket.create_connection(("127.0.0.1", server.port), timeout=5.0)
+            if read_hello:
+                read_bounded_frame(client, HELLO)
+            client.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            client.close()
+        out = _server_lines(capsys, "client left without a query", 4)
+        assert out.count("server 2: client left without a query") == 4
+        assert "aborted" not in out
+    finally:
+        server.stop()
+
+
+def test_party_1_refuses_an_ack_for_another_session(capsys):
+    """A fake party 2 acks another session with cursors ahead of party 1's:
+    party 1 aborts before any burn, closes the link and lets the client go
+    without a result."""
+    session = 51
+    with socket.create_server(("127.0.0.1", 0)) as dialled:
+        server = _lone_server(1, dialled.getsockname()[1])
+        before = server.rand.cursors()
+        try:
+            dialled.settimeout(5.0)
+            with _send_query(server, session) as client, dialled.accept()[0] as link:
+                link.settimeout(5.0)
+                assert runtime._read_peer_hello(link, 16, 1) == (session, before)
+                runtime._write_peer_hello(link, session + 1, 16, 2, (7,) * len(KINDS))
+                out = _server_lines(capsys, f"session {session} aborted", 1)
+                assert (f"server 1: session {session} aborted: "
+                        "peer acknowledged another session") in out
+                assert link.recv(1) == b"" and client.recv(1) == b""
+            assert server.rand.cursors() == before
+        finally:
+            server.stop()
+
+
+def test_party_2_aborts_a_query_whose_peer_link_never_arrives(capsys):
+    """No party 1 parks a link for the session within the handshake timeout:
+    party 2 aborts it, lets the client go without a result and touches no
+    pool."""
+    session = 61
+    server = _lone_server(2, handshake_timeout=0.5)
+    before = server.rand.cursors()
+    try:
+        with _send_query(server, session) as client:
+            out = _server_lines(capsys, f"session {session} aborted", 1)
+            assert (f"server 2: session {session} aborted: "
+                    f"peer link for session {session} never arrived") in out
+            assert client.recv(1) == b""
+        assert server.rand.cursors() == before
+    finally:
         server.stop()
 
 
