@@ -4,7 +4,8 @@ The carry circuit and the flag logic run over large batches of independent
 bit operations; packing the batch dimension turns each logical AND/XOR level
 into a handful of word ops.  Convention: lane i of a vector lives at bit
 (i % 64) of word (i // 64), LSB first, matching numpy's little bitorder.
-Tail bits past the logical length are kept at zero.
+Tail bits past the logical length are kept at zero.  A flight of rows of
+up to 64 lanes goes out as each word's low wire_dtype(lanes) bytes.
 """
 
 from __future__ import annotations
@@ -12,10 +13,27 @@ from __future__ import annotations
 import numpy as np
 
 WORD_BITS = 64
+_NARROW = tuple(np.dtype(t) for t in ("u1", "<u2", "<u4"))
+_WORD = np.dtype("<u8")
 
 
 def words_for(nbits: int) -> int:
     return (nbits + WORD_BITS - 1) // WORD_BITS
+
+
+def wire_dtype(lanes: int) -> np.dtype:
+    """The narrowest unsigned type holding a row's lanes: 1, 2 or 4 bytes for
+    up to 8, 16 or 32 lanes, a whole word otherwise.  Every gate works lane
+    by lane, so a flight need not send the lanes past a row's own."""
+    for dtype in _NARROW:
+        if lanes <= 8 * dtype.itemsize:
+            return dtype
+    return _WORD
+
+
+def row_bytes(lanes: int) -> int:
+    """Bytes a packed row of `lanes` lanes takes on the wire."""
+    return wire_dtype(lanes).itemsize * words_for(lanes)
 
 
 def pack_bits(bits: np.ndarray) -> np.ndarray:

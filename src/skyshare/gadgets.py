@@ -29,10 +29,12 @@ from .online import (
 from .ppa import Table, carry_plan, pair_levels, path_columns
 
 
-def _leaf_blocks(ctx: PartyContext, lanes: np.ndarray, local: Table, cross: Table) -> np.ndarray:
+def _leaf_blocks(ctx: PartyContext, lanes: np.ndarray, n: int, local: Table, cross: Table
+                 ) -> np.ndarray:
     """Shares of every leaf block's G, then of the P of every block above the
-    lowest, from one flight of one-sided ANDs of the cross products."""
-    return cross.xors(and_one_sided(ctx, cross.ands(lanes))) ^ local(lanes)
+    lowest, from one flight of one-sided ANDs of the cross products, rows of
+    n lanes."""
+    return cross.xors(and_one_sided(ctx, cross.ands(lanes), n)) ^ local(lanes)
 
 
 def less_than(ctx: PartyContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -44,8 +46,8 @@ def less_than(ctx: PartyContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     lanes = bits_of_values((a - b).ravel(), l)  # (l, words); reads the low l bits only
     plan = carry_plan(l)
     # rows: each segment's G, then the P of each segment above the lowest
-    gp = _leaf_blocks(ctx, lanes, *plan.leaf[ctx.party - 1])
-    (carry,) = and_trees(ctx, [(gp, plan.levels)])
+    gp = _leaf_blocks(ctx, lanes, n, *plan.leaf[ctx.party - 1])
+    (carry,) = and_trees(ctx, [(gp, plan.levels)], n)
     out = lanes[l - 1] ^ carry
     ctx.meters.secext += n
     return unpack_bits(out, n).reshape(a.shape)

@@ -18,7 +18,9 @@ trees, the one-flight select with one opened value per product) is
 encoded here and nowhere else.  A comparison's leaf flight comes from
 ppa's carry plan, and every AND tree's levels, bits sent and gate units are
 read off the compiled levels that online.and_level runs (ppa.tree_cost):
-nothing here restates a plan.
+nothing here restates a plan.  A packed row of a batch of `lanes` lanes
+goes out as bitpack.row_bytes(lanes) bytes, the low bytes of each word,
+while every dealt unit still covers a whole 64-lane word.
 
 Functions that still take a `mode` accept only MODE_DABIT, the one
 bit-by-value multiplication the protocol has.
@@ -29,7 +31,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
-from .bitpack import words_for
+from .bitpack import row_bytes, words_for
 from .ppa import and_tree, carry_plan, pair_levels, path_columns, tree_cost
 from .sharing import value_width_bytes
 
@@ -79,24 +81,25 @@ class RandomnessBudget:
         return RandomnessBudget(*(value * times for value in vars(self).values()))
 
 
-def trees_cost(trees: list[tuple], words: int) -> RandomnessBudget:
-    """Compiled AND trees run level-locked over rows of `words` packed words
-    (online.and_trees): a flight per level of the deepest tree, a word (8
-    bytes) sent per gate input opened and a gate unit per gate, per word."""
+def trees_cost(trees: list[tuple], lanes: int) -> RandomnessBudget:
+    """Compiled AND trees run level-locked over packed rows of `lanes` lanes
+    (online.and_trees): a flight per level of the deepest tree, a row
+    (row_bytes(lanes) bytes) sent per gate input opened and a gate unit per
+    gate, per word."""
     levels, bits, units = zip(*map(tree_cost, trees))
-    return RandomnessBudget(rounds=max(levels), bytes=8 * words * sum(bits),
-                            bin_words=words * sum(units))
+    return RandomnessBudget(rounds=max(levels), bytes=row_bytes(lanes) * sum(bits),
+                            bin_words=words_for(lanes) * sum(units))
 
 
 def msb_cost(batch: int, l: int) -> RandomnessBudget:
     """One batched comparison of `batch` pairs, rows packed 64 lanes a word:
-    one flight with a cross word (8 bytes, its masked operand) per one-sided
-    AND row of the leaf blocks, then the carry plan's combine tree."""
+    one flight with a cross word per one-sided AND row of the leaf blocks,
+    each row's masked operand sent as row_bytes(batch) bytes, then the carry
+    plan's combine tree."""
     plan = carry_plan(l)
-    words = words_for(batch)
-    cross = plan.cross_rows * words
-    return (RandomnessBudget(rounds=1, bytes=8 * cross, secext=batch, cross_words=cross)
-            + trees_cost([plan.levels], words))
+    return (RandomnessBudget(rounds=1, bytes=row_bytes(batch) * plan.cross_rows, secext=batch,
+                             cross_words=words_for(batch) * plan.cross_rows)
+            + trees_cost([plan.levels], batch))
 
 
 def select_cost(batch: int, width: int, l: int) -> RandomnessBudget:
@@ -132,7 +135,7 @@ def filt_cost(n: int, m: int, l: int, mode: str) -> RandomnessBudget:
     # bits running level-locked with the one over the m+1 dominance rows,
     # each row's n bits packed on their own; then one overwrite
     check_mode(mode)
-    flags = trees_cost([and_tree(path_columns(n)), and_tree(m + 1)], words_for(n))
+    flags = trees_cost([and_tree(path_columns(n)), and_tree(m + 1)], n)
     return msb_cost(n * (m + 1), l) + flags + select_cost(n, 1, l)
 
 

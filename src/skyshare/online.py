@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bitpack import wire_dtype
 from .channel import KIND_OPEN_BIT, ChannelBase
 from .correlated import PartyRandomness
 from .ppa import Level
@@ -57,28 +58,40 @@ def open_bit(ctx: PartyContext, bit_share: int) -> int:
     return (bit_share ^ got[0]) & 1
 
 
-def and_one_sided(ctx: PartyContext, mine: np.ndarray) -> np.ndarray:
-    """XOR shares of x AND y over packed words, where party 1 holds x in the
-    clear and party 2 holds y, each passing its own operand as mine.
+def exchange_rows(ctx: PartyContext, flight: np.ndarray, lanes: int) -> np.ndarray:
+    """Swap a flight of packed words of rows of `lanes` lanes with the peer,
+    each word sent as its low wire_dtype(lanes) bytes: row_bytes(lanes) a
+    row.  Returns the peer's flight in that narrow type; numpy zero-extends
+    it against uint64 rows, and the lanes left out are never read."""
+    wire = wire_dtype(lanes)
+    return np.frombuffer(ctx.chan.exchange(flight.astype(wire, copy=False).tobytes()), dtype=wire)
+
+
+def and_one_sided(ctx: PartyContext, mine: np.ndarray, lanes: int) -> np.ndarray:
+    """XOR shares of x AND y over packed rows of `lanes` lanes, where party 1
+    holds x in the clear and party 2 holds y, each passing its own operand
+    as mine.
 
     The dealer gives party 1 a mask r, party 2 a mask s, and XOR shares
     w1 ^ w2 = r & s.  Party 1 sends x ^ r and party 2 sends y ^ s, each
     uniform under its fresh mask; then x & (y ^ s) ^ w1 and (x ^ r) & s ^ w2
-    XOR to x & y.  One word sent per 64 products.
+    XOR to x & y.  The masked rows go out through exchange_rows.
     """
     n = mine.size
     mask, w = ctx.rand.cross.take(n)
     x = mine.reshape(n)
-    peer = np.frombuffer(ctx.chan.exchange((x ^ mask).tobytes()), dtype="<u8")
+    peer = exchange_rows(ctx, x ^ mask, lanes)
     z = (x if ctx.is_p1 else mask) & peer
     z ^= w
     return z.reshape(mine.shape)
 
 
-def and_level(ctx: PartyContext, levels: list[tuple[np.ndarray, Level]]) -> list[np.ndarray]:
-    """One compiled tree level (ppa.Level) for each (rows, level), rows
-    packed as (rows, words): one unit take and one flight for every gate of
-    every level, then one table per level.  Returns each level's next rows.
+def and_level(ctx: PartyContext, levels: list[tuple[np.ndarray, Level]], lanes: int
+              ) -> list[np.ndarray]:
+    """One compiled tree level (ppa.Level) for each (rows, level), rows of
+    `lanes` lanes packed as (rows, words): one unit take and one flight
+    (exchange_rows) for every gate of every level, then one table per
+    level.  Returns each level's next rows.
 
     Each gate word takes one dealt unit: masks a_i and shares of their
     monomials.  A party sends e_i = x_i ^ a_i for the rows its levels open,
@@ -96,7 +109,7 @@ def and_level(ctx: PartyContext, levels: list[tuple[np.ndarray, Level]]) -> list
         shares.append(a)
         sent.append(x[level.opened] ^ a[:level.opened.size])
     flight = np.concatenate([e.ravel() for e in sent]) if len(sent) > 1 else sent[0].ravel()
-    peer = np.frombuffer(ctx.chan.exchange(flight.tobytes()), dtype="<u8")
+    peer = exchange_rows(ctx, flight, lanes)
     out = []
     at = 0
     for (x, level), a, e in zip(levels, shares, sent):
@@ -106,15 +119,16 @@ def and_level(ctx: PartyContext, levels: list[tuple[np.ndarray, Level]]) -> list
     return out
 
 
-def and_trees(ctx: PartyContext, trees: list[tuple[np.ndarray, tuple[Level, ...]]]
+def and_trees(ctx: PartyContext, trees: list[tuple[np.ndarray, tuple[Level, ...]]], lanes: int
               ) -> list[np.ndarray]:
-    """Run AND trees level-locked over packed rows, (rows, words) each: at
-    every depth the levels of every tree that still has one run as one
-    and_level.  Returns each tree's first row."""
+    """Run AND trees level-locked over packed rows of `lanes` lanes, (rows,
+    words) each: at every depth the levels of every tree that still has one
+    run as one and_level.  Returns each tree's first row."""
     rows = [x for x, _ in trees]
     for depth in range(max(len(levels) for _, levels in trees)):
         live = [i for i, (_, levels) in enumerate(trees) if depth < len(levels)]
-        for i, nxt in zip(live, and_level(ctx, [(rows[i], trees[i][1][depth]) for i in live])):
+        for i, nxt in zip(live, and_level(ctx, [(rows[i], trees[i][1][depth]) for i in live],
+                                         lanes)):
             rows[i] = nxt
     return [x[0] for x in rows]
 

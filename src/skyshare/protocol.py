@@ -132,7 +132,7 @@ def filter_round(ctx: PartyContext, t_shares: np.ndarray, t_star: np.ndarray,
     flags[1:] = not_bits(ctx, flags[1:])
     # each flag row's n bits packed on their own; both AND trees level-locked
     is_first, is_dominated = and_trees(ctx, [(pack_bits(x), and_tree(x.shape[0]))
-                                             for x in (path, flags)])
+                                             for x in (path, flags)], n)
     marked = unpack_bits(is_first ^ is_dominated, n)
 
     sentinel = public_share(ctx, np.uint64(default_vmax(ctx.ring.l)), n)

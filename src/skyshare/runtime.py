@@ -38,7 +38,7 @@ from .protocol import check_domain, check_query, ring_width, run_query
 from .ring import Ring, default_vmax
 from .sharing import decode_values, encode_values, read_share_file, share_matrix, value_width_bytes
 
-PROTOCOL_VERSION = 5
+PROTOCOL_VERSION = 6
 # version, ring width, attribute count: a query's head
 _HEAD = struct.Struct("<BBH")
 # the query head's fields, then the row count n: the server hello

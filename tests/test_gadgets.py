@@ -11,7 +11,15 @@ from conftest import (
     share_pair,
 )
 
-from skyshare.bitpack import bits_of_values, pack_bits, unpack_bits, words_for
+from skyshare import gadgets
+from skyshare.bitpack import (
+    bits_of_values,
+    pack_bits,
+    row_bytes,
+    unpack_bits,
+    wire_dtype,
+    words_for,
+)
 from skyshare.correlated import StreamPool
 from skyshare.gadgets import less_than, min_with_payload
 from skyshare.metering import msb_cost, query_rounds, select_cost
@@ -241,7 +249,7 @@ def test_and_level_truth_tables_and_masked_flights():
     peeked = [ctx.rand.bin.take(4 * groups)[0].copy() for ctx in (ctx1, ctx2)]
     for ctx, unit in zip((ctx1, ctx2), peeked):
         ctx.rand.bin = StreamPool((unit,))
-    z1, z2 = run_two(ctx1, ctx2, lambda c: and_level(c, shares[c.party]))
+    z1, z2 = run_two(ctx1, ctx2, lambda c: and_level(c, shares[c.party], lanes.size))
     for a, b, w in zip(z1, z2, want):
         assert a.shape == (len(w), 4)
         assert (np.array([unpack_bits(row, 256) for row in a ^ b]) == w).all()
@@ -301,13 +309,109 @@ def test_and_one_sided_every_input_pair_and_masked_flights():
     ctx1, ctx2 = session_pair(l=8, seed=41, record=True)
     for ctx, parts in ((ctx1, (r, w1)), (ctx2, (s, (r & s) ^ w1))):
         ctx.rand.cross = StreamPool(parts)
-    z1, z2 = run_two(ctx1, ctx2, lambda c: and_one_sided(c, x if c.party == 1 else y))
+    z1, z2 = run_two(ctx1, ctx2, lambda c: and_one_sided(c, x if c.party == 1 else y, 128))
     assert (z1 ^ z2 == x & y).all()
     assert (unpack_bits(x & y, 128) == np.array([0, 0, 0, 1] * 32)).all()
     sent_by_2 = np.frombuffer(ctx1.chan.flights[0][1], dtype="<u8")
     sent_by_1 = np.frombuffer(ctx2.chan.flights[0][1], dtype="<u8")
     assert (sent_by_1 == x ^ r).all() and (sent_by_2 == y ^ s).all()
     assert ctx1.chan.rounds == 1 and ctx1.chan.bytes_tx == ctx2.chan.bytes_tx == 16
+
+
+WIRE_LANES = [1, 7, 8, 9, 16, 17, 32, 33, 63, 64, 65, 130]
+
+
+def _random_words(rng, *shape):
+    return rng.integers(0, 2**64, size=shape, dtype=np.uint64)
+
+
+@pytest.mark.parametrize("lanes", WIRE_LANES)
+def test_and_one_sided_sends_the_low_bytes_of_its_lanes(lanes):
+    """Operands with random bits in every lane, the lanes past `lanes`
+    included: the used lanes of the shares XOR to x AND y, and each party's
+    flight is its rows XOR their masks, each word's low wire_dtype(lanes)
+    bytes, row_bytes(lanes) a row."""
+    rng = np.random.default_rng(lanes)
+    rows, words = 3, words_for(lanes)
+    x, y, r, s, w1 = _random_words(rng, 5, rows, words)
+    ctx1, ctx2 = session_pair(l=8, seed=lanes, record=True)
+    for ctx, parts in ((ctx1, (r, w1)), (ctx2, (s, (r & s) ^ w1))):
+        ctx.rand.cross = StreamPool(part.ravel() for part in parts)
+    z1, z2 = run_two(ctx1, ctx2, lambda c: and_one_sided(c, x if c.party == 1 else y, lanes))
+    assert (unpack_bits(z1 ^ z2, lanes) == unpack_bits(x & y, lanes)).all()
+    for receiver, sent in ((ctx2, x ^ r), (ctx1, y ^ s)):
+        ((_, flight),) = receiver.chan.flights
+        assert len(flight) == rows * row_bytes(lanes)
+        assert flight == sent.astype(wire_dtype(lanes)).tobytes()
+
+
+@pytest.mark.parametrize("lanes", WIRE_LANES)
+def test_and_level_sends_the_low_bytes_of_its_lanes(lanes):
+    """A plain and a combine level in one flight over rows with random bits
+    in every lane: the used lanes of every next row are exact, and each
+    party's flight is its opened rows XOR their masks, each word's low
+    wire_dtype(lanes) bytes, row_bytes(lanes) a row."""
+    rng = np.random.default_rng(100 + lanes)
+    words = words_for(lanes)
+    specs = [((2, 3, 4, 1), False), ((3, 2), True)]
+    ctx1, ctx2 = session_pair(l=8, seed=lanes, record=True)
+    levels, shares, want = [], {1: [], 2: []}, []
+    for sizes, combine in specs:
+        level = _level(sizes, combine)
+        count = sum(sizes) * (2 if combine else 1) - combine  # a combine's G's, then P's
+        bits = rng.integers(0, 2, size=(count, 64 * words), dtype=np.uint8)
+        split = rng.integers(0, 2, size=bits.shape, dtype=np.uint8)
+        shares[1].append((pack_bits(split), level))
+        shares[2].append((pack_bits(bits ^ split), level))
+        levels.append(level)
+        want.append(_clear_level(bits[:, :lanes], sizes, combine))
+    groups = sum(level.groups for level in levels)
+    peeked = [ctx.rand.bin.take(words * groups)[0].copy() for ctx in (ctx1, ctx2)]
+    for ctx, unit in zip((ctx1, ctx2), peeked):
+        ctx.rand.bin = StreamPool((unit,))
+    z1, z2 = run_two(ctx1, ctx2, lambda c: and_level(c, shares[c.party], lanes))
+    for a, b, w in zip(z1, z2, want):
+        assert (unpack_bits(a ^ b, lanes) == w).all()
+    for receiver, party in ((ctx2, 1), (ctx1, 2)):
+        sent, first = [], 0
+        for level, (x, _) in zip(levels, shares[party]):
+            units = peeked[party - 1][first:first + words * level.groups]
+            first += words * level.groups
+            k = level.opened.size
+            masks = units.reshape(level.groups, words, -1)[level.reads[0][:k], :, level.reads[1][:k]]
+            sent.append(x[level.opened] ^ masks)
+        ((_, flight),) = receiver.chan.flights
+        assert len(flight) == sum(e.shape[0] for e in sent) * row_bytes(lanes)
+        assert flight == np.concatenate(sent).astype(wire_dtype(lanes)).tobytes()
+
+
+@pytest.mark.parametrize("lanes", WIRE_LANES)
+def test_less_than_flights_carry_row_bytes_of_its_batch(lanes, monkeypatch):
+    """A batch of `lanes` comparisons whose bit rows both parties fill with
+    random bits past the batch: every result is exact, and each flight is
+    row_bytes(lanes) per row, the leaf flight's cross rows and then each
+    combine level's opened rows."""
+    def noisy_bits(values, positions):
+        packed = bits_of_values(values, positions)
+        past = ~pack_bits(np.ones(values.size, dtype=np.uint8))
+        noise = _random_words(np.random.default_rng(int(values[0])), *packed.shape)
+        return packed | (noise & past)
+
+    monkeypatch.setattr(gadgets, "bits_of_values", noisy_bits)
+    l, ring = 10, Ring(10)
+    rng = np.random.default_rng(lanes)
+    a, b = rng.integers(0, 1 << (l - 2), size=(2, lanes), dtype=np.uint64)
+    a1, a2 = share_pair(a, ring, seed=lanes)
+    b1, b2 = share_pair(b, ring, seed=lanes + 1)
+    ctx1, ctx2 = session_pair(l=l, seed=lanes, record=True)
+    r1, r2 = run_two(ctx1, ctx2, lambda c: less_than(
+        c, a1 if c.party == 1 else a2, b1 if c.party == 1 else b2))
+    assert (reconstruct_bits(r1, r2) == (a < b)).all()
+    plan = carry_plan(l)
+    rows = [plan.cross_rows] + [level.opened.size for level in plan.levels]
+    for ctx in (ctx1, ctx2):
+        assert [len(flight) for _, flight in ctx.chan.flights] == [
+            row * row_bytes(lanes) for row in rows]
 
 
 def test_less_than_equal_inputs_give_zero():
@@ -358,41 +462,43 @@ def test_less_than_round_count():
 
 
 def test_and_trees_run_level_locked_over_packed_rows():
-    """AND trees of 1..10 columns over every assignment of their bits, and
-    one carry combine tree over random G and P rows, all under random share
-    splits in one runner: each tree's first row is its AND (the carry
-    tree's, its prefix G), the rounds are the deepest tree's, and each tree
-    takes a unit per gate per packed word of its rows."""
+    """AND trees of 1..10 columns, over every assignment of their bits at
+    1,024 lanes and random ones at 5, and one carry combine tree over random
+    G and P rows, all under random share splits in one runner: each tree's
+    first row is its AND (the carry tree's, its prefix G), the rounds are
+    the deepest tree's, and each tree takes a unit per gate per packed word
+    of its rows."""
     rng = np.random.default_rng(8)
-    trees, want, units = [], [], 0
-    for count in range(1, 11):
-        lanes = np.arange(1 << count)
-        bits = ((lanes >> np.arange(count)[:, None]) & 1).astype(np.uint8)
-        trees.append((bits, and_tree(count)))
-        want.append(np.bitwise_and.reduce(bits, axis=0))
-        units += words_for(lanes.size) * tree_cost(and_tree(count))[2]
-    plan = carry_plan(64)
-    segments = len(plan.blocks)
-    gp = rng.integers(0, 2, size=(2 * segments - 1, 300), dtype=np.uint8)  # G's, then P's
-    g = gp[0]
-    for i in range(1, segments):
-        g = gp[i] ^ (gp[segments - 1 + i] & g)
-    trees.append((gp, plan.levels))
-    want.append(g)
-    units += words_for(300) * tree_cost(plan.levels)[2]
-    shares = {1: [], 2: []}
-    for bits, levels in trees:
-        split = rng.integers(0, 2, size=bits.shape, dtype=np.uint8)
-        shares[1].append((pack_bits(split), levels))
-        shares[2].append((pack_bits(bits ^ split), levels))
-    ctx1, ctx2 = session_pair(l=8, seed=7)
-    z1, z2 = run_two(ctx1, ctx2, lambda c: and_trees(c, shares[c.party]))
-    for a, b, w in zip(z1, z2, want):
-        assert (unpack_bits(a ^ b, w.size) == w).all()
-    depths = sorted({len(levels) for _, levels in trees})
-    assert depths[0] == 0 and len(depths) > 2
-    assert ctx1.chan.rounds == depths[-1] == len(plan.levels)
-    assert ctx1.rand.bin.consumed == ctx2.rand.bin.consumed == units
+    for lanes in (1024, 5):
+        assignments = np.arange(1024) if lanes == 1024 else rng.integers(0, 1024, size=lanes)
+        trees, want, units = [], [], 0
+        for count in range(1, 11):
+            bits = ((assignments >> np.arange(count)[:, None]) & 1).astype(np.uint8)
+            trees.append((bits, and_tree(count)))
+            want.append(np.bitwise_and.reduce(bits, axis=0))
+            units += words_for(lanes) * tree_cost(and_tree(count))[2]
+        plan = carry_plan(64)
+        segments = len(plan.blocks)
+        gp = rng.integers(0, 2, size=(2 * segments - 1, lanes), dtype=np.uint8)  # G's, then P's
+        g = gp[0]
+        for i in range(1, segments):
+            g = gp[i] ^ (gp[segments - 1 + i] & g)
+        trees.append((gp, plan.levels))
+        want.append(g)
+        units += words_for(lanes) * tree_cost(plan.levels)[2]
+        shares = {1: [], 2: []}
+        for bits, levels in trees:
+            split = rng.integers(0, 2, size=bits.shape, dtype=np.uint8)
+            shares[1].append((pack_bits(split), levels))
+            shares[2].append((pack_bits(bits ^ split), levels))
+        ctx1, ctx2 = session_pair(l=8, seed=7)
+        z1, z2 = run_two(ctx1, ctx2, lambda c: and_trees(c, shares[c.party], lanes))
+        for a, b, w in zip(z1, z2, want):
+            assert (unpack_bits(a ^ b, w.size) == w).all()
+        depths = sorted({len(levels) for _, levels in trees})
+        assert depths[0] == 0 and len(depths) > 2
+        assert ctx1.chan.rounds == depths[-1] == len(plan.levels)
+        assert ctx1.rand.bin.consumed == ctx2.rand.bin.consumed == units
 
 
 def test_bit_mul_annihilator_identity_and_products():

@@ -3,15 +3,25 @@ import re
 import numpy as np
 import pytest
 
-from conftest import reconstruct, reconstruct_bits, run_two, session_pair, share_pair
+from conftest import (
+    _record_flights,
+    reconstruct,
+    reconstruct_bits,
+    run_two,
+    session_pair,
+    share_pair,
+)
 
+from skyshare.channel import KIND_ROUND_DATA, LocalChannel
 from skyshare.correlated import KINDS
 from skyshare.datasets import DatasetSpec, generate
-from skyshare import online, protocol
+from skyshare import metering, online, protocol
+from skyshare.bitpack import words_for
 from skyshare.metering import (
     budget_for_query,
     msb_invocations,
     query_bytes,
+    query_cost,
     query_rounds,
 )
 from skyshare.plaintext import brute_force_skyline, plaintext_skyline, same_rows
@@ -379,6 +389,29 @@ def test_bytes_match_closed_form():
         assert metrics.bytes_tx == metrics.bytes_rx == want, (n, m, engine.ring.l)
 
 
+def test_closed_forms_at_the_benchmark_points():
+    """Bytes each party sends and rounds of a query at each benchmark
+    workload's (n, m, l) and typical k: inde_loop, wide_scan, tcp_1ms."""
+    for point, sent, rounds in (((128, 4, 10, 28), 165_444, 839),
+                                ((4096, 2, 12, 5), 887_016, 262),
+                                ((16, 3, 10, 6), 4_525, 132)):
+        cost = query_cost(*point)
+        assert (cost.bytes, cost.rounds) == (sent, rounds), point
+
+
+def test_narrow_rows_change_only_the_bytes_and_never_raise_them(monkeypatch):
+    """Against rows priced as whole words, over l = 2..64 and batches both
+    narrower and wider than a word: every field of query_cost but bytes is
+    the same, and bytes is never higher."""
+    points = [(n, m, l, 2) for l in range(2, 65) for n in (1, 9, 65, 130) for m in (1, 3)]
+    narrow = [query_cost(*point) for point in points]
+    monkeypatch.setattr(metering, "row_bytes", lambda lanes: 8 * words_for(lanes))
+    for point, cost in zip(points, narrow):
+        whole = query_cost(*point)
+        assert cost.bytes <= whole.bytes, point
+        assert vars(cost) | {"bytes": 0} == vars(whole) | {"bytes": 0}, point
+
+
 def test_flight_values_stay_below_the_ring_modulus(monkeypatch):
     """Shares are kept unreduced between flights, so the high bits of a share
     carry borrows of the secret: every ring value a party sends must be
@@ -443,3 +476,64 @@ def test_run_query_names_each_drifted_meter(monkeypatch, field):
         run_two(ctx1, ctx2, lambda c: run_query(
             c, p1 if c.party == 1 else p2, q1 if c.party == 1 else q2))
     assert re.findall(r"(\w+) \d+ != \d+", str(err.value)) == [field]
+
+
+AUDIT_INPUTS = (([[0, 3], [1, 1], [3, 0], [2, 2]], [0, 0]),  # k = 3 each
+                ([[2, 0], [0, 0], [3, 2], [1, 1]], [0, 3]))
+AUDIT_SESSIONS = 500
+
+
+def _audited_bits(flights):
+    """A session's audited bits: every bit of every flight, then every bit
+    of the XOR of each two bytes of one flight.  Every byte sent is masked
+    on its own, so each such bit is uniform or a constant format bit; a
+    mask reused inside a flight shows as a bias that depends on the input."""
+    parts = []
+    for payload in flights:
+        got = np.frombuffer(payload, dtype=np.uint8)
+        i, j = np.triu_indices(got.size, 1)
+        parts += [got, got[i] ^ got[j]]
+    return np.unpackbits(np.concatenate(parts))
+
+
+def test_every_flight_of_a_session_is_independent_of_the_input(monkeypatch):
+    """Party 2's view of whole sessions at n = 4, m = 2, l = 4 over two
+    databases and queries with the same k, each owner sharing fixed and
+    every session dealt afresh: the round-data flights have the same kinds
+    and sizes round for round, every audited bit (_audited_bits) is a
+    constant of both inputs or within 5 sigma of 1/2 at each, and the two
+    inputs' frequencies agree within a two-sample 5 sigma bound.  So the
+    stop bits are the only thing a session opens."""
+    received = []
+    pair = LocalChannel.pair
+
+    def recording_pair(*args):
+        chan1, chan2 = pair(*args)
+        _record_flights(chan2)
+        received.append(chan2.flights)
+        return chan1, chan2
+
+    monkeypatch.setattr(LocalChannel, "pair", recording_pair)
+    views = []
+    for seed, (data, query) in enumerate(AUDIT_INPUTS):
+        engine = LocalEngine(data, l=4, seed=seed)
+        shapes, bits = set(), []
+        for _ in range(AUDIT_SESSIONS):
+            received.clear()
+            _, metrics = engine.query(query)
+            assert metrics.k == 3
+            (flights,) = received
+            rounds = [payload for kind, payload in flights if kind == KIND_ROUND_DATA]
+            shapes.add(tuple(map(len, rounds)))
+            bits.append(_audited_bits(rounds))
+        assert len(shapes) == 1
+        views.append((shapes.pop(), np.mean(bits, axis=0)))
+    (shape_a, freq_a), (shape_b, freq_b) = views
+    assert shape_a == shape_b
+    constant = (freq_a == freq_b) & ((freq_a == 0) | (freq_a == 1))
+    sigma = np.sqrt(0.25 / AUDIT_SESSIONS)
+    near_half = (np.abs(freq_a - 0.5) <= 5 * sigma) & (np.abs(freq_b - 0.5) <= 5 * sigma)
+    assert (constant | near_half).all(), np.flatnonzero(~(constant | near_half))[:10]
+    pooled = (freq_a + freq_b) / 2
+    bound = 5 * np.sqrt(pooled * (1 - pooled) * 2 / AUDIT_SESSIONS)
+    assert (np.abs(freq_a - freq_b) <= bound).all()
