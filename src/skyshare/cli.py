@@ -37,7 +37,7 @@ def _dataset_from_args(args) -> DatasetSpec:
     values = {}
     if getattr(args, "config", None):
         values.update(parse_config(args.config))
-    for key in ("kind", "n", "m", "bound", "scale"):
+    for key in ("kind", "n", "m", "bound"):
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
@@ -188,7 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--n", type=int)
     gen.add_argument("--m", type=int)
     gen.add_argument("--bound", type=int)
-    gen.add_argument("--scale", type=int)
     gen.add_argument("--config", help="key = value dataset config file")
     gen.add_argument("--out", required=True)
     gen.set_defaults(fn=cmd_gen)

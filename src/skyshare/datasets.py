@@ -16,11 +16,13 @@ Generation is deterministic per (kind, n, m, seed, bound).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 KINDS = ("inde", "corr", "anti", "csv")
+_INT64 = np.iinfo(np.int64)
 
 
 @dataclass(frozen=True)
@@ -108,12 +110,17 @@ def load_csv(path: str, columns: list[str] | None = None, scale: int = 1
         for j in take:
             cell = cells[j]
             try:
-                value = float(cell)
+                value = float(cell) * scale
             except ValueError:
                 raise ValueError(
                     f"{path}:{lineno}: column {header[j]!r}: non-numeric cell {cell!r}"
                 ) from None
-            row.append(int(round(value * scale)))
+            if not (math.isfinite(value) and _INT64.min <= round(value) <= _INT64.max):
+                raise ValueError(
+                    f"{path}:{lineno}: column {header[j]!r}: cell {cell!r} scaled by {scale} "
+                    f"is not a finite int64"
+                )
+            row.append(round(value))
         rows.append(row)
     if not rows:
         raise ValueError(f"{path}: no data rows")

@@ -4,13 +4,15 @@ less_than computes XOR shares of msb(a - b) for a batch of shared pairs.
 Each party bit-decomposes its local share of d = a - b, so party 1 holds
 the bits of one addend of d1 + d2 and party 2 those of the other, and the
 carry into the top bit is a comparison between two private bit strings
-(ppa's plan).  The leaf blocks take one flight of one-sided ANDs, each
-party evaluating its side of every block's factored G and P on its own bit
-columns; the combine tree takes one flight of multi-input AND gates per
-level, groups of up to 4 segments each.  The output bit equals (a < b)
-under the signed reading whenever a, b and a - b stay inside
-(-2^(l-1), 2^(l-1)), which the protocol layer guarantees via its
-domain-bound checks; the raw msb identity holds on the full ring.
+(ppa's plan).  The leaf blocks take one flight of one-sided ANDs: each
+party ANDs its bit lanes into its monomial of each one-sided row, and one
+table of its plan.leaf maps its lanes and the flight's results to its
+shares of every block's G and P.  The combine tree takes one flight of
+multi-input AND gates per level, groups of up to 4 segments each.  The
+output bit equals (a < b) under the signed reading whenever a, b and
+a - b stay inside (-2^(l-1), 2^(l-1)), which the protocol layer
+guarantees via its domain-bound checks; the raw msb identity holds on the
+full ring.
 """
 
 from __future__ import annotations
@@ -26,15 +28,7 @@ from .online import (
     obliv_select,
     public_share,
 )
-from .ppa import Table, carry_plan, pair_levels, path_columns
-
-
-def _leaf_blocks(ctx: PartyContext, lanes: np.ndarray, n: int, local: Table, cross: Table
-                 ) -> np.ndarray:
-    """Shares of every leaf block's G, then of the P of every block above the
-    lowest, from one flight of one-sided ANDs of the cross products, rows of
-    n lanes."""
-    return cross.xors(and_one_sided(ctx, cross.ands(lanes), n)) ^ local(lanes)
+from .ppa import carry_plan, pair_levels, path_columns
 
 
 def less_than(ctx: PartyContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -45,12 +39,13 @@ def less_than(ctx: PartyContext, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     n = a.size
     lanes = bits_of_values((a - b).ravel(), l)  # (l, words); reads the low l bits only
     plan = carry_plan(l)
+    cross, out = plan.leaf[ctx.party - 1]
     # rows: each segment's G, then the P of each segment above the lowest
-    gp = _leaf_blocks(ctx, lanes, n, *plan.leaf[ctx.party - 1])
+    gp = out(np.concatenate((lanes, and_one_sided(ctx, cross.ands(lanes), n))))
     (carry,) = and_trees(ctx, [(gp, plan.levels)], n)
-    out = lanes[l - 1] ^ carry
+    msb = lanes[l - 1] ^ carry
     ctx.meters.secext += n
-    return unpack_bits(out, n).reshape(a.shape)
+    return unpack_bits(msb, n).reshape(a.shape)
 
 
 def min_with_payload(ctx: PartyContext, keys: np.ndarray, payloads: list[np.ndarray]

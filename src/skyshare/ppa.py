@@ -18,7 +18,9 @@ term whose S and T meet in {i} (G) or not at all (P), so no a^S and no b^T
 repeats, and each is one product of a monomial party 1 holds and one party
 2 holds: one one-sided AND (online.and_one_sided).  G needs 1, 3 and 7
 products at widths 1, 2 and 3, P needs 0, 2 and 6, and the lowest block
-needs no P.  Every block's products go out in one flight.
+needs no P.  Every block's products go out in one flight; CarryPlan.leaf
+holds each party's monomial of every one-sided AND row and one table from
+its l bit lanes and the flight's results to its G and P shares.
 
 Combine tree.  Each level cuts the segments, lowest first, into groups of
 at most 4 and combines each group in one gate; for segments 3..0 of a group
@@ -41,7 +43,8 @@ flag trees are AND trees grouped the same way (and_tree).  Each level is
 compiled once into a Level: the rows it opens, the unit words it reads and
 one table per party from those to the next rows.  online.and_level runs a
 level in one flight, and tree_cost reads a tree's levels, bits sent and
-gate units off its compiled levels.
+gate units off its compiled levels.  Every flight, the leaf's and each
+level's, thus ends in one table per party.
 """
 
 from __future__ import annotations
@@ -78,41 +81,30 @@ class Table(NamedTuple):
     """Outputs that are each the XOR of ANDs of source rows.
 
     Column r of factors lists the source rows product r ANDs (a product of
-    fewer rows repeats one); starts holds the first product of each output
-    that has products, and has marks those outputs, or is None when all do.
-    Evaluation is an AND step, then an XOR per output.
+    fewer rows repeats one); starts holds the first product of each output,
+    and every output has one.  Evaluation is an AND step, then an XOR per
+    output.
     """
 
     factors: np.ndarray
     starts: np.ndarray
-    has: np.ndarray | None
 
     def ands(self, src: np.ndarray) -> np.ndarray:
         return np.bitwise_and.reduce(src[self.factors], axis=0)
 
-    def xors(self, products: np.ndarray) -> np.ndarray:
-        """XOR each output's products; an output without products is 0."""
-        summed = np.bitwise_xor.reduceat(products, self.starts, axis=0)
-        if self.has is None:
-            return summed
-        full = np.zeros((self.has.size, products.shape[1]), dtype=products.dtype)
-        full[self.has] = summed
-        return full
-
     def __call__(self, src: np.ndarray) -> np.ndarray:
-        return self.xors(self.ands(src))
+        return np.bitwise_xor.reduceat(self.ands(src), self.starts, axis=0)
 
 
 def xor_of_ands(outputs: list[list[list[int]]]) -> Table:
     """The table of outputs given as lists of products, a product as a list
     of source rows."""
+    if not all(outputs):
+        raise ValueError("every output of a table needs a product")
     products = [product for out in outputs for product in out]
-    span = max(map(len, products), default=1)
-    sizes = [len(out) for out in outputs]
-    has = np.array(sizes) > 0
+    span = max(map(len, products))
     factors = np.array([(product * span)[:span] for product in products], dtype=np.intp)
-    return Table(factors.reshape(-1, span).T, np.cumsum([0] + sizes[:-1], dtype=np.intp)[has],
-                 None if has.all() else has)
+    return Table(factors.T, np.cumsum([0] + [len(out) for out in outputs[:-1]], dtype=np.intp))
 
 
 # --- one leaf block ----------------------------------------------------------
@@ -380,21 +372,30 @@ def _choose_blocks(leaves: int) -> tuple[int, ...]:
     return min((_split(leaves, count) for count in range(fewest, leaves + 1)), key=key)
 
 
-def _leaf_table(blocks: tuple[int, ...], party: int, cross: bool) -> Table:
-    """One party's local or cross monomials of every leaf output (_outputs
-    order) as products of its bit lanes."""
+def _leaf_tables(blocks: tuple[int, ...], party: int) -> tuple[Table, Table]:
+    """One party's leaf flight as (cross, out).  cross ANDs its bit lanes
+    into its monomial of each one-sided AND row, in flight order; out gives
+    every leaf output (_outputs order) from the source rows [its l bit
+    lanes; the one-sided results]: its local monomial, if any, and its
+    one-sided rows."""
     first = np.cumsum((0,) + blocks[:-1]).tolist()
-    return xor_of_ands([[[first[j] + i for i in range(blocks[j]) if pair[party] >> i & 1]
-                         for pair in (out.cross if cross else out.local)]
-                        for j, out in _outputs(blocks)])
+
+    def monomial(j: int, pair: tuple) -> list[int]:
+        return [first[j] + i for i in range(blocks[j]) if pair[party] >> i & 1]
+
+    cross, out = [], []
+    row = sum(blocks) + 1  # the one-sided results follow the l lanes, the top bit's included
+    for j, output in _outputs(blocks):
+        cross += [[monomial(j, pair)] for pair in output.cross]
+        out.append([monomial(j, pair) for pair in output.local]
+                   + [[r] for r in range(row, row + len(output.cross))])
+        row += len(output.cross)
+    return xor_of_ands(cross), xor_of_ands(out)
 
 
 class CarryPlan(NamedTuple):
-    width: int
     blocks: tuple  # leaf block widths, lowest positions first
-    # per party, the leaf flight's (local, cross) tables: an output's share
-    # is its local XOR-of-ANDs, XOR the one-sided ANDs of its cross products
-    leaf: tuple
+    leaf: tuple  # per party, its leaf flight's (cross, out) tables (_leaf_tables)
     tree: tuple  # group sizes per combine level, lowest group first
     levels: tuple
 
@@ -415,7 +416,5 @@ def carry_plan(width: int) -> CarryPlan:
         raise ValueError("carry plan needs width >= 2")
     blocks = _choose_blocks(width - 1)
     tree = _best_tree(len(blocks), True)[1]
-    return CarryPlan(width, blocks,
-                     tuple(tuple(_leaf_table(blocks, party, cross) for cross in (False, True))
-                           for party in (0, 1)),
+    return CarryPlan(blocks, tuple(_leaf_tables(blocks, party) for party in (0, 1)),
                      tree, tuple(_level(sizes, True) for sizes in tree))

@@ -12,11 +12,15 @@ mask is a no-op.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 MAX_WIDTH = 64
+
+# the low-l-bit mask of every width l, as 0-d arrays: numpy dispatches one
+# about twice as fast as a numpy scalar, and building either costs more than
+# masking a small array
+MASKS = tuple(np.array((1 << l) - 1, dtype=np.uint64) for l in range(MAX_WIDTH + 1))
 
 
 @dataclass(frozen=True)
@@ -33,17 +37,11 @@ class Ring:
     def mask(self) -> int:
         return (1 << self.l) - 1
 
-    @cached_property
-    def mask_np(self) -> np.ndarray:
-        # a cached 0-d array: numpy dispatches it about twice as fast as a
-        # numpy scalar, and building either costs more than masking a small array
-        return np.array(self.mask, dtype=np.uint64)
-
     def reduce(self, arr: np.ndarray) -> np.ndarray:
         """Mask a uint64 array back into the ring."""
         if self.l == MAX_WIDTH:
             return arr
-        return arr & self.mask_np
+        return arr & MASKS[self.l]
 
 
 def default_vmax(l: int) -> int:

@@ -19,7 +19,7 @@ import struct
 
 import numpy as np
 
-from .ring import MAX_WIDTH, Ring
+from .ring import MASKS, MAX_WIDTH, Ring
 
 PARTIES = (1, 2)
 
@@ -43,7 +43,7 @@ def uniform_values(rng: np.random.Generator, ring: Ring, shape) -> np.ndarray:
     values = rng.integers(0, 1 << bits, size=shape, dtype=f"uint{bits}")
     values = values.astype(np.uint64, copy=False)
     if ring.l < bits:
-        values &= ring.mask_np
+        values &= MASKS[ring.l]
     return values
 
 
@@ -53,7 +53,7 @@ def share_matrix(values: np.ndarray, rng: np.random.Generator, ring: Ring) -> tu
     s1 = uniform_values(rng, ring, s2.shape)
     s2 -= s1
     if ring.l < MAX_WIDTH:  # also reduces values given outside the ring
-        s2 &= ring.mask_np
+        s2 &= MASKS[ring.l]
     return s1, s2
 
 
@@ -69,11 +69,6 @@ def value_width_bytes(l: int) -> int:
 _NATIVE_DTYPES = {1: "<u1", 2: "<u2", 4: "<u4", 8: "<u8"}
 
 
-# the low-l-bit mask of every width, as 0-d arrays (cheaper to apply than
-# numpy scalars)
-_MASKS = tuple(np.array((1 << l) - 1, dtype=np.uint64) for l in range(MAX_WIDTH + 1))
-
-
 def encode_values(arr: np.ndarray, l: int) -> bytes:
     """Little-endian fixed-width encoding of the low l bits of uint64 values.
 
@@ -86,9 +81,9 @@ def encode_values(arr: np.ndarray, l: int) -> bytes:
     native = _NATIVE_DTYPES.get(w)
     if native is not None:
         out = np.empty(arr.shape, dtype=native)
-        np.bitwise_and(arr, _MASKS[l], out=out)
+        np.bitwise_and(arr, MASKS[l], out=out)
         return out.tobytes()
-    flat = np.bitwise_and(arr, _MASKS[l]).astype("<u8", copy=False)
+    flat = np.bitwise_and(arr, MASKS[l]).astype("<u8", copy=False)
     return flat.view(np.uint8).reshape(-1, 8)[:, :w].tobytes()
 
 

@@ -1,6 +1,7 @@
 import socket
 
 import numpy as np
+import pytest
 
 from conftest import start_server_pair
 
@@ -39,6 +40,26 @@ def test_deal_writes_share_and_pool_files(tmp_path, table_example):
     for party in (1, 2):
         assert (out / f"party{party}.shares").exists()
         assert (out / f"party{party}.pool").exists()
+
+
+@pytest.mark.parametrize("cell", ["inf", "nan", "1e300"])
+def test_deal_refuses_a_cell_outside_int64(tmp_path, capsys, cell):
+    """A cell that is not finite or whose scaled value overflows int64 ends
+    deal with one error line naming its row and column, and no files."""
+    csv = tmp_path / "db.csv"
+    csv.write_text(f"R,H\n1,2\n3,{cell}\n")
+    out = tmp_path / "dealt"
+    assert main(["deal", "--data", str(csv), "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {csv}:3: column 'H': "), err
+    assert not out.exists()
+
+
+def test_gen_has_no_scale_flag(tmp_path, capsys):
+    with pytest.raises(SystemExit):
+        main(["gen", "--kind", "inde", "--n", "4", "--m", "2", "--scale", "100",
+              "--out", str(tmp_path / "x.csv")])
+    assert "unrecognized arguments: --scale 100" in capsys.readouterr().err
 
 
 def test_redealing_a_changed_database_draws_fresh_shares(tmp_path, capsys):

@@ -45,6 +45,7 @@ from skyshare.ppa import (
     combine_gate,
     tree_cost,
     unit_column,
+    xor_of_ands,
 )
 from skyshare.ring import Ring
 
@@ -105,6 +106,39 @@ def test_block_factoring_matches_ripple_carry_exhaustively():
                     for s, t in out.cross:
                         got ^= _monomial(s, a) & _monomial(t, b)
                     assert got == want, (w, a, b)
+
+
+def test_every_plans_leaf_tables_give_ripple_carry_g_and_p():
+    """For l = 2..64, each party's compiled leaf flight over random bit
+    lanes (the top bit's included), with the one-sided products computed in
+    the clear and split at random: the parties' outputs XOR to every
+    block's ripple-carry G, then the P of every block above the lowest."""
+    rng = np.random.default_rng(25)
+    for l in range(2, 65):
+        plan = carry_plan(l)
+        (cross1, out1), (cross2, out2) = plan.leaf
+        a, b = rng.integers(0, 2**64, size=(2, l, 2), dtype=np.uint64)
+        products = cross1.ands(a) & cross2.ands(b)
+        assert products.shape == (plan.cross_rows, 2), l
+        z1 = rng.integers(0, 2**64, size=products.shape, dtype=np.uint64)
+        got = out1(np.concatenate((a, z1))) ^ out2(np.concatenate((b, z1 ^ products)))
+        g, p, at = [], [], 0
+        for w in plan.blocks:
+            carry, prop = np.zeros(2, dtype=np.uint64), ~np.zeros(2, dtype=np.uint64)
+            for i in range(at, at + w):
+                carry = (a[i] & b[i]) ^ ((a[i] ^ b[i]) & carry)
+                prop &= a[i] ^ b[i]
+            g.append(carry)
+            p.append(prop)
+            at += w
+        assert (got == np.array(g + p[1:])).all(), l
+
+
+def test_xor_of_ands_refuses_an_output_without_products():
+    assert (xor_of_ands([[[0, 1]], [[1], [0]]])(np.array([[3], [5]], dtype=np.uint64))
+            == [[1], [6]]).all()
+    with pytest.raises(ValueError):
+        xor_of_ands([[[0, 1]], []])
 
 
 def _compositions(count):
